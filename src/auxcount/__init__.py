@@ -17,7 +17,6 @@ from .population import (
     STRATUM_ONE,
     STRATUM_ZERO,
     StratifiedFrame,
-    Unit,
     clamp_probs,
     load_frame,
     stratify_by_prediction,

@@ -53,28 +53,6 @@ class QualityProfile:
         s = float(sharpness)
         return cls(shape_pos=(s, 1.0 / s), shape_neg=(1.0 / s, s))
 
-    def to_text(self) -> str:
-        a1, b1 = self.shape_pos
-        a0, b0 = self.shape_neg
-        return f"a1 = {a1!r}\nb1 = {b1!r}\na0 = {a0!r}\nb0 = {b0!r}\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "QualityProfile":
-        vals = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, raw = line.partition("=")
-            vals[key.strip()] = float(raw.strip())
-        missing = {"a1", "b1", "a0", "b0"} - set(vals)
-        if missing:
-            raise ValueError(f"profile text missing keys: {sorted(missing)}")
-        return cls(
-            shape_pos=(vals["a1"], vals["b1"]),
-            shape_neg=(vals["a0"], vals["b0"]),
-        )
-
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -90,10 +68,6 @@ class ConfusionCounts:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
-
-    @property
-    def predicted_positive(self) -> int:
-        return self.tp + self.fp
 
 
 def _require_labels(frame: Frame, what: str):

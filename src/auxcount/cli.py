@@ -31,7 +31,10 @@ from .errors import (
     UndefinedMetricError,
     VarianceUndefinedError,
 )
-from .population import Frame, STRATUM_ONE, STRATUM_ZERO, load_frame, stratify_by_prediction, write_frame
+from .population import (
+    STRATUM_ONE, STRATUM_ZERO, Frame, float_texts, load_frame, read_table,
+    stratify_by_prediction, write_frame, write_table,
+)
 
 PAPER_Z = 2.0
 
@@ -178,21 +181,19 @@ def _write_json(path, audit: dict, payload: dict):
 
 
 def _write_record_csv(path, audit: dict, records: list[dict]):
-    with open(path, "w", newline="") as fh:
-        for line in _audit_lines(audit):
-            fh.write(f"# {line}\n")
-        fh.write(",".join(estimators.RECORD_FIELDS) + "\n")
-        for record in records:
-            cells = []
-            for field in estimators.RECORD_FIELDS:
-                value = record.get(field)
-                if value is None:
-                    cells.append("")
-                elif isinstance(value, float):
-                    cells.append(repr(float(value)))
-                else:
-                    cells.append(str(value))
-            fh.write(",".join(cells) + "\n")
+    def cell(value):
+        return repr(float(value)) if isinstance(value, float) else value
+
+    rows = ([cell(record.get(f)) for f in estimators.RECORD_FIELDS] for record in records)
+    write_table(path, _audit_lines(audit), estimators.RECORD_FIELDS, rows)
+
+
+def _load_stratum_sample(path, stratum: str):
+    """A sample given as one stratum's; refused if its file names another."""
+    sample = designs.load_sample(path)
+    if sample.stratum not in (None, stratum):
+        raise ConfigError(f"{path}: a sample of stratum {sample.stratum!r}, given as {stratum!r}")
+    return sample
 
 
 def _resolve_z(resolved, args) -> float:
@@ -359,8 +360,8 @@ def cmd_estimate(args) -> int:
         _require(resolved, "sample_one", "sample_zero")
         if resolved["zero_estimator"] not in ("srs", "diff"):
             raise ConfigError("zero_estimator must be 'srs' or 'diff'")
-        one = designs.load_sample(resolved["sample_one"])
-        zero = designs.load_sample(resolved["sample_zero"])
+        one = _load_stratum_sample(resolved["sample_one"], STRATUM_ONE)
+        zero = _load_stratum_sample(resolved["sample_zero"], STRATUM_ZERO)
         zero_fn = (
             estimators.srs_estimate
             if resolved["zero_estimator"] == "srs"
@@ -423,30 +424,20 @@ def cmd_simulate(args) -> int:
     _write_json(_out_path(args, resolved["out_report"]), audit, report.summary_dict())
 
     lines = _audit_lines(audit)
-    with open(_out_path(args, resolved["out_replicates"]), "w", newline="") as fh:
-        for line in lines:
-            fh.write(f"# {line}\n")
-        zero = report.zero_stratum_estimates
-        if zero is None:
-            fh.write("replicate,estimate,estimated_variance\n")
-            for r in range(report.R):
-                fh.write(
-                    f"{r},{float(report.estimates[r])!r},"
-                    f"{float(report.estimated_variances[r])!r}\n"
-                )
-        else:
-            fh.write("replicate,estimate,estimated_variance,zero_stratum_estimate\n")
-            for r in range(report.R):
-                fh.write(
-                    f"{r},{float(report.estimates[r])!r},"
-                    f"{float(report.estimated_variances[r])!r},{float(zero[r])!r}\n"
-                )
-    with open(_out_path(args, resolved["out_histogram"]), "w", newline="") as fh:
-        for line in lines:
-            fh.write(f"# {line}\n")
-        fh.write("bin_lo,bin_hi,count\n")
-        for b in report.bins:
-            fh.write(f"{float(b.lo)!r},{float(b.hi)!r},{int(b.count)}\n")
+    columns = {
+        "replicate": range(report.R),
+        "estimate": float_texts(report.estimates),
+        "estimated_variance": float_texts(report.estimated_variances),
+    }
+    if report.zero_stratum_estimates is not None:
+        columns["zero_stratum_estimate"] = float_texts(report.zero_stratum_estimates)
+    write_table(
+        _out_path(args, resolved["out_replicates"]), lines, list(columns), zip(*columns.values())
+    )
+    bins = ((repr(float(b.lo)), repr(float(b.hi)), int(b.count)) for b in report.bins)
+    write_table(
+        _out_path(args, resolved["out_histogram"]), lines, ("bin_lo", "bin_hi", "count"), bins
+    )
     return 0
 
 
@@ -463,8 +454,8 @@ F1_SPEC = {
 def cmd_f1(args) -> int:
     resolved = _resolve(args, F1_SPEC)
     _require(resolved, "sample_one", "sample_zero", "flagged_tp", "flagged_fn", "c")
-    one = estimators.srs_estimate(designs.load_sample(resolved["sample_one"]))
-    zero = estimators.hh_estimate(designs.load_sample(resolved["sample_zero"]))
+    one = estimators.srs_estimate(_load_stratum_sample(resolved["sample_one"], STRATUM_ONE))
+    zero = estimators.hh_estimate(_load_stratum_sample(resolved["sample_zero"], STRATUM_ZERO))
     flagged = classifier_sim.ConfusionCounts(
         tp=resolved["flagged_tp"], fp=0, fn=resolved["flagged_fn"], tn=0
     )
@@ -484,6 +475,7 @@ def cmd_f1(args) -> int:
 
 REPORT_SPEC = {
     "inputs": (list, None),
+    "paper_mode": (bool, None),
     "out_table": (str, "table.txt"),
 }
 
@@ -522,7 +514,7 @@ def cmd_report(args) -> int:
         rows.extend(_read_record_rows(path))
     if not rows:
         raise ConfigError("no estimate records found in the inputs")
-    text = _format_table(rows, bool(args.paper_mode))
+    text = _format_table(rows, bool(resolved["paper_mode"]))
     with open(_out_path(args, resolved["out_table"]), "w") as fh:
         for line in _audit_lines(_audit("report", resolved)):
             fh.write(f"# {line}\n")
@@ -532,16 +524,14 @@ def cmd_report(args) -> int:
 
 
 def _read_record_rows(path) -> list[dict]:
-    import csv as _csv
-
     try:
-        with open(path, newline="") as fh:
-            reader = _csv.DictReader(line for line in fh if not line.startswith("#"))
-            if reader.fieldnames is None or "total" not in reader.fieldnames:
-                raise ConfigError(f"{path}: not an estimate record file")
-            return list(reader)
+        _, header, fields, rows, ragged = read_table(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    if "total" not in header or ragged is not None:
+        raise ConfigError(f"{path}: not an estimate record file")
+    width = len(header)
+    return [dict(zip(header, fields[i : i + width])) for i in range(0, rows * width, width)]
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="z = 2.0 and integer-rounded tables",
         )
         for key, (typ, _) in spec.items():
-            if key == "seed":
+            if key in ("seed", "paper_mode"):
                 continue
             flag = "--" + key.replace("_", "-")
             if typ is list:

@@ -8,14 +8,23 @@ not the frame.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllocationError, IngestionError
-from .population import Frame, StratifiedFrame
+from .population import (
+    Frame,
+    StratifiedFrame,
+    float_texts,
+    label_texts,
+    parse_floats,
+    parse_labels,
+    read_table,
+    write_table,
+)
 
 DESIGN_SRS = "SRS_WOR"
 DESIGN_PPS = "PPS_WR"
@@ -49,7 +58,6 @@ class Sample:
     parent_N: int
     parent_aux_total: float
     stratum: str | None = None
-    indices: np.ndarray | None = None
 
     def __post_init__(self):
         if self.design not in (DESIGN_SRS, DESIGN_PPS):
@@ -123,7 +131,6 @@ def srs_wor(frame: Frame, n: int, seed) -> Sample:
         parent_N=frame.N,
         parent_aux_total=frame.aux_total,
         stratum=frame.stratum,
-        indices=idx,
     )
 
 
@@ -193,7 +200,6 @@ def pps_wr(frame: Frame, n: int, seed) -> Sample:
         parent_N=frame.N,
         parent_aux_total=frame.aux_total,
         stratum=frame.stratum,
-        indices=idx,
     )
 
 
@@ -330,36 +336,37 @@ def write_sample(sample: Sample, path, header_lines=()) -> None:
     The design, parent size and auxiliary total ride along as ``# key =
     value`` lines above the header; blank y marks unlabeled draws.
     """
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write(f"# sample_design = {sample.design}\n")
-        fh.write(f"# parent_N = {sample.parent_N}\n")
-        fh.write(f"# parent_aux_total = {float(sample.parent_aux_total)!r}\n")
-        if sample.stratum is not None:
-            fh.write(f"# stratum = {sample.stratum}\n")
-        fh.write(",".join(_SAMPLE_COLUMNS) + "\n")
-        y = np.asarray(sample.y, dtype=np.float64)
-        for i in range(sample.n):
-            lab = "" if np.isnan(y[i]) else str(int(y[i]))
-            fh.write(
-                f"{i},{sample.unit_ids[i]},{float(sample.pi[i])!r},"
-                f"{lab},{float(sample.p_hat[i])!r}\n"
-            )
+    facts = [
+        f"sample_design = {sample.design}",
+        f"parent_N = {sample.parent_N}",
+        f"parent_aux_total = {float(sample.parent_aux_total)!r}",
+    ]
+    if sample.stratum is not None:
+        facts.append(f"stratum = {sample.stratum}")
+    ids = np.asarray(sample.unit_ids).tolist()
+    rows = zip(
+        range(sample.n),
+        ids,
+        float_texts(sample.pi),
+        label_texts(sample.y),
+        float_texts(sample.p_hat),
+    )
+    write_table(path, [*header_lines, *facts], _SAMPLE_COLUMNS, rows, ids)
+
+
+def _header_fields(lines) -> dict[str, str]:
+    fields: dict[str, str] = {}
+    for line in lines:
+        key, sep, value = line[1:].partition("=")
+        if sep:
+            fields[key.strip()] = value.strip()
+    return fields
 
 
 def read_header_fields(path) -> dict[str, str]:
     """Collect the leading ``# key = value`` lines of a CSV artifact."""
-    fields: dict[str, str] = {}
     with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            body = line[1:].strip()
-            key, sep, value = body.partition("=")
-            if sep:
-                fields[key.strip()] = value.strip()
-    return fields
+        return _header_fields(itertools.takewhile(lambda line: line.startswith("#"), fh))
 
 
 def load_sample(path) -> Sample:
@@ -369,53 +376,46 @@ def load_sample(path) -> Sample:
     ------
     IngestionError
         On missing header facts, malformed rows, or out-of-range values;
-        messages name the offending row.
+        messages name the first offending row.
     """
-    fields = read_header_fields(path)
+    comments, header, fields, rows, ragged = read_table(path)
+    facts = _header_fields(comments)
     for key in ("sample_design", "parent_N", "parent_aux_total"):
-        if key not in fields:
+        if key not in facts:
             raise IngestionError(f"{path}: missing '# {key} = ...' header line")
-    ids: list = []
-    pis: list = []
-    ys: list = []
-    ps: list = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        if reader.fieldnames != list(_SAMPLE_COLUMNS):
-            raise IngestionError(
-                f"{path}: expected columns {','.join(_SAMPLE_COLUMNS)}"
-            )
-        for row_no, row in enumerate(reader, start=1):
-            try:
-                pi = float(row["pi"])
-                p = float(row["p_hat"])
-            except (TypeError, ValueError):
-                raise IngestionError(f"{path}: draw {row_no}: bad numeric field") from None
-            raw_y = (row["y"] or "").strip()
-            if raw_y == "":
-                y = np.nan
-            elif raw_y in ("0", "1"):
-                y = float(raw_y)
-            else:
-                raise IngestionError(
-                    f"{path}: draw {row_no}: label {raw_y!r} not in {{0, 1, blank}}"
-                )
-            ids.append(row["unit_id"])
-            pis.append(pi)
-            ys.append(y)
-            ps.append(p)
-    if not ids:
+    if header != list(_SAMPLE_COLUMNS):
+        raise IngestionError(f"{path}: expected columns {','.join(_SAMPLE_COLUMNS)}")
+    width = len(_SAMPLE_COLUMNS)
+    stop = (rows if ragged is None else ragged) * width
+    _, ids, raw_pi, raw_y, raw_p = (fields[j:stop:width] for j in range(width))
+    pi, bad_pi = parse_floats(raw_pi)
+    p_hat, bad_p = parse_floats(raw_p)
+    y, bad_y = parse_labels(raw_y)
+
+    # (draw, rank, message): rank orders the checks made on one row
+    problems = []
+    if ragged is not None:
+        problems.append((ragged, 0, f"expected {width} fields"))
+    unparsed = [i for i in (bad_pi, bad_p) if i is not None]
+    if unparsed:
+        problems.append((min(unparsed), 1, "bad numeric field"))
+    if bad_y is not None:
+        problems.append((bad_y, 2, f"label {raw_y[bad_y].strip()!r} not in {{0, 1, blank}}"))
+    if problems:
+        row, _, message = min(problems)
+        raise IngestionError(f"{path}: draw {row + 1}: {message}")
+    if not rows:
         raise IngestionError(f"{path}: no draws")
     try:
         return Sample(
-            design=fields["sample_design"],
+            design=facts["sample_design"],
             unit_ids=np.asarray(ids, dtype=object),
-            pi=np.asarray(pis),
-            y=np.asarray(ys),
-            p_hat=np.asarray(ps),
-            parent_N=int(fields["parent_N"]),
-            parent_aux_total=float(fields["parent_aux_total"]),
-            stratum=fields.get("stratum"),
+            pi=pi,
+            y=y,
+            p_hat=p_hat,
+            parent_N=int(facts["parent_N"]),
+            parent_aux_total=float(facts["parent_aux_total"]),
+            stratum=facts.get("stratum"),
         )
     except ValueError as exc:
         raise IngestionError(f"{path}: {exc}") from None

@@ -9,8 +9,11 @@ simulation return new frames.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
+import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -24,6 +27,9 @@ STRATUM_ONE = "one"
 STRATUM_ZERO = "zero"
 
 _DEFAULT_COLUMNS = {"id": "id", "label": "label", "aux_prob": "p_hat"}
+_LABEL_VALUES = {"": np.nan, "0": 0.0, "1": 1.0}
+# bytes.translate deletes these, leaving a text's commas and newlines
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def clamp_probs(p):
@@ -32,16 +38,6 @@ def clamp_probs(p):
     Idempotent; applying it twice changes nothing.
     """
     return np.clip(np.asarray(p, dtype=np.float64), PROB_FLOOR, 1.0 - PROB_FLOOR)
-
-
-@dataclass(frozen=True)
-class Unit:
-    """A single population unit."""
-
-    id: str
-    aux_prob: float
-    label: int | None = None
-    stratum: str | None = None
 
 
 class Frame:
@@ -123,18 +119,6 @@ class Frame:
     def __len__(self) -> int:
         return self.N
 
-    def unit(self, i: int) -> Unit:
-        lab = self._labels[i]
-        return Unit(
-            id=self._ids[i],
-            aux_prob=float(self._probs[i]),
-            label=None if np.isnan(lab) else int(lab),
-            stratum=self.stratum,
-        )
-
-    def __iter__(self) -> Iterator[Unit]:
-        return (self.unit(i) for i in range(self.N))
-
     def predicted_classes(self, tau: float):
         """Hard 0/1 predictions at threshold tau (prob >= tau reads as 1)."""
         _check_tau(tau)
@@ -202,13 +186,126 @@ def stratify_by_prediction(frame: Frame, tau: float) -> StratifiedFrame:
     return StratifiedFrame(strata=strata, threshold=float(tau))
 
 
+def read_table(path):
+    """Split a CSV file into (comments, header, fields, rows, ragged).
+
+    ``comments`` are the leading ``#`` lines: below the column header a
+    ``#`` is data.  Blank lines are skipped.  ``fields`` holds every data
+    field, row after row; ``ragged`` is the index of the first row whose
+    width differs from the header's (None if none), from which on the
+    fields no longer line up with the columns.
+    """
+    with open(path, newline="") as fh:
+        comments = []
+        line = fh.readline()
+        while line.startswith("#"):
+            comments.append(line)
+            line = fh.readline()
+        header = next(csv.reader([line]), [])
+        body = fh.read()
+    width = len(header)
+    if '"' in body or "\r" in body:
+        try:
+            table = [row for row in csv.reader(io.StringIO(body, newline="")) if row]
+        except csv.Error as exc:
+            raise IngestionError(f"{path}: {exc}") from None
+        widths = np.fromiter(map(len, table), np.intp, len(table))
+        fields = list(itertools.chain.from_iterable(table))
+        return comments, header, fields, len(table), _first(widths != width)
+    body = re.sub("\n\n+", "\n", body).strip("\n")
+    if not body:
+        return comments, header, [], 0, None
+    # with no quotes, a row's width is its comma count plus one: compare
+    # the file's separators, in order, with those of rows that fit
+    seps = body.encode().translate(None, _NOT_SEPARATOR) + b"\n"
+    rows = seps.count(b"\n")
+    fits = (b"," * (width - 1) + b"\n") * rows
+    ragged = None
+    if seps != fits:
+        size = min(len(seps), len(fits))
+        pos = _first(np.frombuffer(seps, np.uint8, size) != np.frombuffer(fits, np.uint8, size))
+        ragged = seps.count(b"\n", 0, pos)
+    return comments, header, body.replace("\n", ",").split(","), rows, ragged
+
+
+def _first(mask) -> int | None:
+    """Index of the first True in a boolean array, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _float_or_none(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def parse_floats(texts):
+    """float() of the texts as an array, cut at the first text float()
+    rejects, and that text's index (None if none)."""
+    try:
+        return np.array(texts, dtype=np.float64), None
+    except ValueError:
+        bad = list(map(_float_or_none, texts)).index(None)
+        return np.array(texts[:bad], dtype=np.float64), bad
+
+
+def parse_labels(texts):
+    """Labels from "0", "1" or blank (NaN), padding ignored, and the index
+    of the first other text (None if none)."""
+    values = np.fromiter(
+        map(_LABEL_VALUES.get, map(str.strip, texts), itertools.repeat(np.inf)),
+        np.float64,
+        len(texts),
+    )
+    return values, _first(values == np.inf)
+
+
+def label_texts(labels):
+    """CSV text of labels: "0", "1", or "" where NaN."""
+    codes = np.nan_to_num(np.asarray(labels, dtype=np.float64), nan=2.0)
+    if not np.isin(codes, (0.0, 1.0, 2.0)).all():
+        raise ValueError("labels must be 0, 1, or missing")
+    return map(("0", "1", "").__getitem__, codes.astype(np.intp).tolist())
+
+
+def float_texts(values):
+    """repr of each value as a float, which reads back exactly."""
+    return map(repr, np.asarray(values, dtype=np.float64).tolist())
+
+
+def write_table(path, comments, header, rows, ids=()) -> None:
+    """Write ``# `` comment lines, a header row and ``rows`` as CSV.
+
+    csv quotes a field holding a comma, a quote or a newline, but not
+    one holding a lone carriage return, which a reader takes for a line
+    break; so when one of ``ids`` holds one, every field is quoted.
+    """
+    quoting = csv.QUOTE_ALL if "\r" in "".join(map(str, ids)) else csv.QUOTE_MINIMAL
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def first_repeat(ids) -> int | None:
+    """Index of the first id equal to an earlier one, or None."""
+    _, firsts = np.unique(np.asarray(ids, dtype=object), return_index=True)
+    repeats = np.setdiff1d(np.arange(len(ids)), firsts)
+    return int(repeats[0]) if repeats.size else None
+
+
 def load_frame(path, columns: Mapping[str, str] | None = None) -> Frame:
     """Read a frame from CSV.
 
     The file must carry a header naming an id column, a label column and a
     probability column (default names: ``id``, ``label``, ``p_hat``).
     Labels may be blank for unlabeled units.  Probabilities are clamped
-    into [PROB_FLOOR, 1 - PROB_FLOOR] here and nowhere else.
+    into [PROB_FLOOR, 1 - PROB_FLOOR] here and nowhere else.  ``#``
+    lines above the header are comments.
 
     Parameters
     ----------
@@ -224,8 +321,9 @@ def load_frame(path, columns: Mapping[str, str] | None = None) -> Frame:
     Raises
     ------
     IngestionError
-        Missing columns, duplicate or empty ids, labels outside {0, 1},
-        or probabilities outside [0, 1]; the message names the row.
+        Missing columns, rows of the wrong width, duplicate or empty ids,
+        labels outside {0, 1}, or probabilities outside [0, 1]; the
+        message names the first offending row.
     """
     names = dict(_DEFAULT_COLUMNS)
     if columns:
@@ -234,67 +332,57 @@ def load_frame(path, columns: Mapping[str, str] | None = None) -> Frame:
             raise ValueError(f"unknown column keys: {sorted(unknown)}")
         names.update(columns)
 
-    ids: list = []
-    labels: list = []
-    probs: list = []
-    seen: set = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        header = reader.fieldnames or []
-        missing = [c for c in names.values() if c not in header]
-        if missing:
-            raise IngestionError(f"{path}: missing columns {missing}")
-        for row_no, row in enumerate(reader, start=2):  # row 1 is the header
-            uid = (row[names["id"]] or "").strip()
-            if not uid:
-                raise IngestionError(f"{path}: row {row_no}: empty id")
-            if uid in seen:
-                raise IngestionError(f"{path}: row {row_no}: duplicate id {uid!r}")
-            seen.add(uid)
-            raw_p = (row[names["aux_prob"]] or "").strip()
-            try:
-                p = float(raw_p)
-            except ValueError:
-                raise IngestionError(
-                    f"{path}: row {row_no}: bad probability {raw_p!r}"
-                ) from None
-            if not 0.0 <= p <= 1.0:
-                raise IngestionError(
-                    f"{path}: row {row_no}: probability {p} outside [0, 1]"
-                )
-            raw_y = (row[names["label"]] or "").strip()
-            if raw_y == "":
-                y = np.nan
-            elif raw_y in ("0", "1"):
-                y = float(raw_y)
-            else:
-                raise IngestionError(
-                    f"{path}: row {row_no}: label {raw_y!r} not in {{0, 1, blank}}"
-                )
-            ids.append(uid)
-            labels.append(y)
-            probs.append(p)
-    if not ids:
+    _, header, fields, rows, ragged = read_table(path)
+    where = {name: j for j, name in enumerate(header)}
+    missing = [c for c in names.values() if c not in where]
+    if missing:
+        raise IngestionError(f"{path}: missing columns {missing}")
+    if not rows:
         raise IngestionError(f"{path}: no data rows")
-    try:
-        return Frame(ids, probs, labels)
-    except ValueError as exc:
-        raise IngestionError(f"{path}: {exc}") from None
+    width = len(header)
+    stop = (rows if ragged is None else ragged) * width
+    ids, raw_p, raw_y = (
+        fields[where[names[key]] : stop : width] for key in ("id", "aux_prob", "label")
+    )
+    del fields
+    ids = list(map(str.strip, ids))
+    probs, unparsed = parse_floats(raw_p)
+    labels, bad_label = parse_labels(raw_y)
+    outside = _first(~((probs >= 0.0) & (probs <= 1.0)))
+
+    # (row, rank, message): rank orders the checks made on one row
+    problems = []
+    if ragged is not None:
+        problems.append((ragged, 0, f"expected {width} fields"))
+    if "" in ids:
+        problems.append((ids.index(""), 1, "empty id"))
+    if unparsed is not None:
+        problems.append((unparsed, 3, f"bad probability {raw_p[unparsed].strip()!r}"))
+    if outside is not None:
+        problems.append((outside, 4, f"probability {float(probs[outside])} outside [0, 1]"))
+    if bad_label is not None:
+        problems.append(
+            (bad_label, 5, f"label {raw_y[bad_label].strip()!r} not in {{0, 1, blank}}")
+        )
+    if not problems:
+        try:
+            return Frame(ids, probs, labels)
+        except ValueError:  # after the checks above, only a repeated id is left
+            pass
+    repeat = first_repeat(ids)
+    if repeat is not None:
+        problems.append((repeat, 2, f"duplicate id {ids[repeat]!r}"))
+    row, _, message = min(problems)
+    raise IngestionError(f"{path}: row {row + 2}: {message}")
 
 
 def write_frame(frame: Frame, path, header_lines=()) -> None:
     """Write a frame as CSV with columns id,label,p_hat.
 
     Floats are written with repr so a load/write/load cycle reproduces
-    every value exactly.  Optional ``header_lines`` are emitted first,
-    each prefixed with ``# ``.
+    every value exactly; ids that need it are CSV-quoted.  Optional
+    ``header_lines`` are emitted first, each prefixed with ``# ``.
     """
-    with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("id,label,p_hat\n")
-        labels = frame.labels
-        probs = frame.aux_probs
-        for i in range(frame.N):
-            y = "" if np.isnan(labels[i]) else str(int(labels[i]))
-            fh.write(f"{frame.ids[i]},{y},{float(probs[i])!r}\n")
+    ids = frame.ids.tolist()
+    rows = zip(ids, label_texts(frame.labels), float_texts(frame.aux_probs))
+    write_table(path, header_lines, ("id", "label", "p_hat"), rows, ids)

@@ -38,10 +38,6 @@ class TestQualityProfile:
         assert p.shape_pos == (4.0, 0.25)
         assert p.shape_neg == (0.25, 4.0)
 
-    def test_text_round_trip(self):
-        p = QualityProfile(shape_pos=(2.5, 0.4), shape_neg=(0.4, 2.5))
-        assert QualityProfile.from_text(p.to_text()) == p
-
 
 class TestSimulatePredictions:
     def test_sharp_profile_separates_classes(self):

@@ -164,6 +164,20 @@ class TestSampleAndEstimate:
             "--sample-zero", tmp_path / "tiny.csv", "--out", tmp_path,
         ) == 2
 
+    def test_swapped_stratum_files_are_refused(self, frame_dir):
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", "--design", "stratified",
+            "--n", 40, "--allocation", "proportional", "--seed", 6, "--out", frame_dir,
+        ) == 0
+        one, zero = frame_dir / "sample_one.csv", frame_dir / "sample_zero.csv"
+        swapped = ["--sample-one", zero, "--sample-zero", one]
+        assert run("estimate", *swapped, "--out", frame_dir) == 2
+        assert run(
+            "f1", *swapped, "--flagged-tp", 10, "--flagged-fn", 2, "--c", 30,
+            "--out", frame_dir,
+        ) == 2
+        assert run("estimate", "--sample-one", one, "--sample-zero", zero, "--out", frame_dir) == 0
+
     def test_config_precedence(self, frame_dir, tmp_path):
         cfg = tmp_path / "sample.cfg"
         cfg.write_text(
@@ -277,6 +291,28 @@ class TestReport:
         cells = body.split()
         for cell in cells[1:5]:
             assert "." not in cell
+
+    def test_paper_mode_reruns_from_audit(self, frame_dir, tmp_path):
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", "--design", "srs",
+            "--n", 25, "--seed", 14, "--out", frame_dir,
+        ) == 0
+        assert run(
+            "estimate", "--sample", frame_dir / "sample.csv", "--estimator", "srs",
+            "--out", frame_dir,
+        ) == 0
+        assert run(
+            "report", "--inputs", frame_dir / "record.csv", "--paper-mode",
+            "--out", frame_dir,
+        ) == 0
+        audit = read_audit(frame_dir / "table.txt")
+        assert audit["paper_mode"] == "true"
+        cfg = tmp_path / "report.cfg"
+        cfg.write_text("\n".join(audit_to_config_lines(audit)) + "\n")
+        rerun = tmp_path / "rerun"
+        rerun.mkdir()
+        assert run("report", "--config", cfg, "--out", rerun) == 0
+        assert (rerun / "table.txt").read_bytes() == (frame_dir / "table.txt").read_bytes()
 
     def test_empty_inputs_fail(self, tmp_path):
         empty = tmp_path / "empty.csv"

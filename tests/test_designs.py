@@ -220,6 +220,22 @@ class TestSampleIO:
         assert fields["seed"] == "14"
         assert fields["sample_design"] == DESIGN_SRS
 
+    def test_awkward_ids_round_trip(self, tmp_path):
+        fr = Frame(["a,b", "c", "#d", 'e"f'], [0.3, 0.4, 0.5, 0.6], [1.0, 0.0, np.nan, 1.0])
+        s = srs_wor(fr, 4, seed=1)
+        path = tmp_path / "q.csv"
+        write_sample(s, path)
+        assert load_sample(path).unit_ids.tolist() == s.unit_ids.tolist()
+
+    def test_load_refuses_ragged_rows(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(
+            "# sample_design = SRS_WOR\n# parent_N = 10\n# parent_aux_total = 2.0\n"
+            "draw_index,unit_id,pi,y,p_hat\n0,a,0.5,1,0.4\n1,b,0.5,1\n"
+        )
+        with pytest.raises(IngestionError, match="draw 2: expected 5 fields"):
+            load_sample(path)
+
     def test_load_errors(self, tmp_path):
         missing = tmp_path / "m.csv"
         missing.write_text("draw_index,unit_id,pi,y,p_hat\n0,a,0.5,1,0.4\n")

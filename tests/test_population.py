@@ -59,14 +59,6 @@ def test_arrays_are_read_only():
         fr.labels[0] = 0.0
 
 
-def test_unit_view_and_iteration():
-    fr = Frame(["a", "b"], [0.9, 0.2], [1, np.nan], stratum="one")
-    u = fr.unit(0)
-    assert (u.id, u.aux_prob, u.label, u.stratum) == ("a", 0.9, 1, "one")
-    assert fr.unit(1).label is None
-    assert [u.id for u in fr] == ["a", "b"]
-
-
 def test_predicted_classes_threshold_is_inclusive():
     fr = Frame(["a", "b", "c"], [0.5, 0.49, 0.51])
     assert fr.predicted_classes(0.5).tolist() == [1, 0, 1]
@@ -158,3 +150,42 @@ def test_round_trip_is_exact(tmp_path):
 def test_load_frame_skips_comment_header(tmp_path):
     path = _write(tmp_path, "# seed = 4\n# command = generate\nid,label,p_hat\na,1,0.9\n")
     assert load_frame(path).N == 1
+
+
+def test_ids_needing_quotes_round_trip(tmp_path):
+    fr = Frame(
+        ["a,b", 'say "c"', "d\ne", "f\rg", "c"], [0.4, 0.6, 0.1, 0.2, 0.3], [1, 0, np.nan, 0, 1]
+    )
+    path = tmp_path / "q.csv"
+    write_frame(fr, path)
+    back = load_frame(path)
+    assert back.ids.tolist() == fr.ids.tolist()
+    assert np.array_equal(back.labels, fr.labels, equal_nan=True)
+
+
+def test_hash_marks_a_comment_only_above_the_header(tmp_path):
+    fr = Frame(["#a", "b"], [0.4, 0.6], [1, 0])
+    path = tmp_path / "h.csv"
+    write_frame(fr, path, ["seed = 4"])
+    back = load_frame(path)
+    assert (back.N, back.true_total) == (2, 1)
+    assert back.ids.tolist() == ["#a", "b"]
+
+
+def test_load_frame_refuses_ragged_rows(tmp_path):
+    # a long row and a short row hold the right number of fields between them
+    path = _write(tmp_path, "id,label,p_hat\na,1,0.9\nb,0,0.2,x\nc,0\n")
+    with pytest.raises(IngestionError, match="row 3: expected 3 fields"):
+        load_frame(path)
+    quoted = _write(tmp_path, 'id,label,p_hat\n"a",1,0.9\n"b",0\n', "q.csv")
+    with pytest.raises(IngestionError, match="row 3: expected 3 fields"):
+        load_frame(quoted)
+
+
+def test_load_frame_skips_blank_lines_and_reads_crlf(tmp_path):
+    path = _write(tmp_path, "id,label,p_hat\n\na,1,0.9\n\n\nb,,0.2\n\n", "blank.csv")
+    assert load_frame(path).ids.tolist() == ["a", "b"]
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(b"# seed = 1\r\nid,label,p_hat\r\na,1,0.9\r\nb,x,0.2\r\n")
+    with pytest.raises(IngestionError, match="row 3: label 'x'"):
+        load_frame(crlf)
