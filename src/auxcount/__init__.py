@@ -68,14 +68,12 @@ from .estimators import (
 )
 from .f1_estimation import F1Inputs, delta_f1, estimate_f1_two_stratum, f1_gradient
 from .montecarlo import (
-    BimodalityReport,
     SimReport,
     SweepPoint,
     estimate_histogram,
     proposition1_sweep,
     replicate_rng,
     run_replications,
-    zero_stratum_bimodality,
 )
 
 __version__ = "0.1.0"

@@ -143,8 +143,6 @@ def calibrate_profile(
     target_f1: float | None = None,
     tau: float = DEFAULT_THRESHOLD,
     seed,
-    rel_tol: float = CALIBRATION_REL_TOL,
-    max_steps: int = CALIBRATION_MAX_STEPS,
 ) -> CalibrationResult:
     """Find a symmetric-family sharpness matching a quality target.
 
@@ -152,7 +150,7 @@ def calibrate_profile(
     ``target_f1`` (F1 at threshold ``tau``) must be given.  The search
     brackets then bisects over sharpness, re-simulating scores with the
     same seed at every step, and stops when the realized metric is
-    within ``rel_tol`` (relative) of the target.
+    within ``CALIBRATION_REL_TOL`` (relative) of the target.
 
     The returned profile together with ``seed`` reproduces, through
     :func:`simulate_predictions`, exactly the frame the realized metric
@@ -162,7 +160,7 @@ def calibrate_profile(
     ------
     CalibrationError
         If the target is outside what the family can reach on this
-        frame, or the tolerance is not met within ``max_steps``.
+        frame, or the tolerance is not met within ``CALIBRATION_MAX_STEPS``.
     """
     if (target_loss is None) == (target_f1 is None):
         raise ValueError("give exactly one of target_loss or target_f1")
@@ -191,7 +189,7 @@ def calibrate_profile(
         return sign * realized(s)
 
     def close(v: float) -> bool:
-        return abs(v - goal) <= rel_tol * abs(goal)
+        return abs(v - goal) <= CALIBRATION_REL_TOL * abs(goal)
 
     best_s, best_v = 1.0, value(1.0)
     if close(best_v):
@@ -221,7 +219,7 @@ def calibrate_profile(
             best_metric=sign * best_v,
         )
 
-    for _ in range(max_steps):
+    for _ in range(CALIBRATION_MAX_STEPS):
         mid = 0.5 * (lo + hi)
         v = value(mid)
         if abs(v - goal) < abs(best_v - goal):
@@ -233,7 +231,7 @@ def calibrate_profile(
         else:
             hi = mid
     raise CalibrationError(
-        f"calibration to {metric} {target:g} did not converge in {max_steps} "
+        f"calibration to {metric} {target:g} did not converge in {CALIBRATION_MAX_STEPS} "
         f"steps; best realized {sign * best_v:g} at sharpness {best_s:g}",
         best_sharpness=best_s,
         best_metric=sign * best_v,

@@ -38,9 +38,9 @@ from .population import (
 
 PAPER_Z = 2.0
 
-# keys that steer where output lands (or how it is computed in parallel)
-# but not what it contains; they stay out of audit headers
-_NON_RESULT_KEYS = ("out", "config", "workers")
+# keys that steer where output lands but not what it contains; they stay
+# out of audit headers
+_NON_RESULT_KEYS = ("out", "config")
 
 
 def _is_result_key(key: str) -> bool:
@@ -196,10 +196,10 @@ def _load_stratum_sample(path, stratum: str):
     return sample
 
 
-def _resolve_z(resolved, args) -> float:
-    if resolved.get("z") is not None:
+def _resolve_z(resolved) -> float:
+    if resolved["z"] is not None:
         return resolved["z"]
-    return PAPER_Z if args.paper_mode else estimators.DEFAULT_Z
+    return PAPER_Z if resolved["paper_mode"] else estimators.DEFAULT_Z
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +339,7 @@ ESTIMATE_SPEC = {
     "estimator": (str, None),
     "zero_estimator": (str, "srs"),
     "z": (float, None),
+    "paper_mode": (bool, None),
     "baseline_se": (float, None),
     "out_record": (str, "record.csv"),
 }
@@ -355,7 +356,7 @@ def cmd_estimate(args) -> int:
     stratified = resolved["sample_one"] is not None or resolved["sample_zero"] is not None
     if stratified and resolved["sample"] is not None:
         raise ConfigError("give either sample or sample_one/sample_zero, not both")
-    z = _resolve_z(resolved, args)
+    z = _resolve_z(resolved)
     if stratified:
         _require(resolved, "sample_one", "sample_zero")
         if resolved["zero_estimator"] not in ("srs", "diff"):
@@ -396,7 +397,6 @@ SIMULATE_SPEC = {
     "tau": (float, 0.5),
     "allocation": (str, None),
     "seed": (int, None),
-    "workers": (int, 1),
     "baseline_se": (float, None),
     "out_report": (str, "report.json"),
     "out_replicates": (str, "replicates.csv"),
@@ -418,7 +418,6 @@ def cmd_simulate(args) -> int:
         tau=resolved["tau"],
         allocation=resolved["allocation"],
         srs_baseline_se=resolved["baseline_se"],
-        workers=resolved["workers"],
     )
     audit = _audit("simulate", resolved)
     _write_json(_out_path(args, resolved["out_report"]), audit, report.summary_dict())
@@ -567,20 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=_HELP[name])
         p.add_argument("--config", help="key = value settings file")
         p.add_argument("--out", help="output directory (default: current)")
-        p.add_argument("--seed", type=int, help="RNG seed (required when stochastic)")
-        p.add_argument(
-            "--paper-mode",
-            action="store_true",
-            default=None,
-            dest="paper_mode",
-            help="z = 2.0 and integer-rounded tables",
-        )
         for key, (typ, _) in spec.items():
-            if key in ("seed", "paper_mode"):
-                continue
             flag = "--" + key.replace("_", "-")
             if typ is list:
                 p.add_argument(flag, dest=key, nargs="+")
+            elif typ is bool:
+                p.add_argument(flag, dest=key, action="store_true", default=None)
             else:
                 p.add_argument(flag, dest=key, type=typ)
     return parser

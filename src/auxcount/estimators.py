@@ -1,8 +1,8 @@
 """Design-based estimators of a population total of a binary trait.
 
 All estimators return an :class:`Estimate`.  When a sample is too small
-for a variance (a single draw), the point estimate is still returned and
-``variance`` is None; anything that needs the variance then raises
+for a variance (a single draw that is not a census), the point estimate
+is still returned and ``variance`` is None; anything that needs it raises
 :class:`~auxcount.errors.VarianceUndefinedError` instead of inventing a
 zero.
 """
@@ -117,28 +117,32 @@ def exact_hh_design_variance(frame: Frame, n: int) -> float:
     return max(0.0, (float(np.sum(inv_pi)) - float(t) ** 2) / n)
 
 
-def srs_estimate(sample: Sample, N: int | None = None) -> Estimate:
+def _expansion_variance(v: np.ndarray, n: int, N: int) -> float | None:
+    """N^2 (1 - n/N) s^2 / n for an SRS-WOR of v; 0 for a census."""
+    if n == N:
+        return 0.0
+    if n < 2:
+        return None
+    return N * N * (1.0 - n / N) * float(np.var(v, ddof=1)) / n
+
+
+def srs_estimate(sample: Sample) -> Estimate:
     """Expansion estimator N * ybar for an SRS-WOR sample.
 
     Variance is N^2 (1 - n/N) s^2 / n with the finite-population
-    correction; a census (n = N) therefore gets variance 0.
+    correction; a census (n = N, even of one unit) gets variance 0.
     """
     if sample.design != DESIGN_SRS:
         raise ValueError(f"srs_estimate needs a {DESIGN_SRS} sample")
     _require_labeled(sample)
     if len(set(sample.unit_ids)) != sample.n:
         raise ValueError("SRS draws must be distinct units")
-    N = sample.parent_N if N is None else int(N)
-    n = sample.n
+    N, n = sample.parent_N, sample.n
     if n > N:
         raise ValueError(f"n={n} exceeds N={N}")
     y = np.asarray(sample.y, dtype=np.float64)
     total = N * float(np.mean(y))
-    if n >= 2:
-        variance = N * N * (1.0 - n / N) * float(np.var(y, ddof=1)) / n
-    else:
-        variance = None
-    return Estimate(ESTIMATOR_SRS, total, variance, n=n, N=N)
+    return Estimate(ESTIMATOR_SRS, total, _expansion_variance(y, n, N), n=n, N=N)
 
 
 def census_estimate(positives: int, N: int) -> Estimate:
@@ -148,9 +152,7 @@ def census_estimate(positives: int, N: int) -> Estimate:
     return Estimate(ESTIMATOR_SRS, float(positives), 0.0, n=N, N=N)
 
 
-def difference_estimate(
-    sample: Sample, aux_total: float | None = None, N: int | None = None
-) -> Estimate:
+def difference_estimate(sample: Sample) -> Estimate:
     """Difference estimator: aux_total plus the expanded score residuals.
 
     total = A + (N/n) sum (y_i - p_hat_i), where A is the frame's score
@@ -162,18 +164,12 @@ def difference_estimate(
     _require_labeled(sample)
     if np.isnan(np.asarray(sample.p_hat, dtype=np.float64)).any():
         raise ValueError("every draw must carry a score")
-    aux_total = sample.parent_aux_total if aux_total is None else float(aux_total)
-    N = sample.parent_N if N is None else int(N)
-    n = sample.n
+    N, n = sample.parent_N, sample.n
     if n > N:
         raise ValueError(f"n={n} exceeds N={N}")
     d = np.asarray(sample.y, dtype=np.float64) - np.asarray(sample.p_hat, dtype=np.float64)
-    total = aux_total + N * float(np.mean(d))
-    if n >= 2:
-        variance = N * N * (1.0 - n / N) * float(np.var(d, ddof=1)) / n
-    else:
-        variance = None
-    return Estimate(ESTIMATOR_DIFF, total, variance, n=n, N=N)
+    total = sample.parent_aux_total + N * float(np.mean(d))
+    return Estimate(ESTIMATOR_DIFF, total, _expansion_variance(d, n, N), n=n, N=N)
 
 
 def stratified_estimate(components) -> Estimate:

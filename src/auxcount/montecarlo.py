@@ -1,19 +1,15 @@
 """Replicated sampling experiments on a fully known frame.
 
 Each replicate r of a run draws its randomness from a generator seeded
-with (seed, r), so results are identical however replicates are ordered
-or parceled out to threads, and any single replicate can be reproduced
-alone.
+with (seed, r), so any single replicate can be reproduced alone.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import hypergeom
 
 from . import designs, estimators
 from .classifier_sim import calibrate_profile, simulate_predictions
@@ -45,6 +41,11 @@ def replicate_rng(seed, r: int) -> np.random.Generator:
     return np.random.default_rng(_seed_tuple(seed) + (int(r),))
 
 
+# Freedman-Diaconis asks for one bin per IQR-scaled width, so a single
+# far outlier can ask for millions; past this many, bins are equal-width
+HISTOGRAM_MAX_BINS = 1000
+
+
 @dataclass(frozen=True)
 class HistogramBin:
     lo: float
@@ -57,7 +58,8 @@ def estimate_histogram(values) -> tuple[HistogramBin, ...]:
 
     A sampling distribution that piles up at exactly zero (the empty
     zero-stratum mode) keeps that mass visible instead of having it
-    smeared into the first regular bin.  Bin counts sum to len(values).
+    smeared into the first regular bin.  At most ``HISTOGRAM_MAX_BINS``
+    regular bins are made.  Bin counts sum to len(values).
     """
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
@@ -71,7 +73,11 @@ def estimate_histogram(values) -> tuple[HistogramBin, ...]:
         if np.ptp(nz) == 0.0:
             bins.append(HistogramBin(float(nz[0]), float(nz[0]), int(nz.size)))
         else:
-            edges = np.histogram_bin_edges(nz, bins="fd")
+            # numpy's "fd" rule, with the bin count capped before any edge exists
+            iqr = float(np.subtract(*np.percentile(nz, [75, 25])))
+            width = 2.0 * iqr * nz.size ** (-1.0 / 3.0)
+            n_bins = min(np.ceil(np.ptp(nz) / width), HISTOGRAM_MAX_BINS) if width else 1
+            edges = np.histogram_bin_edges(nz, bins=int(n_bins))
             counts, edges = np.histogram(nz, bins=edges)
             bins.extend(
                 HistogramBin(float(edges[i]), float(edges[i + 1]), int(c))
@@ -152,7 +158,6 @@ def run_replications(
     tau: float | None = None,
     allocation: str | None = None,
     srs_baseline_se: float | None = None,
-    workers: int = 1,
 ) -> SimReport:
     """Draw R independent samples and estimate the total each time.
 
@@ -168,8 +173,6 @@ def run_replications(
     srs_baseline_se : float, optional
         Empirical SE of a plain-SRS run on the same frame and n; when
         given, the report carries the squared SE ratio as ``deff_vs_srs``.
-    workers : int
-        Thread count; results are independent of it.
 
     Returns
     -------
@@ -230,7 +233,8 @@ def run_replications(
             totals[r] = combined.total
             variances[r] = combined.variance
 
-    _run_over_replicates(one_rep, R, workers)
+    for r in range(R):
+        one_rep(r)
 
     mean = float(np.mean(totals))
     emp_se = float(np.std(totals, ddof=1)) if R >= 2 else 0.0
@@ -262,21 +266,6 @@ def run_replications(
     )
 
 
-def _run_over_replicates(one_rep, R: int, workers: int):
-    if workers <= 1:
-        for r in range(R):
-            one_rep(r)
-        return
-
-    def run_slice(start):
-        for r in range(start, R, workers):
-            one_rep(r)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        # consume to surface exceptions from workers
-        list(pool.map(run_slice, range(workers)))
-
-
 @dataclass(frozen=True)
 class SweepPoint:
     target_loss: float
@@ -287,7 +276,7 @@ class SweepPoint:
 
 
 def proposition1_sweep(
-    frame: Frame, loss_targets, *, n: int, R: int, seed, workers: int = 1
+    frame: Frame, loss_targets, *, n: int, R: int, seed
 ) -> list[SweepPoint]:
     """Design variance of the PPS total as classifier loss shrinks.
 
@@ -325,7 +314,6 @@ def proposition1_sweep(
             n=n,
             R=R,
             seed=base + (k, 1),
-            workers=workers,
         )
         points.append(
             SweepPoint(
@@ -337,53 +325,3 @@ def proposition1_sweep(
             )
         )
     return points
-
-
-@dataclass(frozen=True)
-class BimodalityReport:
-    """How often a zero-stratum sample misses every positive."""
-
-    empirical_fraction: float
-    predicted_fraction: float
-    N0: int
-    M0: int
-    n0: int
-    R: int
-
-
-def zero_stratum_bimodality(
-    frame: Frame, tau: float, plan: designs.AllocationPlan, R: int, seed
-) -> BimodalityReport:
-    """Fraction of replicates whose zero-stratum SRS holds no positives.
-
-    The number of positives captured is hypergeometric, so the empty
-    fraction should track C(N0 - M0, n0) / C(N0, n0); the report carries
-    that prediction alongside the empirical fraction.
-    """
-    if not frame.fully_labeled:
-        raise ValueError("zero_stratum_bimodality needs a fully labeled frame")
-    if R < 1:
-        raise ValueError("R must be at least 1")
-    strat = stratify_by_prediction(frame, tau)
-    zero = strat.strata[STRATUM_ZERO]
-    n0 = plan.sizes.get(STRATUM_ZERO, 0)
-    if not 1 <= n0 <= zero.N:
-        raise ValueError(f"plan gives the zero stratum n0={n0} of N0={zero.N}")
-    M0 = zero.true_total
-    base = _seed_tuple(seed)
-    labels = zero.labels
-    empty = 0
-    for r in range(R):
-        rng = np.random.default_rng(base + (r,))
-        idx = designs._srs_indices(rng, zero.N, n0)
-        if not labels[idx].any():
-            empty += 1
-    predicted = float(hypergeom.pmf(0, zero.N, M0, n0))
-    return BimodalityReport(
-        empirical_fraction=empty / R,
-        predicted_fraction=predicted,
-        N0=zero.N,
-        M0=M0,
-        n0=n0,
-        R=R,
-    )

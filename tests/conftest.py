@@ -186,11 +186,9 @@ def acceptance_runs(acceptance_frame):
         n=ACCEPT_N,
         R=ACCEPT_R,
         seed=ACCEPT_MC_SEED,
-        workers=2,
     )
     baseline = srs.empirical_se
-    common = dict(n=ACCEPT_N, R=ACCEPT_R, seed=ACCEPT_MC_SEED,
-                  srs_baseline_se=baseline, workers=2)
+    common = dict(n=ACCEPT_N, R=ACCEPT_R, seed=ACCEPT_MC_SEED, srs_baseline_se=baseline)
     hh = run_replications(acceptance_frame, design="pps", estimator="hh", **common)
     ssrs = run_replications(
         acceptance_frame,
@@ -219,7 +217,6 @@ def sweep_points():
         n=SWEEP_N,
         R=SWEEP_R,
         seed=SWEEP_SEED,
-        workers=2,
     )
 
 
@@ -231,7 +228,7 @@ def benign_frame() -> Frame:
 @pytest.fixture(scope="session")
 def benign_run(benign_frame):
     return run_replications(
-        benign_frame, design="pps", estimator="hh", n=200, R=10_000, seed=5, workers=2
+        benign_frame, design="pps", estimator="hh", n=200, R=10_000, seed=5
     )
 
 
@@ -251,5 +248,4 @@ def bimodal_run(bimodal_frame):
         seed=11,
         tau=0.5,
         allocation="proportional",
-        workers=2,
     )

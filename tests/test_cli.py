@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import numpy as np
@@ -19,7 +20,9 @@ from auxcount import (
     stratify_by_prediction,
     write_sample,
 )
-from auxcount.cli import audit_to_config_lines, main, read_audit, _read_record_rows
+from auxcount.cli import (
+    _COMMANDS, _read_record_rows, audit_to_config_lines, build_parser, main, read_audit,
+)
 
 from conftest import _ids
 
@@ -142,6 +145,7 @@ class TestSampleAndEstimate:
         row = _read_record_rows(frame_dir / "record.csv")[0]
         assert row["estimator"] == "STRAT"
         assert float(row["z"]) == 2.0
+        assert read_audit(frame_dir / "record.csv")["paper_mode"] == "true"
 
     def test_exit_codes(self, frame_dir, tmp_path):
         assert run(
@@ -192,19 +196,42 @@ class TestSampleAndEstimate:
         assert run("sample", "--config", cfg, "--out", tmp_path) == 2
 
 
+class TestParser:
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_flags_are_the_spec(self, command):
+        sub = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        flags = {f for a in sub.choices[command]._actions for f in a.option_strings}
+        spec_flags = {"--" + key.replace("_", "-") for key in _COMMANDS[command][1]}
+        assert flags == {"-h", "--help", "--config", "--out"} | spec_flags
+
+    def test_flags_a_command_does_not_read_are_refused(self, frame_dir, tmp_path):
+        frame = frame_dir / "frame.csv"
+        for argv in (["metrics", "--frame", frame, "--seed", 1], ["simulate", "--workers", 2]):
+            with pytest.raises(SystemExit) as exc:
+                run(*argv, "--out", tmp_path)
+            assert exc.value.code == 2
+        # audit headers never held workers, so only hand-written configs meet this
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"frame = {frame}\ndesign = srs\nestimator = srs\n"
+                       "n = 10\nR = 5\nseed = 1\nworkers = 2\n")
+        assert run("simulate", "--config", cfg, "--out", tmp_path) == 2
+
+
 class TestSimulate:
     def test_rerun_from_audit_is_byte_identical(self, frame_dir, tmp_path):
         kw = [
             "simulate", "--frame", frame_dir / "frame.csv", "--design", "srs",
             "--estimator", "srs", "--n", 20, "--R", 30, "--seed", 9,
         ]
-        assert run(*kw, "--workers", 2, "--out", frame_dir) == 0
+        assert run(*kw, "--out", frame_dir) == 0
         audit = read_audit(frame_dir / "report.json")
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("\n".join(audit_to_config_lines(audit)) + "\n")
         rerun = tmp_path / "rerun"
         rerun.mkdir()
-        assert run("simulate", "--config", cfg, "--workers", 1, "--out", rerun) == 0
+        assert run("simulate", "--config", cfg, "--out", rerun) == 0
         for name in ("report.json", "replicates.csv", "histogram.csv"):
             assert (rerun / name).read_bytes() == (frame_dir / name).read_bytes()
 

@@ -125,11 +125,18 @@ class TestSrsEstimate:
         with pytest.raises(ValueError, match="distinct"):
             srs_estimate(s)
 
-    def test_n_override(self):
-        s = _srs([0.5] * 4, [1, 1, 0, 0], parent_N=100)
-        assert srs_estimate(s, N=8).total == pytest.approx(4.0)
-        with pytest.raises(ValueError):
-            srs_estimate(s, N=3)
+    def test_census_of_one_unit_has_zero_variance(self):
+        for y in (0, 1):
+            e = srs_estimate(_srs([1.0], [y], parent_N=1))
+            assert (e.total, e.variance) == (float(y), 0.0)
+        d = difference_estimate(_srs([1.0], [1], p_hat=[0.3], parent_N=1, aux_total=0.3))
+        assert d.total == pytest.approx(1.0)
+        assert d.variance == 0.0
+
+    def test_more_draws_than_units_rejected(self):
+        s = _srs([0.5] * 4, [1, 1, 0, 0], parent_N=3)
+        with pytest.raises(ValueError, match="exceeds"):
+            srs_estimate(s)
 
 
 class TestCensusEstimate:

@@ -1,21 +1,24 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy.stats import hypergeom
 
+import auxcount
 from auxcount import (
     ConfigError,
     Frame,
     SweepError,
-    allocate,
     estimate_histogram,
     exact_hh_design_variance,
+    hh_estimate,
+    pps_wr,
     proposition1_sweep,
     replicate_rng,
     run_replications,
-    stratify_by_prediction,
-    zero_stratum_bimodality,
 )
-from auxcount.montecarlo import HistogramBin
+from auxcount.montecarlo import HISTOGRAM_MAX_BINS, HistogramBin
 
 from conftest import _ids
 
@@ -73,6 +76,24 @@ class TestHistogram:
         with pytest.raises(ValueError):
             estimate_histogram([])
 
+    def test_far_outlier_caps_the_bin_count(self):
+        # Freedman-Diaconis alone would ask for about 8 million bins here
+        rng = np.random.default_rng(4)
+        values = np.concatenate([rng.normal(0.0, 1.0, 9_999), [1e7], np.zeros(5)])
+        bins = estimate_histogram(values)
+        assert HistogramBin(0.0, 0.0, 5) in bins
+        assert len(bins) == HISTOGRAM_MAX_BINS + 1
+        assert sum(b.count for b in bins) == values.size
+        assert bins[-1].hi == 1e7
+
+    def test_bins_under_the_cap_are_freedman_diaconis(self):
+        rng = np.random.default_rng(8)
+        values = rng.gamma(2.0, 50.0, 5_000)
+        counts, edges = np.histogram(values, bins=np.histogram_bin_edges(values, bins="fd"))
+        bins = estimate_histogram(values)
+        assert [b.count for b in bins] == counts.tolist()
+        assert [b.lo for b in bins] + [bins[-1].hi] == edges.tolist()
+
 
 class TestRunValidation:
     def test_design_estimator_pairing(self):
@@ -124,14 +145,19 @@ class TestRunReplications:
         assert sum(b.count for b in rep.bins) == rep.R
 
     def test_deterministic_and_worker_independent(self):
+        # any replicate reproduces alone from replicate_rng(seed, r), so
+        # whoever computes it gets the same value
         fr = _small_pps_frame()
         kw = dict(design="pps", estimator="hh", n=8, R=40, seed=11)
         a = run_replications(fr, **kw)
         b = run_replications(fr, **kw)
-        c = run_replications(fr, workers=3, **kw)
         assert np.array_equal(a.estimates, b.estimates)
-        assert np.array_equal(a.estimates, c.estimates)
-        assert np.array_equal(a.estimated_variances, c.estimated_variances)
+        assert np.array_equal(a.estimated_variances, b.estimated_variances)
+        for r in (0, 17, 39):
+            alone = hh_estimate(pps_wr(fr, 8, replicate_rng(11, r)))
+            assert (alone.total, alone.variance) == (
+                a.estimates[r], a.estimated_variances[r]
+            )
 
     def test_census_srs_is_exact_every_time(self):
         N = 30
@@ -172,6 +198,31 @@ class TestRunReplications:
         assert rep.zero_stratum_empty_fraction is None
         assert rep.empirical_mean == pytest.approx(3.0 * 40 / 40, abs=3.0)
 
+    def test_one_unit_stratum_is_a_census(self):
+        # a single unit scores above tau: stratum one is sampled in full
+        labels = np.zeros(40)
+        labels[:3] = 1
+        fr = Frame(_ids("k", 40), np.where(np.arange(40) == 0, 0.9, 0.2), labels)
+        rep = run_replications(
+            fr, design="stratified", estimator="strat_srs",
+            n=10, R=30, seed=5, tau=0.5, allocation="proportional",
+        )
+        assert np.isfinite(rep.estimated_variances).all()
+        assert np.isfinite(rep.mean_estimated_variance)
+
+    def test_no_zero_stratum_positives_means_always_empty(self):
+        labels = np.zeros(60)
+        labels[:2] = 1
+        fr = Frame(_ids("b", 60), np.where(labels == 1, 0.9, 0.1), labels)
+        rep = run_replications(
+            fr, design="stratified", estimator="strat_srs",
+            n=12, R=200, seed=3, tau=0.5, allocation="proportional",
+        )
+        assert rep.zero_stratum_empty_fraction == 1.0
+        assert estimate_histogram(rep.zero_stratum_estimates) == (HistogramBin(0.0, 0.0, 200),)
+        # stratum one (the two positives) is a census, so every total is 2
+        assert rep.bins == (HistogramBin(2.0, 2.0, 200),)
+
     def test_summary_dict_is_json_shaped(self):
         rep = run_replications(
             _small_pps_frame(), design="pps", estimator="hh", n=8, R=30, seed=11
@@ -181,50 +232,6 @@ class TestRunReplications:
         assert d["seed"] == [11]
         assert all(len(row) == 3 for row in d["histogram"])
         assert "estimates" not in d
-
-
-class TestBimodality:
-    def test_no_positives_means_always_empty(self):
-        labels = np.zeros(60)
-        labels[:2] = 1
-        probs = np.where(labels == 1, 0.9, 0.1)
-        fr = Frame(_ids("b", 60), probs, labels)
-        plan = allocate(stratify_by_prediction(fr, 0.5), 12, "proportional")
-        rep = zero_stratum_bimodality(fr, 0.5, plan, R=200, seed=3)
-        assert rep.M0 == 0
-        assert rep.empirical_fraction == 1.0
-        assert rep.predicted_fraction == 1.0
-
-    def test_tracks_hypergeometric_oracle(self):
-        rng = np.random.default_rng(31)
-        N = 240
-        labels = np.zeros(N)
-        labels[:44] = 1
-        # 4 positives hide below tau among 160 predicted negatives
-        probs = np.concatenate(
-            [rng.uniform(0.55, 0.95, 40), rng.uniform(0.05, 0.45, 4),
-             rng.uniform(0.05, 0.45, 196)]
-        )
-        fr = Frame(_ids("c", N), probs, labels)
-        strat = stratify_by_prediction(fr, 0.5)
-        plan = allocate(strat, 40, "proportional")
-        R = 4000
-        rep = zero_stratum_bimodality(fr, 0.5, plan, R=R, seed=5)
-        assert rep.M0 == 4
-        assert rep.predicted_fraction == pytest.approx(
-            float(hypergeom.pmf(0, rep.N0, rep.M0, rep.n0)), abs=1e-12
-        )
-        band = 4 * np.sqrt(rep.predicted_fraction * (1 - rep.predicted_fraction) / R)
-        assert abs(rep.empirical_fraction - rep.predicted_fraction) < band
-
-    def test_validation(self):
-        fr = _stratified_frame()
-        plan = allocate(stratify_by_prediction(fr, 0.5), 40, "proportional")
-        with pytest.raises(ValueError):
-            zero_stratum_bimodality(fr, 0.5, plan, R=0, seed=1)
-        unlabeled = Frame(fr.ids, fr.aux_probs)
-        with pytest.raises(ValueError, match="labeled"):
-            zero_stratum_bimodality(unlabeled, 0.5, plan, R=10, seed=1)
 
 
 class TestSweep:
@@ -255,3 +262,14 @@ class TestSweep:
     def test_uncalibratable_target_names_the_point(self):
         with pytest.raises(SweepError, match="sweep point 0"):
             proposition1_sweep(self._frame(), (2.0,), n=20, R=10, seed=1)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # a fresh interpreter, since this test session imports scipy.stats itself
+    src = os.path.dirname(os.path.dirname(auxcount.__file__))
+    code = "import sys, auxcount; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "False"
