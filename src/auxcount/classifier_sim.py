@@ -132,8 +132,6 @@ class CalibrationResult:
     profile: QualityProfile
     sharpness: float
     realized: float
-    target: float
-    metric: str  # "loss" (per-unit) or "f1"
 
 
 def calibrate_profile(
@@ -193,7 +191,7 @@ def calibrate_profile(
 
     best_s, best_v = 1.0, value(1.0)
     if close(best_v):
-        return _calibration_result(best_s, sign * best_v, target, metric)
+        return _calibration_result(best_s, sign * best_v)
     if best_v < goal:
         raise CalibrationError(
             f"target {metric} {target:g} is outside the family's range on this "
@@ -206,7 +204,7 @@ def calibrate_profile(
     v_hi = value(hi)
     while v_hi > goal and hi < _MAX_SHARPNESS:
         if close(v_hi):
-            return _calibration_result(hi, sign * v_hi, target, metric)
+            return _calibration_result(hi, sign * v_hi)
         lo, hi = hi, hi * 2.0
         v_hi = value(hi)
     if abs(v_hi - goal) < abs(best_v - goal):
@@ -225,7 +223,7 @@ def calibrate_profile(
         if abs(v - goal) < abs(best_v - goal):
             best_s, best_v = mid, v
         if close(v):
-            return _calibration_result(mid, sign * v, target, metric)
+            return _calibration_result(mid, sign * v)
         if v > goal:
             lo = mid
         else:
@@ -238,11 +236,9 @@ def calibrate_profile(
     )
 
 
-def _calibration_result(s, realized, target, metric):
+def _calibration_result(s, realized):
     return CalibrationResult(
         profile=QualityProfile.symmetric(s),
         sharpness=float(s),
         realized=float(realized),
-        target=target,
-        metric=metric,
     )

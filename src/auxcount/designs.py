@@ -9,6 +9,7 @@ not the frame.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -69,9 +70,15 @@ class Sample:
             raise ValueError("a sample needs at least one draw")
         if self.parent_N < 1:
             raise ValueError("parent_N must be at least 1")
+        # NaN fails the pi and parent_aux_total checks; a NaN p_hat passes (unscored)
         pi = np.asarray(self.pi, dtype=np.float64)
-        if np.any(pi <= 0.0) or np.any(pi > 1.0):
+        if not np.all((pi > 0.0) & (pi <= 1.0)):
             raise ValueError("selection probabilities must lie in (0, 1]")
+        p_hat = np.asarray(self.p_hat, dtype=np.float64)
+        if np.any(p_hat < 0.0) or np.any(p_hat > 1.0):
+            raise ValueError("scores must lie in [0, 1]")
+        if not 0.0 <= self.parent_aux_total < math.inf:
+            raise ValueError("parent_aux_total must be finite and nonnegative")
 
     @property
     def n(self) -> int:
@@ -208,11 +215,6 @@ class AllocationPlan:
     """Per-stratum sample sizes, summing to the requested n."""
 
     sizes: dict[str, int]
-    rule: str
-
-    @property
-    def n(self) -> int:
-        return sum(self.sizes.values())
 
 
 def _apportion(weights, total, caps):
@@ -327,7 +329,7 @@ def allocate(strat: StratifiedFrame, n: int, rule: str) -> AllocationPlan:
             sizes[i] = floors[i]
         for i, v in zip(free, sub):
             sizes[i] = v
-    return AllocationPlan(sizes=dict(zip(names, sizes)), rule=rule)
+    return AllocationPlan(sizes=dict(zip(names, sizes)))
 
 
 def write_sample(sample: Sample, path, header_lines=()) -> None:

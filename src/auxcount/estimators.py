@@ -64,6 +64,31 @@ class Estimate:
         return self.variance
 
 
+def _hh(x: np.ndarray) -> tuple[float, float | None]:
+    """(mean(x), var(x, ddof=1) / n) for PPS-WR draws x_i = y_i / pi_i.
+
+    Below two draws the variance is None.
+    """
+    n = x.size
+    return float(np.mean(x)), float(np.var(x, ddof=1)) / n if n >= 2 else None
+
+
+def _expansion(v: np.ndarray, N: int, base: float = 0.0) -> tuple[float, float | None]:
+    """(base + N * mean(v), N^2 (1 - n/N) s^2 / n) for an SRS-WOR of v.
+
+    A census (n = N) has variance 0; below two draws the variance is None.
+    """
+    n = v.size
+    if n > N:
+        raise ValueError(f"n={n} exceeds N={N}")
+    total = base + N * float(np.mean(v))
+    if n == N:
+        return total, 0.0
+    if n < 2:
+        return total, None
+    return total, N * N * (1.0 - n / N) * float(np.var(v, ddof=1)) / n
+
+
 def _require_labeled(sample: Sample):
     if not sample.labeled:
         raise ValueError("every draw must carry a label; annotate the sample first")
@@ -88,11 +113,10 @@ def hh_estimate(sample: Sample) -> Estimate:
     if sample.design != DESIGN_PPS:
         raise ValueError(f"hh_estimate needs a {DESIGN_PPS} sample")
     _require_labeled(sample)
-    x = np.asarray(sample.y, dtype=np.float64) / np.asarray(sample.pi, dtype=np.float64)
-    n = sample.n
-    total = float(np.mean(x))
-    variance = float(np.var(x, ddof=1)) / n if n >= 2 else None
-    return Estimate(ESTIMATOR_HH, total, variance, n=n, N=sample.parent_N)
+    total, variance = _hh(
+        np.asarray(sample.y, dtype=np.float64) / np.asarray(sample.pi, dtype=np.float64)
+    )
+    return Estimate(ESTIMATOR_HH, total, variance, n=sample.n, N=sample.parent_N)
 
 
 def exact_hh_design_variance(frame: Frame, n: int) -> float:
@@ -117,15 +141,6 @@ def exact_hh_design_variance(frame: Frame, n: int) -> float:
     return max(0.0, (float(np.sum(inv_pi)) - float(t) ** 2) / n)
 
 
-def _expansion_variance(v: np.ndarray, n: int, N: int) -> float | None:
-    """N^2 (1 - n/N) s^2 / n for an SRS-WOR of v; 0 for a census."""
-    if n == N:
-        return 0.0
-    if n < 2:
-        return None
-    return N * N * (1.0 - n / N) * float(np.var(v, ddof=1)) / n
-
-
 def srs_estimate(sample: Sample) -> Estimate:
     """Expansion estimator N * ybar for an SRS-WOR sample.
 
@@ -138,11 +153,8 @@ def srs_estimate(sample: Sample) -> Estimate:
     if len(set(sample.unit_ids)) != sample.n:
         raise ValueError("SRS draws must be distinct units")
     N, n = sample.parent_N, sample.n
-    if n > N:
-        raise ValueError(f"n={n} exceeds N={N}")
-    y = np.asarray(sample.y, dtype=np.float64)
-    total = N * float(np.mean(y))
-    return Estimate(ESTIMATOR_SRS, total, _expansion_variance(y, n, N), n=n, N=N)
+    total, variance = _expansion(np.asarray(sample.y, dtype=np.float64), N)
+    return Estimate(ESTIMATOR_SRS, total, variance, n=n, N=N)
 
 
 def census_estimate(positives: int, N: int) -> Estimate:
@@ -165,11 +177,9 @@ def difference_estimate(sample: Sample) -> Estimate:
     if np.isnan(np.asarray(sample.p_hat, dtype=np.float64)).any():
         raise ValueError("every draw must carry a score")
     N, n = sample.parent_N, sample.n
-    if n > N:
-        raise ValueError(f"n={n} exceeds N={N}")
     d = np.asarray(sample.y, dtype=np.float64) - np.asarray(sample.p_hat, dtype=np.float64)
-    total = sample.parent_aux_total + N * float(np.mean(d))
-    return Estimate(ESTIMATOR_DIFF, total, _expansion_variance(d, n, N), n=n, N=N)
+    total, variance = _expansion(d, N, sample.parent_aux_total)
+    return Estimate(ESTIMATOR_DIFF, total, variance, n=n, N=N)
 
 
 def stratified_estimate(components) -> Estimate:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import designs, estimators
 from .classifier_sim import calibrate_profile, simulate_predictions
-from .errors import CalibrationError, ConfigError, SweepError
+from .errors import CalibrationError, ConfigError, SweepError, VarianceUndefinedError
 from .population import (
     Frame,
     STRATUM_ONE,
@@ -143,6 +143,8 @@ def _check_run_args(frame, design, estimator, n, R):
         raise ValueError("replicated runs need a fully labeled frame")
     if n < 2:
         raise ValueError("n must be at least 2 so variances exist")
+    if design == "srs" and n > frame.N:
+        raise ValueError(f"n={n} exceeds N={frame.N}, and SRS draws are distinct units")
     if R < 1:
         raise ValueError("R must be at least 1")
 
@@ -182,59 +184,48 @@ def run_replications(
     if R == 1:
         warnings.warn("R=1 gives a degenerate empirical SE of 0", stacklevel=2)
 
-    totals = np.empty(R)
-    variances = np.empty(R)
-    zero_totals = None
-
-    if design == "pps":
-        designs._alias_for(frame)  # build the alias table outside the loop
-
-        def one_rep(r):
-            est = estimators.hh_estimate(designs.pps_wr(frame, n, replicate_rng(seed, r)))
-            totals[r] = est.total
-            variances[r] = est.variance
-
-    elif design == "srs":
-        est_fn = (
-            estimators.srs_estimate if estimator == "srs" else estimators.difference_estimate
-        )
-
-        def one_rep(r):
-            est = est_fn(designs.srs_wor(frame, n, replicate_rng(seed, r)))
-            totals[r] = est.total
-            variances[r] = est.variance
-
-    else:
+    if design == "stratified":
         if tau is None or allocation is None:
             raise ConfigError("stratified runs need tau and allocation")
         strat = stratify_by_prediction(frame, tau)
-        plan = designs.allocate(strat, n, allocation)
+        sizes = designs.allocate(strat, n, allocation).sizes
+        # (stratum, draws, is the zero stratum) in stratified_estimate's order
         parts = [
-            (name, strat.strata[name], plan.sizes[name])
+            (strat.strata[name], sizes[name], name == STRATUM_ZERO)
             for name in (STRATUM_ONE, STRATUM_ZERO)
-            if plan.sizes[name] > 0
+            if sizes[name] > 0
         ]
-        zero_sampled = any(name == STRATUM_ZERO for name, _, _ in parts)
-        zero_totals = np.full(R, np.nan) if zero_sampled else None
+    else:
+        parts = [(frame, n, False)]
+    if design == "pps":
+        table = designs._alias_for(frame)
+        pi = frame.aux_probs / frame.aux_total
 
-        def one_rep(r):
-            rng = replicate_rng(seed, r)
-            components = []
-            for name, sub, n_h in parts:
-                sample = designs.srs_wor(sub, n_h, rng)
-                if name == STRATUM_ZERO and estimator == "strat_diff":
-                    est = estimators.difference_estimate(sample)
-                else:
-                    est = estimators.srs_estimate(sample)
-                if name == STRATUM_ZERO:
-                    zero_totals[r] = est.total
-                components.append((name, est))
-            combined = estimators.stratified_estimate(components)
-            totals[r] = combined.total
-            variances[r] = combined.variance
-
+    totals = np.empty(R)
+    variances = np.empty(R)
+    zero_totals = np.full(R, np.nan) if any(zero for _, _, zero in parts) else None
     for r in range(R):
-        one_rep(r)
+        rng = replicate_rng(seed, r)
+        total = variance = 0.0
+        for sub, n_h, zero in parts:
+            if design == "pps":
+                idx = table.draw(rng, n_h)
+                t, v = estimators._hh(sub.labels[idx] / pi[idx])
+            else:
+                idx = designs._srs_indices(rng, sub.N, n_h)
+                y = sub.labels[idx]
+                if estimator == "diff" or (zero and estimator == "strat_diff"):
+                    t, v = estimators._expansion(y - sub.aux_probs[idx], sub.N, sub.aux_total)
+                else:
+                    t, v = estimators._expansion(y, sub.N)
+            if v is None:
+                raise VarianceUndefinedError(f"a replicate of {n_h} draw(s) has no variance")
+            if zero:
+                zero_totals[r] = t
+            total += t
+            variance += v
+        totals[r] = total
+        variances[r] = variance
 
     mean = float(np.mean(totals))
     emp_se = float(np.std(totals, ddof=1)) if R >= 2 else 0.0

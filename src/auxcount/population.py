@@ -141,7 +141,6 @@ class StratifiedFrame:
     """A frame split into named strata at a prediction threshold."""
 
     strata: Mapping[str, Frame]
-    threshold: float
 
     @property
     def sizes(self) -> dict[str, int]:
@@ -183,7 +182,7 @@ def stratify_by_prediction(frame: Frame, tau: float) -> StratifiedFrame:
         STRATUM_ONE: frame.take(ones, stratum=STRATUM_ONE),
         STRATUM_ZERO: frame.take(zeros, stratum=STRATUM_ZERO),
     }
-    return StratifiedFrame(strata=strata, threshold=float(tau))
+    return StratifiedFrame(strata=strata)
 
 
 def read_table(path):

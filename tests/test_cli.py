@@ -168,6 +168,26 @@ class TestSampleAndEstimate:
             "--sample-zero", tmp_path / "tiny.csv", "--out", tmp_path,
         ) == 2
 
+    @pytest.mark.parametrize(
+        "design,pi,aux_total,estimator",
+        [
+            ("PPS_WR", "nan", "2.0", "hh"),
+            ("SRS_WOR", "0.2", "nan", "diff"),
+            ("SRS_WOR", "0.2", "-5", "diff"),
+        ],
+    )
+    def test_hand_edited_values_out_of_range_are_refused(
+        self, tmp_path, design, pi, aux_total, estimator
+    ):
+        path = tmp_path / "edited.csv"
+        path.write_text(
+            f"# sample_design = {design}\n# parent_N = 10\n# parent_aux_total = {aux_total}\n"
+            f"draw_index,unit_id,pi,y,p_hat\n0,a,{pi},1,0.4\n1,b,0.2,0,0.3\n"
+        )
+        argv = ["estimate", "--sample", path, "--estimator", estimator, "--out", tmp_path]
+        assert run(*argv) == 2
+        assert not (tmp_path / "record.csv").exists()
+
     def test_swapped_stratum_files_are_refused(self, frame_dir):
         assert run(
             "sample", "--frame", frame_dir / "frame.csv", "--design", "stratified",

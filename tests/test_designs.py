@@ -258,6 +258,26 @@ class TestSampleIO:
         with pytest.raises(IngestionError, match="no draws"):
             load_sample(empty)
 
+    @pytest.mark.parametrize(
+        "pi,p_hat,aux_total",
+        [
+            ("nan", "0.4", "2.0"),
+            ("0.5", "1.5", "2.0"),
+            ("0.5", "0.4", "nan"),
+            ("0.5", "0.4", "-5"),
+            ("0.5", "0.4", "inf"),
+        ],
+    )
+    def test_load_refuses_out_of_range_values(self, tmp_path, pi, p_hat, aux_total):
+        # NaN compares false, so it passes a check that refuses only what lies outside
+        path = tmp_path / "v.csv"
+        path.write_text(
+            f"# sample_design = SRS_WOR\n# parent_N = 10\n# parent_aux_total = {aux_total}\n"
+            f"draw_index,unit_id,pi,y,p_hat\n0,a,0.5,1,0.4\n1,b,{pi},0,{p_hat}\n"
+        )
+        with pytest.raises(IngestionError):
+            load_sample(path)
+
     def test_sample_validation(self):
         with pytest.raises(ValueError):
             Sample(

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from auxcount import (
     ConfigError,
     Frame,
     SweepError,
+    allocate,
+    difference_estimate,
     estimate_histogram,
     exact_hh_design_variance,
     hh_estimate,
@@ -17,6 +20,10 @@ from auxcount import (
     proposition1_sweep,
     replicate_rng,
     run_replications,
+    srs_estimate,
+    srs_wor,
+    stratified_estimate,
+    stratify_by_prediction,
 )
 from auxcount.montecarlo import HISTOGRAM_MAX_BINS, HistogramBin
 
@@ -39,6 +46,38 @@ def _stratified_frame():
     labels[:16] = 1
     probs = np.where(labels == 1, rng.uniform(0.3, 0.9, N), rng.uniform(0.01, 0.6, N))
     return Frame(_ids("s", N), probs, labels)
+
+
+PAIRINGS = [
+    ("pps", "hh"),
+    ("srs", "srs"),
+    ("srs", "diff"),
+    ("stratified", "strat_srs"),
+    ("stratified", "strat_diff"),
+]
+STRATIFIED_KW = dict(tau=0.5, allocation="proportional")
+
+
+def _run_kw(design):
+    return STRATIFIED_KW if design == "stratified" else {}
+
+
+def _replicate_alone(frame, design, estimator, n, rng):
+    """One replicate through the public API: (total Estimate, zero-stratum Estimate)."""
+    if design == "pps":
+        return hh_estimate(pps_wr(frame, n, rng)), None
+    if design == "srs":
+        est_fn = srs_estimate if estimator == "srs" else difference_estimate
+        return est_fn(srs_wor(frame, n, rng)), None
+    strat = stratify_by_prediction(frame, STRATIFIED_KW["tau"])
+    sizes = allocate(strat, n, STRATIFIED_KW["allocation"]).sizes
+    components = []
+    for name in ("one", "zero"):  # one shared generator, stratum one first
+        if sizes[name]:
+            sample = srs_wor(strat.strata[name], sizes[name], rng)
+            diff = name == "zero" and estimator == "strat_diff"
+            components.append((name, (difference_estimate if diff else srs_estimate)(sample)))
+    return stratified_estimate(components), dict(components).get("zero")
 
 
 class TestReplicateRng:
@@ -123,6 +162,10 @@ class TestRunValidation:
             run_replications(fr, design="pps", estimator="hh", n=1, R=2, seed=1)
         with pytest.raises(ValueError):
             run_replications(fr, design="pps", estimator="hh", n=5, R=0, seed=1)
+        with pytest.raises(ValueError, match="exceeds N=50"):
+            run_replications(fr, design="srs", estimator="srs", n=51, R=2, seed=1)
+        # with replacement, PPS may draw more than N times
+        run_replications(fr, design="pps", estimator="hh", n=51, R=2, seed=1)
 
     def test_single_replicate_warns(self):
         with pytest.warns(UserWarning, match="R=1"):
@@ -144,20 +187,68 @@ class TestRunReplications:
         assert rep.bias == rep.empirical_mean - fr.true_total
         assert sum(b.count for b in rep.bins) == rep.R
 
-    def test_deterministic_and_worker_independent(self):
+    @pytest.mark.parametrize("design,estimator", PAIRINGS)
+    def test_deterministic_and_worker_independent(self, design, estimator):
         # any replicate reproduces alone from replicate_rng(seed, r), so
-        # whoever computes it gets the same value
-        fr = _small_pps_frame()
-        kw = dict(design="pps", estimator="hh", n=8, R=40, seed=11)
+        # whoever computes it gets the same value, bit for bit, as the
+        # public samplers and estimators
+        fr = _stratified_frame()
+        kw = dict(design=design, estimator=estimator, n=20, R=40, seed=11, **_run_kw(design))
         a = run_replications(fr, **kw)
         b = run_replications(fr, **kw)
         assert np.array_equal(a.estimates, b.estimates)
         assert np.array_equal(a.estimated_variances, b.estimated_variances)
+        assert (a.zero_stratum_estimates is None) == (design != "stratified")
         for r in (0, 17, 39):
-            alone = hh_estimate(pps_wr(fr, 8, replicate_rng(11, r)))
+            alone, zero = _replicate_alone(fr, design, estimator, 20, replicate_rng(11, r))
             assert (alone.total, alone.variance) == (
                 a.estimates[r], a.estimated_variances[r]
             )
+            if zero is not None:
+                assert zero.total == a.zero_stratum_estimates[r]
+
+    # sha256 of (estimates, estimated_variances, zero_stratum_estimates) on
+    # _stratified_frame() at n=20, R=50, seed=11, recorded while each
+    # replicate still built a Sample and an Estimate
+    GOLDEN = {
+        ("pps", "hh"): (
+            "5c2760a0e69bc79cd991c741697ed953fd4c4f8436d379affdb00213b9985daa",
+            "609446083bebad1a422356d079834db227b1bce0e2e2cba016dd5a57d018a8db",
+            None,
+        ),
+        ("srs", "srs"): (
+            "059398fb17df83ac539506ca274159b2cb65bf9f5e54635bf1da712d1a2db37a",
+            "8748544b03511c8964acfbfbae6ed2cb9854d0094024f5039049f785b6ee476a",
+            None,
+        ),
+        ("srs", "diff"): (
+            "a10c2d10271c40e2ae7bb8ff707919aa391e7fbfe147dcf770afd5b309d1e2b3",
+            "05d6459014320ad1ea21c879b2b528262a955f4ab9ce618497b22a03a249ea97",
+            None,
+        ),
+        ("stratified", "strat_srs"): (
+            "856831b4fc557b99b09284b723762d220cb176242c538ad614b2a53bb3d3b4da",
+            "b7b6d81ab262b652204bdb1aefad768aac4da67da9735c60ef181e933c124c6f",
+            "4d7d4ef21744b714668a7ccad23b4135f8430c11ae75520e0f5c21748f5084bf",
+        ),
+        ("stratified", "strat_diff"): (
+            "52517e058324f03fc225c81dd98d194f4e195983cd23b638449f60ec4d8bf80c",
+            "97f09368bc24b2a0bc08ac4bf639140459e167b572ebba2ebdafc1b1c1624311",
+            "767920ed5f1d38ffbb16ba8c24ad4895a4c337580ce08138c1f46e5246b5805f",
+        ),
+    }
+
+    @pytest.mark.parametrize("design,estimator", PAIRINGS)
+    def test_replicate_bytes_are_pinned(self, design, estimator):
+        rep = run_replications(
+            _stratified_frame(), design=design, estimator=estimator,
+            n=20, R=50, seed=11, **_run_kw(design),
+        )
+        arrays = (rep.estimates, rep.estimated_variances, rep.zero_stratum_estimates)
+        digests = tuple(
+            None if a is None else hashlib.sha256(a.tobytes()).hexdigest() for a in arrays
+        )
+        assert digests == self.GOLDEN[design, estimator]
 
     def test_census_srs_is_exact_every_time(self):
         N = 30
