@@ -2,8 +2,9 @@
 and sample-size allocation over strata.
 
 PPS draws use a Vose alias table built once per frame; uniform draws use
-a sparse partial Fisher-Yates shuffle, so cost scales with the sample,
-not the frame.
+a sparse partial Fisher-Yates shuffle that replays in Python only the
+steps whose slots another step also touches, so cost scales with the
+sample, not the frame.
 """
 
 from __future__ import annotations
@@ -89,26 +90,25 @@ class Sample:
         return not np.isnan(np.asarray(self.y, dtype=np.float64)).any()
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _srs_indices(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
     """First n slots of a partial Fisher-Yates shuffle of range(N).
 
-    Only displaced slots are tracked, so memory and time are O(n).
+    Step j swaps slots j and k_j = j + floor(u_j * (N - j)) and draws what
+    k_j held.  A step whose k_j is n or more and unique touches no slot any
+    other step reads, so it draws k_j itself; the other steps are replayed
+    in order, tracking displaced slots in a dict.  Memory and time are O(n).
     """
     u = rng.random(n)
+    j = np.arange(n)
+    k = np.minimum(j + (u * (N - j)).astype(np.intp), N - 1)  # u = 1.0 gives N
+    ks = np.sort(k)
+    shared = np.flatnonzero((k < n) | np.isin(k, ks[1:][np.diff(ks) == 0]))
     displaced: dict[int, int] = {}
-    out = np.empty(n, dtype=np.intp)
-    for j in range(n):
-        k = j + int(u[j] * (N - j))
-        if k >= N:  # guard the top edge of the float scaling
-            k = N - 1
-        vj = displaced.get(j, j)
-        out[j] = displaced.get(k, k)
-        displaced[k] = vj
-    return out
+    for step, slot in zip(shared.tolist(), k[shared].tolist()):
+        held = displaced.get(step, step)
+        k[step] = displaced.get(slot, slot)
+        displaced[slot] = held
+    return k
 
 
 def srs_wor(frame: Frame, n: int, seed) -> Sample:
@@ -128,7 +128,7 @@ def srs_wor(frame: Frame, n: int, seed) -> Sample:
     """
     if not 1 <= n <= frame.N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={frame.N}")
-    idx = _srs_indices(_rng(seed), frame.N, n)
+    idx = _srs_indices(np.random.default_rng(seed), frame.N, n)
     return Sample(
         design=DESIGN_SRS,
         unit_ids=frame.ids[idx],
@@ -197,7 +197,7 @@ def pps_wr(frame: Frame, n: int, seed) -> Sample:
         raise ValueError("n must be at least 1")
     if frame.N < 1:
         raise ValueError("cannot sample an empty frame")
-    idx = _alias_for(frame).draw(_rng(seed), n)
+    idx = _alias_for(frame).draw(np.random.default_rng(seed), n)
     return Sample(
         design=DESIGN_PPS,
         unit_ids=frame.ids[idx],

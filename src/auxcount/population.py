@@ -57,14 +57,17 @@ class Frame:
     """
 
     def __init__(self, ids, aux_probs, labels=None, stratum=None):
-        ids = np.asarray(list(ids), dtype=object)
+        self._set(np.asarray(list(ids), dtype=object), aux_probs, labels, stratum)
+        if len(set(self._ids)) != self.N:
+            raise ValueError("duplicate unit ids")
+
+    def _set(self, ids, aux_probs, labels, stratum) -> "Frame":
+        """Check and store the columns but for the ids' uniqueness."""
         probs = np.asarray(aux_probs, dtype=np.float64)
         if probs.ndim != 1 or len(ids) != probs.size:
             raise ValueError("ids and aux_probs must be 1-d and equal length")
         if probs.size and (np.min(probs) < 0.0 or np.max(probs) > 1.0):
             raise ValueError("aux_prob values must lie in [0, 1]")
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate unit ids")
         if labels is None:
             lab = np.full(probs.size, np.nan)
         else:
@@ -81,6 +84,7 @@ class Frame:
         self._aux_total = float(np.sum(self._probs))
         for arr in (self._ids, self._probs, self._labels):
             arr.setflags(write=False)
+        return self
 
     # -- basic accessors -------------------------------------------------
 
@@ -126,11 +130,17 @@ class Frame:
 
     def replace_probs(self, aux_probs) -> "Frame":
         """New frame with the same ids/labels and fresh probabilities."""
-        return Frame(self._ids, aux_probs, self._labels, stratum=self.stratum)
+        return Frame.__new__(Frame)._set(self._ids, aux_probs, self._labels, self.stratum)
 
     def take(self, indices, stratum=None) -> "Frame":
+        """New frame of the units at ``indices``, which must be distinct."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Frame(self._ids[idx], self._probs[idx], self._labels[idx], stratum=stratum)
+        hit = np.zeros(self.N, dtype=bool)
+        hit[idx] = True
+        if np.count_nonzero(hit) != idx.size:
+            raise ValueError("take indices must be distinct")
+        new = Frame.__new__(Frame)
+        return new._set(self._ids[idx], self._probs[idx], self._labels[idx], stratum)
 
     def __repr__(self):
         return f"Frame(N={self.N}, aux_total={self._aux_total:.6g})"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from auxcount import (
     AllocationError,
@@ -77,6 +78,61 @@ class TestSrsWor:
             srs_wor(fr, 0, seed=1)
         with pytest.raises(ValueError):
             srs_wor(fr, 3, seed=1)
+
+
+def reference_srs_indices(rng, N, n):
+    """The sequential partial Fisher-Yates loop that _srs_indices must
+    reproduce exactly, one draw per Python iteration."""
+    u = rng.random(n)
+    displaced: dict[int, int] = {}
+    out = np.empty(n, dtype=np.intp)
+    for j in range(n):
+        k = j + int(u[j] * (N - j))
+        if k >= N:  # guard the top edge of the float scaling
+            k = N - 1
+        vj = displaced.get(j, j)
+        out[j] = displaced.get(k, k)
+        displaced[k] = vj
+    return out
+
+
+@st.composite
+def _srs_shapes(draw):
+    N = draw(st.integers(1, 10**6) | st.integers(1, 600))
+    top = min(N, 600)
+    n = draw(st.integers(1, top) | st.sampled_from([top, max(top - 1, 1)]))
+    return N, n
+
+
+class TestSrsIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(_srs_shapes(), st.integers(0, 2**63))
+    @example((1, 1), 0)
+    @example((2, 1), 0)
+    @example((600, 600), 1)
+    @example((601, 600), 2)
+    @example((190_944, 500), 3)
+    @example((10**6, 600), 4)
+    def test_same_draws_as_the_sequential_loop(self, shape, seed):
+        N, n = shape
+        got = designs._srs_indices(np.random.default_rng(seed), N, n)
+        want = reference_srs_indices(np.random.default_rng(seed), N, n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    # nextafter(1, 0) is Generator.random's largest value; its product
+    # with N - j still truncates to N - j - 1, so only 1.0 reaches k >= N
+    @pytest.mark.parametrize("top", [np.nextafter(1.0, 0.0), 1.0])
+    @pytest.mark.parametrize("N, n", [(1, 1), (7, 3), (7, 7), (190_944, 500)])
+    def test_top_edge_of_the_uniforms(self, top, N, n):
+        class Stub:
+            def random(self, size):
+                return np.full(size, top)
+
+        # every step targets the last slot, which passes each draw on
+        got = designs._srs_indices(Stub(), N, n)
+        assert np.array_equal(got, reference_srs_indices(Stub(), N, n))
+        assert got.tolist() == [N - 1, *range(n - 1)]
 
 
 class TestPpsWr:

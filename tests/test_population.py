@@ -59,6 +59,28 @@ def test_arrays_are_read_only():
         fr.labels[0] = 0.0
 
 
+def test_take_refuses_a_repeated_index():
+    fr = Frame(["a", "b", "c"], [0.5, 0.5, 0.5], [1, 0, 0])
+    with pytest.raises(ValueError, match="distinct"):
+        fr.take([0, 0])
+    with pytest.raises(ValueError, match="distinct"):
+        fr.take([2, -1])  # the same unit twice
+    assert fr.take([2, 0]).ids.tolist() == ["c", "a"]
+
+
+def test_derived_frames_are_read_only():
+    fr = Frame(["a", "b", "c"], [0.9, 0.2, 0.6], [1, 0, 1])
+    strat = stratify_by_prediction(fr.replace_probs([0.8, 0.1, 1.0]), 0.5)
+    derived = [fr.replace_probs([0.1, 0.2, 0.3]), fr.take([1, 2]), *strat.strata.values()]
+    for d in derived:
+        for arr in (d.ids, d.aux_probs, d.labels):
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+    assert fr.replace_probs([0.1, 0.2, 1.0]).aux_probs[2] == 1.0 - PROB_FLOOR
+    with pytest.raises(ValueError):
+        fr.replace_probs([0.1, 0.2, 1.5])
+
+
 def test_predicted_classes_threshold_is_inclusive():
     fr = Frame(["a", "b", "c"], [0.5, 0.49, 0.51])
     assert fr.predicted_classes(0.5).tolist() == [1, 0, 1]
