@@ -1,10 +1,10 @@
 """Sampling designs: SRS without replacement, PPS with replacement,
 and sample-size allocation over strata.
 
-PPS draws use a Vose alias table built once per frame; uniform draws use
-a sparse partial Fisher-Yates shuffle that replays in Python only the
-steps whose slots another step also touches, so cost scales with the
-sample, not the frame.
+PPS draws use a Vose alias table of (prob, alias) records built once per
+frame; uniform draws use a sparse partial Fisher-Yates shuffle that
+replays in Python only the steps whose slots another step also touches,
+so cost scales with the sample, not the frame.
 """
 
 from __future__ import annotations
@@ -142,7 +142,9 @@ def srs_wor(frame: Frame, n: int, seed) -> Sample:
 
 
 class AliasTable:
-    """Vose alias structure for O(1) draws proportional to fixed weights."""
+    """Vose alias table of (prob, alias) records, so that each O(1) draw
+    reads one cache line of the table instead of one in each of two arrays.
+    """
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=np.float64)
@@ -151,10 +153,11 @@ class AliasTable:
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be finite and positive")
         size = w.size
+        slots = np.zeros(size, dtype=[("prob", np.float64), ("alias", np.intp)])
+        prob, alias = slots["prob"], slots["alias"]  # views: the build fills slots
+        prob[:] = 1.0
         total = float(np.sum(w))
         scaled = (w * (size / total)).tolist()
-        prob = np.ones(size)
-        alias = np.arange(size, dtype=np.intp)
         small = [i for i, v in enumerate(scaled) if v < 1.0]
         large = [i for i, v in enumerate(scaled) if v >= 1.0]
         while small and large:
@@ -164,15 +167,15 @@ class AliasTable:
             alias[s] = g
             scaled[g] = (scaled[g] + scaled[s]) - 1.0
             (small if scaled[g] < 1.0 else large).append(g)
-        # leftovers are 1 up to rounding; their prob stays 1
-        self.prob = prob
-        self.alias = alias
+        # leftovers are 1 up to rounding: prob stays 1, so alias is never read
+        self.slots = slots
         self.size = size
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         j = rng.integers(self.size, size=size)
         u = rng.random(size)
-        return np.where(u < self.prob[j], j, self.alias[j])
+        s = self.slots[j]
+        return np.where(u < s["prob"], j, s["alias"])
 
 
 _alias_cache: "weakref.WeakKeyDictionary[Frame, AliasTable]" = weakref.WeakKeyDictionary()

@@ -67,26 +67,32 @@ class Estimate:
 def _hh(x: np.ndarray) -> tuple[float, float | None]:
     """(mean(x), var(x, ddof=1) / n) for PPS-WR draws x_i = y_i / pi_i.
 
-    Below two draws the variance is None.
+    Below two draws the variance is None.  Both moments are np.mean's and
+    np.var(ddof=1)'s own ufunc sequence, so they match those bit for bit.
     """
     n = x.size
-    return float(np.mean(x)), float(np.var(x, ddof=1)) / n if n >= 2 else None
+    m = np.add.reduce(x) / n
+    d = x - m
+    return float(m), float(np.add.reduce(d * d) / (n - 1)) / n if n >= 2 else None
 
 
 def _expansion(v: np.ndarray, N: int, base: float = 0.0) -> tuple[float, float | None]:
     """(base + N * mean(v), N^2 (1 - n/N) s^2 / n) for an SRS-WOR of v.
 
     A census (n = N) has variance 0; below two draws the variance is None.
+    The moments are computed as in :func:`_hh`, bit for bit numpy's.
     """
     n = v.size
     if n > N:
         raise ValueError(f"n={n} exceeds N={N}")
-    total = base + N * float(np.mean(v))
+    m = np.add.reduce(v) / n
+    total = base + N * float(m)
     if n == N:
         return total, 0.0
     if n < 2:
         return total, None
-    return total, N * N * (1.0 - n / N) * float(np.var(v, ddof=1)) / n
+    d = v - m
+    return total, N * N * (1.0 - n / N) * float(np.add.reduce(d * d) / (n - 1)) / n
 
 
 def _require_labeled(sample: Sample):

@@ -197,27 +197,28 @@ def run_replications(
         ]
     else:
         parts = [(frame, n, False)]
-    if design == "pps":
-        table = designs._alias_for(frame)
-        pi = frame.aux_probs / frame.aux_total
+    # x, computed once so a draw is one gather: y / pi (HH), y - p_hat (difference) or y
+    for k, (sub, n_h, zero) in enumerate(parts):
+        x, base = sub.labels, 0.0
+        if design == "pps":
+            table = designs._alias_for(sub)
+            x = sub.labels / (sub.aux_probs / sub.aux_total)
+        elif estimator == "diff" or (zero and estimator == "strat_diff"):
+            x, base = sub.labels - sub.aux_probs, sub.aux_total
+        parts[k] = (n_h, zero, x, base)
 
     totals = np.empty(R)
     variances = np.empty(R)
-    zero_totals = np.full(R, np.nan) if any(zero for _, _, zero in parts) else None
+    zero_totals = np.full(R, np.nan) if any(zero for _, zero, _, _ in parts) else None
     for r in range(R):
         rng = replicate_rng(seed, r)
         total = variance = 0.0
-        for sub, n_h, zero in parts:
+        for n_h, zero, x, base in parts:
             if design == "pps":
-                idx = table.draw(rng, n_h)
-                t, v = estimators._hh(sub.labels[idx] / pi[idx])
+                t, v = estimators._hh(x[table.draw(rng, n_h)])
             else:
-                idx = designs._srs_indices(rng, sub.N, n_h)
-                y = sub.labels[idx]
-                if estimator == "diff" or (zero and estimator == "strat_diff"):
-                    t, v = estimators._expansion(y - sub.aux_probs[idx], sub.N, sub.aux_total)
-                else:
-                    t, v = estimators._expansion(y, sub.N)
+                idx = designs._srs_indices(rng, x.size, n_h)
+                t, v = estimators._expansion(x[idx], x.size, base)
             if v is None:
                 raise VarianceUndefinedError(f"a replicate of {n_h} draw(s) has no variance")
             if zero:

@@ -1,8 +1,12 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from auxcount import (
+    AliasTable,
     AllocationError,
     DESIGN_PPS,
     DESIGN_SRS,
@@ -11,9 +15,11 @@ from auxcount import (
     IngestionError,
     NEYMAN_ORACLE,
     NEYMAN_PROXY,
+    PROB_FLOOR,
     PROPORTIONAL,
     Sample,
     allocate,
+    clamp_probs,
     load_sample,
     pps_wr,
     read_header_fields,
@@ -170,6 +176,57 @@ class TestPpsWr:
         assert fr in designs._alias_cache  # alias table built once per frame
         b = pps_wr(fr, 20, seed=7)
         assert a.unit_ids.tolist() == b.unit_ids.tolist()
+
+
+def _draw_masses(table):
+    """Each unit's chance per draw, read off the records: its own slot's
+    prob plus the 1 - prob of every slot aliased to it, over the slot count."""
+    slots = table.slots
+    aliased = np.bincount(slots["alias"], weights=1.0 - slots["prob"], minlength=table.size)
+    return (slots["prob"] + aliased) / table.size
+
+
+def _assert_exact_masses(weights):
+    w = np.asarray(weights, dtype=np.float64)
+    got = _draw_masses(AliasTable(w))
+    want = w / math.fsum(w)
+    for i, (g, t) in enumerate(zip(got.tolist(), want.tolist())):
+        assert math.isclose(g, t, rel_tol=1e-12), (w.size, i, g, t)
+
+
+class TestAliasTable:
+    # every vector of 1-8 units over weights at both ends of the score range
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_draw_masses_are_the_weights_on_tiny_frames(self, size):
+        for weights in itertools.product([PROB_FLOOR, 0.3, 1.0 - PROB_FLOOR], repeat=size):
+            _assert_exact_masses(weights)
+
+    def test_draw_masses_are_the_weights_on_random_frames(self):
+        rng = np.random.default_rng(1943)
+        for k in range(200):
+            size = int(rng.integers(1, 3000))
+            if k % 2:  # rare-positive score mixture, piled near the floor
+                weights = clamp_probs(np.where(rng.random(size) < 0.05,
+                                               rng.beta(8.0, 0.8, size),
+                                               rng.beta(0.018, 2.0, size)))
+            else:
+                weights = rng.random(size) + PROB_FLOOR
+            _assert_exact_masses(weights)
+
+    # Generator.random's largest value is nextafter(1, 0): a slot with
+    # prob 1 keeps its own unit, and every draw stays inside the frame
+    @pytest.mark.parametrize("weights", [[1.0], [0.2, 0.8], [PROB_FLOOR, 0.5, 1.0, 0.3]])
+    def test_top_edge_of_the_slots_and_uniforms(self, weights):
+        class Stub:
+            def integers(self, high, size):
+                return np.full(size, high - 1)
+
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        table = AliasTable(weights)
+        got = table.draw(Stub(), 5)
+        assert np.all((0 <= got) & (got < table.size))
 
 
 def _two_strata(n1_labels, n0_labels, split=0.5):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from auxcount import (
     DESIGN_PPS,
     DESIGN_SRS,
     Estimate,
     Frame,
+    PROB_FLOOR,
     VarianceUndefinedError,
     census_estimate,
     confidence_interval,
@@ -22,6 +25,7 @@ from auxcount import (
     stratified_estimate,
     under_reporting,
 )
+from auxcount import estimators
 from auxcount.estimators import RECORD_FIELDS
 
 from conftest import (
@@ -177,6 +181,65 @@ class TestDifferenceEstimate:
         s = _srs([0.5, 0.5], [1, 0], p_hat=[0.4, np.nan], parent_N=10)
         with pytest.raises(ValueError, match="score"):
             difference_estimate(s)
+
+
+def reference_hh(x):
+    """The np.mean / np.var form of the Hansen-Hurwitz kernel, which
+    estimators._hh must reproduce bit for bit."""
+    n = x.size
+    return float(np.mean(x)), float(np.var(x, ddof=1)) / n if n >= 2 else None
+
+
+def reference_expansion(v, N, base=0.0):
+    """The np.mean / np.var form of the expansion kernel, which
+    estimators._expansion must reproduce bit for bit."""
+    n = v.size
+    if n > N:
+        raise ValueError(f"n={n} exceeds N={N}")
+    total = base + N * float(np.mean(v))
+    if n == N:
+        return total, 0.0
+    if n < 2:
+        return total, None
+    return total, N * N * (1.0 - n / N) * float(np.var(v, ddof=1)) / n
+
+
+_KERNEL_VALUES = (
+    # HH draws y / pi: 0, or up to aux_total / PROB_FLOOR for a positive at the score floor
+    st.just(0.0) | st.floats(1.0, 1e4 / PROB_FLOOR),
+    st.floats(-1.0, 1.0),  # difference residuals y - p_hat
+    st.sampled_from([0.0, 1.0]),  # labels
+)
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """(values, N, base): a kernel's draws, the frame size and the base total."""
+    n = draw(st.integers(1, 600) | st.sampled_from([1, 2]))
+    values = draw(st.sampled_from(_KERNEL_VALUES))
+    form = draw(st.sampled_from(["free", "constant", "zero"]))
+    if form == "free":
+        x = draw(arrays(np.float64, n, elements=values))
+    else:
+        x = np.full(n, draw(values) if form == "constant" else 0.0)
+    N = n + draw(st.sampled_from([0, 1]) | st.integers(2, 10**6))  # n = N, N - 1 or less
+    base = draw(st.just(0.0) | st.floats(0.0, 1e6))
+    return x, N, base
+
+
+class TestKernels:
+    @settings(max_examples=400, deadline=None)
+    @given(_kernel_inputs())
+    @example((np.array([3.0]), 1, 0.0))
+    @example((np.array([3.0]), 2, 0.5))
+    @example((np.array([0.0, 1e10]), 2, 0.0))
+    @example((np.array([0.0, 1e10]), 3, 7.0))
+    @example((np.full(500, 0.25), 190_944, 0.0))
+    @example((np.zeros(500), 500, 0.0))
+    def test_same_bits_as_numpy_mean_and_var(self, case):
+        x, N, base = case
+        assert estimators._hh(x) == reference_hh(x)
+        assert estimators._expansion(x, N, base) == reference_expansion(x, N, base)
 
 
 class TestStratifiedEstimate:
