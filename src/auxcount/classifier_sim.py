@@ -8,13 +8,14 @@ the calibration search below relies on that.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaincinv
 
 from .errors import CalibrationError, UndefinedMetricError
-from .population import Frame, clamp_probs
+from .population import Frame
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -81,18 +82,32 @@ def simulate_predictions(frame: Frame, profile: QualityProfile, seed) -> Frame:
     Each unit gets an independent uniform from ``default_rng(seed)`` and
     is pushed through the inverse Beta CDF of its class.  The input frame
     is untouched; the result is clamped like any ingested frame.  Same
-    frame, profile and seed give bitwise-identical output.
+    frame, profile and seed give bitwise-identical output, however many
+    CPUs share the work: threads each score one contiguous slice of the
+    units, and a unit's score depends on its own uniform alone.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     _require_labels(frame, "simulate_predictions")
-    rng = np.random.default_rng(seed)
-    u = rng.random(frame.N)
+    u = np.random.default_rng(seed).random(frame.N)
     pos = frame.labels == 1.0
-    probs = np.empty(frame.N)
     a1, b1 = profile.shape_pos
     a0, b0 = profile.shape_neg
-    probs[pos] = betaincinv(a1, b1, u[pos])
-    probs[~pos] = betaincinv(a0, b0, u[~pos])
-    return frame.replace_probs(clamp_probs(probs))
+
+    def fill(part):  # each unit's uniform becomes its score, in place
+        betaincinv(a1, b1, u[part], out=u[part], where=pos[part])
+        betaincinv(a0, b0, u[part], out=u[part], where=~pos[part])
+
+    k = _usable_cpus()  # the ufunc loop releases the GIL
+    with ThreadPoolExecutor(k) as pool:
+        list(pool.map(fill, (slice(frame.N * i // k, frame.N * (i + 1) // k) for i in range(k))))
+    return frame.replace_probs(u)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def population_loss(frame: Frame) -> float:

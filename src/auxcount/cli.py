@@ -182,7 +182,9 @@ def _write_json(path, audit: dict, payload: dict):
 
 def _write_record_csv(path, audit: dict, records: list[dict]):
     def cell(value):
-        return repr(float(value)) if isinstance(value, float) else value
+        if value is None:
+            return ""
+        return repr(float(value)) if isinstance(value, float) else str(value)
 
     rows = ([cell(record.get(f)) for f in estimators.RECORD_FIELDS] for record in records)
     write_table(path, _audit_lines(audit), estimators.RECORD_FIELDS, rows)
@@ -424,7 +426,7 @@ def cmd_simulate(args) -> int:
 
     lines = _audit_lines(audit)
     columns = {
-        "replicate": range(report.R),
+        "replicate": map(str, range(report.R)),
         "estimate": float_texts(report.estimates),
         "estimated_variance": float_texts(report.estimated_variances),
     }
@@ -433,7 +435,7 @@ def cmd_simulate(args) -> int:
     write_table(
         _out_path(args, resolved["out_replicates"]), lines, list(columns), zip(*columns.values())
     )
-    bins = ((repr(float(b.lo)), repr(float(b.hi)), int(b.count)) for b in report.bins)
+    bins = ((repr(float(b.lo)), repr(float(b.hi)), str(int(b.count))) for b in report.bins)
     write_table(
         _out_path(args, resolved["out_histogram"]), lines, ("bin_lo", "bin_hi", "count"), bins
     )

@@ -153,21 +153,29 @@ class AliasTable:
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be finite and positive")
         size = w.size
-        slots = np.zeros(size, dtype=[("prob", np.float64), ("alias", np.intp)])
-        prob, alias = slots["prob"], slots["alias"]  # views: the build fills slots
-        prob[:] = 1.0
-        total = float(np.sum(w))
-        scaled = (w * (size / total)).tolist()
-        small = [i for i, v in enumerate(scaled) if v < 1.0]
-        large = [i for i, v in enumerate(scaled) if v >= 1.0]
-        while small and large:
-            s = small.pop()
-            g = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = g
-            scaled[g] = (scaled[g] + scaled[s]) - 1.0
-            (small if scaled[g] < 1.0 else large).append(g)
-        # leftovers are 1 up to rounding: prob stays 1, so alias is never read
+        scaled = w * (size / float(np.sum(w)))
+        small = np.flatnonzero(scaled < 1.0).tolist()
+        large = np.flatnonzero(scaled >= 1.0).tolist()
+        scaled = scaled.tolist()
+        alias = [0] * size
+        # Vose's pops, with the large slot g held while it stays large
+        if small and large:
+            s, g = small.pop(), large.pop()
+            while True:
+                alias[s] = g  # scaled[s], now final, is s's prob
+                x = scaled[g] = (scaled[g] + scaled[s]) - 1.0
+                if x >= 1.0 and small:
+                    s = small.pop()
+                elif x < 1.0 and large:
+                    s, g = g, large.pop()
+                else:
+                    break
+            small.append(g)
+        slots = np.empty(size, dtype=[("prob", np.float64), ("alias", np.intp)])
+        slots["prob"] = scaled
+        slots["alias"] = alias
+        # leftovers are 1 up to rounding: prob 1, so alias is never read
+        slots["prob"][small + large] = 1.0
         self.slots = slots
         self.size = size
 
@@ -350,7 +358,7 @@ def write_sample(sample: Sample, path, header_lines=()) -> None:
         facts.append(f"stratum = {sample.stratum}")
     ids = np.asarray(sample.unit_ids).tolist()
     rows = zip(
-        range(sample.n),
+        map(str, range(sample.n)),
         ids,
         float_texts(sample.pi),
         label_texts(sample.y),

@@ -57,12 +57,16 @@ class Frame:
     """
 
     def __init__(self, ids, aux_probs, labels=None, stratum=None):
-        self._set(np.asarray(list(ids), dtype=object), aux_probs, labels, stratum)
-        if len(set(self._ids)) != self.N:
+        texts = ids if isinstance(ids, list) else list(ids)  # a list is used, not copied
+        # what load_frame would refuse or strip could not be read back
+        if not all(texts) or list(map(str.strip, texts)) != texts:
+            raise ValueError("unit ids must be nonempty and unpadded")
+        self._set(np.asarray(texts, dtype=object), aux_probs, labels, stratum)
+        if len(set(texts)) != self.N:
             raise ValueError("duplicate unit ids")
 
     def _set(self, ids, aux_probs, labels, stratum) -> "Frame":
-        """Check and store the columns but for the ids' uniqueness."""
+        """Check and store the columns but for the ids' text and uniqueness."""
         probs = np.asarray(aux_probs, dtype=np.float64)
         if probs.ndim != 1 or len(ids) != probs.size:
             raise ValueError("ids and aux_probs must be 1-d and equal length")
@@ -221,7 +225,7 @@ def read_table(path):
         widths = np.fromiter(map(len, table), np.intp, len(table))
         fields = list(itertools.chain.from_iterable(table))
         return comments, header, fields, len(table), _first(widths != width)
-    body = re.sub("\n\n+", "\n", body).strip("\n")
+    body = (re.sub("\n\n+", "\n", body) if "\n\n" in body else body).strip("\n")
     if not body:
         return comments, header, [], 0, None
     # with no quotes, a row's width is its comma count plus one: compare
@@ -284,20 +288,30 @@ def float_texts(values):
     return map(repr, np.asarray(values, dtype=np.float64).tolist())
 
 
-def write_table(path, comments, header, rows, ids=()) -> None:
-    """Write ``# `` comment lines, a header row and ``rows`` as CSV.
+def _quoted(field: str, always: bool) -> str:
+    if always or "," in field or '"' in field or "\n" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
-    csv quotes a field holding a comma, a quote or a newline, but not
-    one holding a lone carriage return, which a reader takes for a line
-    break; so when one of ``ids`` holds one, every field is quoted.
+
+def write_table(path, comments, header, rows, ids=()) -> None:
+    """Write ``# `` comment lines, a header row and ``rows`` of str fields
+    as CSV, in the bytes of csv.writer with QUOTE_MINIMAL.
+
+    Only ``ids``, which the rows carry too, may need quotes.  An id with
+    a lone carriage return, which QUOTE_MINIMAL leaves bare and a reader
+    takes for a line break, makes every field quoted, as QUOTE_ALL does.
     """
-    quoting = csv.QUOTE_ALL if "\r" in "".join(map(str, ids)) else csv.QUOTE_MINIMAL
+    text = "".join(ids)
+    lines = itertools.chain([header], rows)
+    if any(c in text for c in ',"\n\r'):
+        always = "\r" in text
+        lines = ([_quoted(field, always) for field in row] for row in lines)
     with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(f"# {line}\n" for line in comments)
+        # bounded chunks: one join per chunk, without a table-sized string
+        while chunk := list(itertools.islice(lines, 4096)):
+            fh.write("\n".join(map(",".join, chunk)) + "\n")
 
 
 def first_repeat(ids) -> int | None:
@@ -374,6 +388,7 @@ def load_frame(path, columns: Mapping[str, str] | None = None) -> Frame:
             (bad_label, 5, f"label {raw_y[bad_label].strip()!r} not in {{0, 1, blank}}")
         )
     if not problems:
+        del raw_p, raw_y  # freed before Frame hashes the ids
         try:
             return Frame(ids, probs, labels)
         except ValueError:  # after the checks above, only a repeated id is left

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from auxcount import (
     population_loss,
     simulate_predictions,
 )
+from auxcount import classifier_sim
 
 from conftest import _ids
 
@@ -68,6 +71,28 @@ class TestSimulatePredictions:
         fr = Frame(["a", "b"], [0.5, 0.5])
         with pytest.raises(ValueError):
             simulate_predictions(fr, QualityProfile.symmetric(2.0), seed=1)
+
+    def test_scores_do_not_depend_on_the_slice_count(self, monkeypatch):
+        # one positive in 50, so that every slice scores both classes
+        N = 20_000
+        labels = (np.arange(N) % 50 == 7).astype(float)
+        fr = Frame(_ids("c", N), np.full(N, 0.5), labels)
+        prof = QualityProfile(shape_pos=(4.0, 1.5), shape_neg=(0.2, 8.0))
+        scores = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter often
+        try:
+            for parts in (1, 2, 3, 7):
+                monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: parts)
+                scores.append(simulate_predictions(fr, prof, seed=2022).aux_probs)
+        finally:
+            sys.setswitchinterval(interval)
+        for other in scores[1:]:
+            assert np.array_equal(other, scores[0])
+        # digest of the scores drawn before the work was sliced
+        assert hashlib.sha256(scores[0].tobytes()).hexdigest() == (
+            "80eeee6b967e528e41240b55cecd275a81cec1c324d1015fae8665eaece321ae"
+        )
 
 
 class TestPopulationLoss:

@@ -194,6 +194,47 @@ def _assert_exact_masses(weights):
         assert math.isclose(g, t, rel_tol=1e-12), (w.size, i, g, t)
 
 
+def _random_frame_weights():
+    rng = np.random.default_rng(1943)
+    for k in range(200):
+        size = int(rng.integers(1, 3000))
+        if k % 2:  # rare-positive score mixture, piled near the floor
+            yield clamp_probs(np.where(rng.random(size) < 0.05,
+                                       rng.beta(8.0, 0.8, size),
+                                       rng.beta(0.018, 2.0, size)))
+        else:
+            yield rng.random(size) + PROB_FLOOR
+
+
+def reference_alias_slots(weights):
+    """The Vose build that AliasTable must reproduce byte for byte, with
+    two numpy writes per slot into the records' field views."""
+    w = np.asarray(weights, dtype=np.float64)
+    size = w.size
+    slots = np.zeros(size, dtype=[("prob", np.float64), ("alias", np.intp)])
+    prob, alias = slots["prob"], slots["alias"]  # views: the build fills slots
+    prob[:] = 1.0
+    total = float(np.sum(w))
+    scaled = (w * (size / total)).tolist()
+    small = [i for i, v in enumerate(scaled) if v < 1.0]
+    large = [i for i, v in enumerate(scaled) if v >= 1.0]
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        (small if scaled[g] < 1.0 else large).append(g)
+    # leftovers are 1 up to rounding: prob stays 1, so alias is never read
+    return slots
+
+
+def _assert_reference_slots(weights):
+    got, want = AliasTable(weights).slots, reference_alias_slots(weights)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
 class TestAliasTable:
     # every vector of 1-8 units over weights at both ends of the score range
     @pytest.mark.parametrize("size", range(1, 9))
@@ -202,16 +243,21 @@ class TestAliasTable:
             _assert_exact_masses(weights)
 
     def test_draw_masses_are_the_weights_on_random_frames(self):
-        rng = np.random.default_rng(1943)
-        for k in range(200):
-            size = int(rng.integers(1, 3000))
-            if k % 2:  # rare-positive score mixture, piled near the floor
-                weights = clamp_probs(np.where(rng.random(size) < 0.05,
-                                               rng.beta(8.0, 0.8, size),
-                                               rng.beta(0.018, 2.0, size)))
-            else:
-                weights = rng.random(size) + PROB_FLOOR
+        for weights in _random_frame_weights():
             _assert_exact_masses(weights)
+
+    @pytest.mark.parametrize("size", range(1, 9))
+    def test_same_slots_as_the_reference_build_on_tiny_frames(self, size):
+        for weights in itertools.product([PROB_FLOOR, 0.3, 1.0 - PROB_FLOOR], repeat=size):
+            _assert_reference_slots(weights)
+
+    def test_same_slots_as_the_reference_build_on_random_frames(self):
+        for weights in _random_frame_weights():
+            _assert_reference_slots(weights)
+
+    def test_same_slots_as_the_reference_build_on_a_heavy_tail(self):
+        rng = np.random.default_rng(1991)
+        _assert_reference_slots(rng.pareto(0.7, 100_000) + PROB_FLOOR)
 
     # Generator.random's largest value is nextafter(1, 0): a slot with
     # prob 1 keeps its own unit, and every draw stays inside the frame

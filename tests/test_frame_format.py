@@ -12,10 +12,11 @@ import hashlib
 import io
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from auxcount import (
     Frame,
@@ -26,6 +27,7 @@ from auxcount import (
     write_frame,
     write_sample,
 )
+from auxcount import cli, designs, estimators, population
 from auxcount.cli import main
 
 
@@ -116,6 +118,76 @@ def test_sample_write_then_load_is_exact(frame, data):
     assert np.array_equal(back.pi, sample.pi)
     assert np.array_equal(back.y, sample.y, equal_nan=True)
     assert np.array_equal(back.p_hat, sample.p_hat)
+
+
+def reference_write_table(path, comments, header, rows, ids=()) -> None:
+    """csv.writer's bytes, which write_table must reproduce: QUOTE_MINIMAL,
+    or QUOTE_ALL when an id holds a carriage return."""
+    quoting = csv.QUOTE_ALL if "\r" in "".join(map(str, ids)) else csv.QUOTE_MINIMAL
+    with open(path, "w", newline="") as fh:
+        for line in comments:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _assert_reference_bytes(module, write):
+    """write(path) with write_table, then with reference_write_table
+    standing in for it in ``module``; the two files must match."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        write(got)
+        with mock.patch.object(module, "write_table", reference_write_table):
+            write(want)
+        with open(got, "rb") as a, open(want, "rb") as b:
+            assert a.read() == b.read()
+
+
+AWKWARD = Frame(["a,b", 'q"x', "l\nm", "#h", "é", "plain"], [0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
+                [1.0, 0.0, np.nan, 1.0, 0.0, np.nan])
+CARRIAGE = Frame(["r\r\nn", "c\rd", "e"], [0.25, 1.0, 0.0], [0.0, 1.0, np.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(frames(), st.data())
+@example(AWKWARD, None)
+@example(CARRIAGE, None)
+def test_frame_and_sample_bytes_match_the_csv_module(frame, data):
+    _assert_reference_bytes(population, lambda p: write_frame(frame, p, ["seed = 1"]))
+    n = frame.N if data is None else data.draw(st.integers(1, frame.N))
+    sample = srs_wor(frame, n, seed=3)
+    _assert_reference_bytes(designs, lambda p: write_sample(sample, p, ["seed = 1"]))
+
+
+def test_estimate_record_bytes_match_the_csv_module(tmp_path):
+    labeled = Frame(["a", "b", "c", "d", "e"], [0.9, 0.2, 0.6, 0.1, 0.3], [1, 0, 1, 0, 0])
+    sample = srs_wor(labeled, 4, seed=1)
+    record = estimators.estimate_record(estimators.srs_estimate(sample))
+    assert record["deff"] is None
+    audit = {"command": "estimate", "seed": 1}
+    cli._write_record_csv(tmp_path / "got.csv", audit, [record])
+    # csv writes None as an empty field and any other value as its str()
+    fields = estimators.RECORD_FIELDS
+    reference_write_table(tmp_path / "want.csv", cli._audit_lines(audit), fields,
+                          [[record[f] for f in fields]])
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("design", [["pps", "--estimator", "hh"], [
+    "stratified", "--estimator", "strat_diff", "--allocation", "proportional"]])
+def test_simulate_table_bytes_match_the_csv_module(tmp_path, monkeypatch, design):
+    monkeypatch.chdir(tmp_path)
+    assert main(["generate", "--N", "400", "--positives", "12", "--a1", "4", "--b1", "1.5",
+                 "--a0", "0.2", "--b0", "8", "--seed", "3"]) == 0
+    argv = ["simulate", "--frame", "frame.csv", "--design", *design,
+            "--n", "40", "--R", "300", "--seed", "5"]
+    assert main(argv) == 0
+    got = {name: (tmp_path / name).read_bytes() for name in ("replicates.csv", "histogram.csv")}
+    with mock.patch.object(cli, "write_table", reference_write_table):
+        assert main(argv) == 0
+    for name, data in got.items():
+        assert (tmp_path / name).read_bytes() == data, name
 
 
 @st.composite

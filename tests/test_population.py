@@ -51,6 +51,19 @@ def test_rejects_bad_inputs():
         Frame(["a"], [0.5, 0.5])
 
 
+@pytest.mark.parametrize("ids", [[" a", "a"], [" b"], ["b\t"], [""], ["a", "\u3000c"]])
+def test_refuses_ids_load_frame_would_not_read_back(ids):
+    # load_frame strips padding from an id and refuses an empty one
+    with pytest.raises(ValueError, match="nonempty and unpadded"):
+        Frame(ids, np.full(len(ids), 0.5))
+
+
+def test_keeps_inner_whitespace_in_ids(tmp_path):
+    fr = Frame(["a b", "c\td", "e\nf"], [0.5, 0.5, 0.5])
+    write_frame(fr, tmp_path / "frame.csv")
+    assert load_frame(tmp_path / "frame.csv").ids.tolist() == fr.ids.tolist()
+
+
 def test_arrays_are_read_only():
     fr = Frame(["a", "b"], [0.5, 0.5], [1, 0])
     with pytest.raises(ValueError):
