@@ -35,7 +35,6 @@ from .classifier_sim import (
 from .designs import (
     ALLOCATION_RULES,
     AliasTable,
-    AllocationPlan,
     DESIGN_PPS,
     DESIGN_SRS,
     EQUAL,

@@ -321,12 +321,12 @@ def cmd_sample(args) -> int:
         if resolved["allocation"] is None:
             raise ConfigError("stratified sampling needs an allocation rule")
         strat = stratify_by_prediction(frame, resolved["tau"])
-        plan = designs.allocate(strat, resolved["n"], resolved["allocation"])
+        sizes = designs.allocate(strat, resolved["n"], resolved["allocation"])
         rng = np.random.default_rng(resolved["seed"])
         stem = resolved["out_sample"]
         stem = stem[:-4] if stem.endswith(".csv") else stem
         for name in (STRATUM_ONE, STRATUM_ZERO):
-            n_h = plan.sizes[name]
+            n_h = sizes[name]
             if n_h == 0:
                 continue
             sample = designs.srs_wor(strat.strata[name], n_h, rng)
@@ -361,6 +361,8 @@ def cmd_estimate(args) -> int:
     z = _resolve_z(resolved)
     if stratified:
         _require(resolved, "sample_one", "sample_zero")
+        if resolved["estimator"] is not None:
+            raise ConfigError("stratified estimates take zero_estimator, not estimator")
         if resolved["zero_estimator"] not in ("srs", "diff"):
             raise ConfigError("zero_estimator must be 'srs' or 'diff'")
         one = _load_stratum_sample(resolved["sample_one"], STRATUM_ONE)

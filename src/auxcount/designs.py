@@ -1,5 +1,5 @@
 """Sampling designs: SRS without replacement, PPS with replacement,
-and sample-size allocation over strata.
+and sample-size allocation between the two predicted-class strata.
 
 PPS draws use a Vose alias table of (prob, alias) records built once per
 frame; uniform draws use a sparse partial Fisher-Yates shuffle that
@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import AllocationError, IngestionError
 from .population import (
+    STRATUM_ONE,
+    STRATUM_ZERO,
     Frame,
     StratifiedFrame,
     float_texts,
@@ -221,61 +223,8 @@ def pps_wr(frame: Frame, n: int, seed) -> Sample:
     )
 
 
-@dataclass(frozen=True)
-class AllocationPlan:
-    """Per-stratum sample sizes, summing to the requested n."""
-
-    sizes: dict[str, int]
-
-
-def _apportion(weights, total, caps):
-    """Largest-remainder apportionment of ``total`` units, capped per entry."""
-    k = len(weights)
-    x = [0] * k
-    remaining = int(total)
-    w = [max(0.0, float(v)) for v in weights]
-    while remaining > 0:
-        room = [caps[i] - x[i] for i in range(k)]
-        idx = [i for i in range(k) if room[i] > 0 and w[i] > 0]
-        if not idx:
-            idx = [i for i in range(k) if room[i] > 0]
-            if not idx:
-                raise AllocationError("sample size exceeds available units")
-            share = [float(room[i]) for i in idx]
-        else:
-            share = [w[i] for i in idx]
-        s = sum(share)
-        quota = [remaining * v / s for v in share]
-        handed = 0
-        for q, i in zip(quota, idx):
-            give = min(int(q), room[i])
-            x[i] += give
-            handed += give
-        remaining -= handed
-        if remaining > 0:
-            order = sorted(
-                range(len(idx)), key=lambda j: (-(quota[j] - int(quota[j])), j)
-            )
-            for j in order:
-                if remaining == 0:
-                    break
-                i = idx[j]
-                if x[i] < caps[i]:
-                    x[i] += 1
-                    remaining -= 1
-    return x
-
-
-def _stratum_sd(frame: Frame, rule: str) -> float:
-    if frame.N < 2:
-        return 0.0
-    if rule == NEYMAN_ORACLE:
-        return float(np.std(frame.labels, ddof=1))
-    return float(np.std(frame.aux_probs, ddof=1))
-
-
-def allocate(strat: StratifiedFrame, n: int, rule: str) -> AllocationPlan:
-    """Spread a total sample size over the strata.
+def allocate(strat: StratifiedFrame, n: int, rule: str) -> dict[str, int]:
+    """Spread a total sample size over the "one" and "zero" strata.
 
     Rules
     -----
@@ -286,9 +235,9 @@ def allocate(strat: StratifiedFrame, n: int, rule: str) -> AllocationPlan:
     - ``proportional``: n_h proportional to N_h.
     - ``equal``: even split.
 
-    Rounding is largest-remainder with deterministic tie-breaks (stratum
-    order).  Every nonempty stratum gets at least min(2, N_h) draws so a
-    variance can be estimated, and no stratum exceeds its size.
+    Rounding is largest-remainder, a tie going to "one".  Each stratum
+    then gets at least min(2, N_h) draws, so a variance can be
+    estimated, and at most N_h.
 
     Raises
     ------
@@ -297,50 +246,41 @@ def allocate(strat: StratifiedFrame, n: int, rule: str) -> AllocationPlan:
     """
     if rule not in ALLOCATION_RULES:
         raise ValueError(f"unknown allocation rule {rule!r}")
-    names = list(strat.strata)
-    frames = [strat.strata[name] for name in names]
-    caps = [f.N for f in frames]
-    if n > sum(caps):
-        raise AllocationError(f"n={n} exceeds population size {sum(caps)}")
-    floors = [min(MIN_PER_STRATUM, c) for c in caps]
-    if n < sum(floors):
+    one, zero = strat.strata[STRATUM_ONE], strat.strata[STRATUM_ZERO]
+    c1, c0 = one.N, zero.N
+    if n > c1 + c0:
+        raise AllocationError(f"n={n} exceeds population size {c1 + c0}")
+    f1, f0 = min(MIN_PER_STRATUM, c1), min(MIN_PER_STRATUM, c0)
+    if n < f1 + f0:
         raise AllocationError(
             f"n={n} cannot give every nonempty stratum its minimum "
-            f"(need at least {sum(floors)})"
+            f"(need at least {f1 + f0})"
         )
-    if rule == NEYMAN_ORACLE and not all(f.fully_labeled for f in frames if f.N):
+    if rule == NEYMAN_ORACLE and not all(f.fully_labeled for f in (one, zero) if f.N):
         raise ValueError("neyman_oracle needs labels in every nonempty stratum")
 
-    if rule == EQUAL:
-        weights = [1.0 if c else 0.0 for c in caps]
-    elif rule == PROPORTIONAL:
-        weights = [float(c) for c in caps]
-    else:
-        weights = [c * _stratum_sd(f, rule) for c, f in zip(caps, frames)]
-    if not any(w > 0 for w in weights):
-        weights = [float(c) for c in caps]
+    def weight(f: Frame) -> float:
+        if rule == EQUAL:
+            return float(f.N > 0)
+        if rule == PROPORTIONAL:
+            return float(f.N)
+        if f.N < 2:
+            return 0.0
+        x = f.labels if rule == NEYMAN_ORACLE else f.aux_probs
+        return f.N * float(np.std(x, ddof=1))
 
-    sizes = _apportion(weights, n, caps)
-    # raise any under-floor stratum to its floor, re-spread the rest
-    locked: set[int] = set()
-    while True:
-        low = [i for i in range(len(names)) if sizes[i] < floors[i]]
-        if not low:
-            break
-        locked.update(low)
-        free = [i for i in range(len(names)) if i not in locked]
-        budget = n - sum(floors[i] for i in locked)
-        if budget < 0:
-            raise AllocationError("floors exceed requested sample size")
-        sub = _apportion(
-            [weights[i] for i in free], budget, [caps[i] for i in free]
-        )
-        sizes = [0] * len(names)
-        for i in locked:
-            sizes[i] = floors[i]
-        for i, v in zip(free, sub):
-            sizes[i] = v
-    return AllocationPlan(sizes=dict(zip(names, sizes)))
+    w1, w0 = weight(one), weight(zero)
+    if not (w1 > 0 or w0 > 0):
+        w1, w0 = float(c1), float(c0)
+    total = (w1 + w0) or 1.0  # 0 only when both strata, and so n, are empty
+    q1, q0 = n * w1 / total, n * w0 / total
+    n1 = int(q1)
+    left = n - n1 - int(q0)  # 0, 1 or 2 units to hand out by remainder
+    if left == 2 or (left == 1 and q1 - int(q1) >= q0 - int(q0)):
+        n1 += 1
+    # the checks above make max(f1, n - c0) <= min(c1, n - f0)
+    n1 = min(max(n1, f1, n - c0), c1, n - f0)
+    return {STRATUM_ONE: n1, STRATUM_ZERO: n - n1}
 
 
 def write_sample(sample: Sample, path, header_lines=()) -> None:

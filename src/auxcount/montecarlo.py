@@ -188,7 +188,7 @@ def run_replications(
         if tau is None or allocation is None:
             raise ConfigError("stratified runs need tau and allocation")
         strat = stratify_by_prediction(frame, tau)
-        sizes = designs.allocate(strat, n, allocation).sizes
+        sizes = designs.allocate(strat, n, allocation)
         # (stratum, draws, is the zero stratum) in stratified_estimate's order
         parts = [
             (strat.strata[name], sizes[name], name == STRATUM_ZERO)

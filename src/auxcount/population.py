@@ -388,11 +388,10 @@ def load_frame(path, columns: Mapping[str, str] | None = None) -> Frame:
             (bad_label, 5, f"label {raw_y[bad_label].strip()!r} not in {{0, 1, blank}}")
         )
     if not problems:
-        del raw_p, raw_y  # freed before Frame hashes the ids
-        try:
-            return Frame(ids, probs, labels)
-        except ValueError:  # after the checks above, only a repeated id is left
-            pass
+        del raw_p, raw_y  # freed before the ids are hashed
+        # the ids are stripped and nonempty: only their uniqueness is left to check
+        if len(set(ids)) == len(ids):
+            return Frame.__new__(Frame)._set(np.asarray(ids, dtype=object), probs, labels, None)
     repeat = first_repeat(ids)
     if repeat is not None:
         problems.append((repeat, 2, f"duplicate id {ids[repeat]!r}"))

@@ -202,6 +202,20 @@ class TestSampleAndEstimate:
         ) == 2
         assert run("estimate", "--sample-one", one, "--sample-zero", zero, "--out", frame_dir) == 0
 
+    def test_estimator_with_stratum_samples_is_refused(self, frame_dir, tmp_path):
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", "--design", "stratified",
+            "--n", 40, "--allocation", "proportional", "--seed", 6, "--out", frame_dir,
+        ) == 0
+        strata = [
+            "--sample-one", frame_dir / "sample_one.csv",
+            "--sample-zero", frame_dir / "sample_zero.csv", "--out", tmp_path,
+        ]
+        # the record would use SRS in both strata under an audit saying hh
+        assert run("estimate", *strata, "--estimator", "hh") == 2
+        assert not (tmp_path / "record.csv").exists()
+        assert run("estimate", *strata, "--zero-estimator", "diff") == 0
+
     def test_config_precedence(self, frame_dir, tmp_path):
         cfg = tmp_path / "sample.cfg"
         cfg.write_text(

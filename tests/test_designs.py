@@ -1,11 +1,13 @@
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from auxcount import (
+    ALLOCATION_RULES,
     AliasTable,
     AllocationError,
     DESIGN_PPS,
@@ -28,6 +30,7 @@ from auxcount import (
     write_sample,
 )
 from auxcount import designs
+from auxcount.designs import MIN_PER_STRATUM
 
 from conftest import _ids
 
@@ -287,12 +290,12 @@ class TestAllocate:
     def test_equal_split(self):
         strat = _two_strata(np.zeros(600), np.zeros(800))
         plan = allocate(strat, 200, EQUAL)
-        assert plan.sizes == {"one": 100, "zero": 100}
+        assert plan == {"one": 100, "zero": 100}
 
     def test_proportional_exact(self):
         strat = _two_strata(np.zeros(100), np.zeros(300))
         plan = allocate(strat, 40, PROPORTIONAL)
-        assert plan.sizes == {"one": 10, "zero": 30}
+        assert plan == {"one": 10, "zero": 30}
 
     def test_sizes_always_sum(self):
         rng = np.random.default_rng(3)
@@ -300,15 +303,15 @@ class TestAllocate:
                             rng.integers(0, 2, 421).astype(float))
         for rule in (EQUAL, PROPORTIONAL, NEYMAN_ORACLE, NEYMAN_PROXY):
             plan = allocate(strat, 97, rule)
-            assert sum(plan.sizes.values()) == 97
-            assert all(v >= 2 for v in plan.sizes.values())
+            assert sum(plan.values()) == 97
+            assert all(v >= 2 for v in plan.values())
 
     def test_zero_variance_stratum_gets_floor(self):
         # one-stratum all positive: label SD 0, so Neyman weight is 0
         strat = _two_strata(np.ones(50), np.random.default_rng(1).integers(0, 2, 500).astype(float))
         plan = allocate(strat, 60, NEYMAN_ORACLE)
-        assert plan.sizes["one"] == 2
-        assert plan.sizes["zero"] == 58
+        assert plan["one"] == 2
+        assert plan["zero"] == 58
 
     def test_neyman_matches_brute_force_minimum(self):
         rng = np.random.default_rng(10)
@@ -328,13 +331,13 @@ class TestAllocate:
             return total
 
         best = min(var_at(n1) for n1 in range(2, n - 1))
-        assert var_at(plan.sizes["one"]) <= best * 1.01
+        assert var_at(plan["one"]) <= best * 1.01
 
     def test_empty_stratum_takes_nothing(self):
         fr = _frame([0.1, 0.2, 0.3, 0.4], np.zeros(4))
         strat = stratify_by_prediction(fr, 0.5)
         plan = allocate(strat, 3, PROPORTIONAL)
-        assert plan.sizes == {"one": 0, "zero": 3}
+        assert plan == {"one": 0, "zero": 3}
 
     def test_infeasible_requests(self):
         strat = _two_strata(np.zeros(5), np.zeros(5))
@@ -344,6 +347,172 @@ class TestAllocate:
             allocate(strat, 3, PROPORTIONAL)  # cannot give both strata 2
         with pytest.raises(ValueError):
             allocate(strat, 10, "optimal")
+
+
+@dataclass(frozen=True)
+class ReferencePlan:
+    """Per-stratum sample sizes, summing to the requested n."""
+
+    sizes: dict[str, int]
+
+
+def _reference_apportion(weights, total, caps):
+    """Largest-remainder apportionment of ``total`` units, capped per entry."""
+    k = len(weights)
+    x = [0] * k
+    remaining = int(total)
+    w = [max(0.0, float(v)) for v in weights]
+    while remaining > 0:
+        room = [caps[i] - x[i] for i in range(k)]
+        idx = [i for i in range(k) if room[i] > 0 and w[i] > 0]
+        if not idx:
+            idx = [i for i in range(k) if room[i] > 0]
+            if not idx:
+                raise AllocationError("sample size exceeds available units")
+            share = [float(room[i]) for i in idx]
+        else:
+            share = [w[i] for i in idx]
+        s = sum(share)
+        quota = [remaining * v / s for v in share]
+        handed = 0
+        for q, i in zip(quota, idx):
+            give = min(int(q), room[i])
+            x[i] += give
+            handed += give
+        remaining -= handed
+        if remaining > 0:
+            order = sorted(
+                range(len(idx)), key=lambda j: (-(quota[j] - int(quota[j])), j)
+            )
+            for j in order:
+                if remaining == 0:
+                    break
+                i = idx[j]
+                if x[i] < caps[i]:
+                    x[i] += 1
+                    remaining -= 1
+    return x
+
+
+def _reference_stratum_sd(frame: Frame, rule: str) -> float:
+    if frame.N < 2:
+        return 0.0
+    if rule == NEYMAN_ORACLE:
+        return float(np.std(frame.labels, ddof=1))
+    return float(np.std(frame.aux_probs, ddof=1))
+
+
+def reference_allocate(strat, n: int, rule: str) -> ReferencePlan:
+    """The k-stratum apportionment with a floor-locking loop that the
+    two-stratum closed form in allocate must reproduce exactly."""
+    if rule not in ALLOCATION_RULES:
+        raise ValueError(f"unknown allocation rule {rule!r}")
+    names = list(strat.strata)
+    frames = [strat.strata[name] for name in names]
+    caps = [f.N for f in frames]
+    if n > sum(caps):
+        raise AllocationError(f"n={n} exceeds population size {sum(caps)}")
+    floors = [min(MIN_PER_STRATUM, c) for c in caps]
+    if n < sum(floors):
+        raise AllocationError(
+            f"n={n} cannot give every nonempty stratum its minimum "
+            f"(need at least {sum(floors)})"
+        )
+    if rule == NEYMAN_ORACLE and not all(f.fully_labeled for f in frames if f.N):
+        raise ValueError("neyman_oracle needs labels in every nonempty stratum")
+
+    if rule == EQUAL:
+        weights = [1.0 if c else 0.0 for c in caps]
+    elif rule == PROPORTIONAL:
+        weights = [float(c) for c in caps]
+    else:
+        weights = [c * _reference_stratum_sd(f, rule) for c, f in zip(caps, frames)]
+    if not any(w > 0 for w in weights):
+        weights = [float(c) for c in caps]
+
+    sizes = _reference_apportion(weights, n, caps)
+    # raise any under-floor stratum to its floor, re-spread the rest
+    locked: set[int] = set()
+    while True:
+        low = [i for i in range(len(names)) if sizes[i] < floors[i]]
+        if not low:
+            break
+        locked.update(low)
+        free = [i for i in range(len(names)) if i not in locked]
+        budget = n - sum(floors[i] for i in locked)
+        if budget < 0:
+            raise AllocationError("floors exceed requested sample size")
+        sub = _reference_apportion(
+            [weights[i] for i in free], budget, [caps[i] for i in free]
+        )
+        sizes = [0] * len(names)
+        for i in locked:
+            sizes[i] = floors[i]
+        for i, v in zip(free, sub):
+            sizes[i] = v
+    return ReferencePlan(sizes=dict(zip(names, sizes)))
+
+
+def _outcome(fn, strat, n, rule):
+    try:
+        return fn(strat, n, rule)
+    except (AllocationError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_same_allocations(strat, ns):
+    for rule in ALLOCATION_RULES:
+        for n in ns:
+            want = _outcome(reference_allocate, strat, n, rule)
+            want = want if isinstance(want, type) else want.sizes
+            assert _outcome(allocate, strat, n, rule) == want, (strat.sizes, n, rule)
+
+
+def _random_strata(rng, N1, N0, labeled=True):
+    """Scores at or above 0.5 in "one", below it in "zero"; labels drawn at
+    a random rate per stratum, or all missing."""
+    probs = np.concatenate([rng.uniform(0.5, 1.0, N1), rng.uniform(0.0, 0.5, N0)])
+    labels = None
+    if labeled:
+        labels = np.concatenate([rng.random(N1) < rng.random(), rng.random(N0) < rng.random()])
+    return stratify_by_prediction(_frame(probs, labels), 0.5)
+
+
+class TestAllocateMatchesReference:
+    """Same sizes as the k-stratum apportionment, or the same exception."""
+
+    def test_every_small_pair_of_strata(self):
+        rng = np.random.default_rng(81)
+        for N1, N0 in itertools.product(range(21), repeat=2):
+            if N1 or N0:
+                _assert_same_allocations(_random_strata(rng, N1, N0), range(N1 + N0 + 2))
+
+    def test_unlabeled_strata(self):
+        rng = np.random.default_rng(82)
+        for N1, N0 in itertools.product(range(6), repeat=2):
+            if N1 or N0:
+                strat = _random_strata(rng, N1, N0, labeled=False)
+                _assert_same_allocations(strat, range(N1 + N0 + 2))
+
+    def test_random_frames(self):
+        # windows of one 20,000-unit frame whose positive rate rises along
+        # each stratum, so windows differ in size, scores and rate
+        rng = np.random.default_rng(83)
+        half = 10_000
+        probs = np.concatenate([rng.uniform(0.5, 1.0, half), rng.uniform(0.0, 0.5, half)])
+        base = _frame(probs, rng.random(2 * half) < np.tile(np.linspace(0.0, 1.0, half), 2))
+        for _ in range(200):
+            N1, N0 = np.exp(rng.uniform(0.0, np.log(half), 2)).astype(int).tolist()
+            N1 *= int(rng.random() < 0.95)
+            a, b = rng.integers(0, half - N1 + 1), rng.integers(half, 2 * half - N0 + 1)
+            strat = stratify_by_prediction(base.take(np.r_[a : a + N1, b : b + N0]), 0.5)
+            N = N1 + N0
+            _assert_same_allocations(strat, {3, 4, N - 1, N, *rng.integers(0, N + 2, 2)})
+
+    def test_acceptance_frame(self, acceptance_frame):
+        for tau in (0.3, 0.5, 0.7):
+            strat = stratify_by_prediction(acceptance_frame, tau)
+            _assert_same_allocations(strat, (4, 97, 500, 5_000))
 
 
 class TestSampleIO:

@@ -7,6 +7,7 @@ row-by-row reader below, which states the format's rules one row at a
 time.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -91,33 +92,36 @@ def frames(draw):
     return Frame(ids, probs, labels)
 
 
+@contextlib.contextmanager
 def _scratch(name):
-    return os.path.join(tempfile.mkdtemp(), name)
+    """A path in a fresh temporary directory, removed on exit."""
+    with tempfile.TemporaryDirectory() as d:
+        yield os.path.join(d, name)
 
 
 @settings(max_examples=150, deadline=None)
 @given(frames())
 def test_write_then_load_is_exact(frame):
-    path = _scratch("frame.csv")
-    write_frame(frame, path, ["seed = 1"])
-    back = load_frame(path)
-    assert back.ids.tolist() == frame.ids.tolist()
-    assert np.array_equal(back.aux_probs, frame.aux_probs)
-    assert np.array_equal(back.labels, frame.labels, equal_nan=True)
-    assert reference_problem(path) is None
+    with _scratch("frame.csv") as path:
+        write_frame(frame, path, ["seed = 1"])
+        back = load_frame(path)
+        assert back.ids.tolist() == frame.ids.tolist()
+        assert np.array_equal(back.aux_probs, frame.aux_probs)
+        assert np.array_equal(back.labels, frame.labels, equal_nan=True)
+        assert reference_problem(path) is None
 
 
 @settings(max_examples=100, deadline=None)
 @given(frames(), st.data())
 def test_sample_write_then_load_is_exact(frame, data):
     sample = srs_wor(frame, data.draw(st.integers(1, frame.N)), seed=3)
-    path = _scratch("sample.csv")
-    write_sample(sample, path)
-    back = load_sample(path)
-    assert back.unit_ids.tolist() == sample.unit_ids.tolist()
-    assert np.array_equal(back.pi, sample.pi)
-    assert np.array_equal(back.y, sample.y, equal_nan=True)
-    assert np.array_equal(back.p_hat, sample.p_hat)
+    with _scratch("sample.csv") as path:
+        write_sample(sample, path)
+        back = load_sample(path)
+        assert back.unit_ids.tolist() == sample.unit_ids.tolist()
+        assert np.array_equal(back.pi, sample.pi)
+        assert np.array_equal(back.y, sample.y, equal_nan=True)
+        assert np.array_equal(back.p_hat, sample.p_hat)
 
 
 def reference_write_table(path, comments, header, rows, ids=()) -> None:
@@ -234,20 +238,20 @@ def malformed_rows(draw):
 @settings(max_examples=300, deadline=None)
 @given(malformed_rows())
 def test_malformed_body_fails_at_the_reference_row(rows):
-    path = _scratch("frame.csv")
-    with open(path, "w", newline="") as fh:
-        fh.write("# seed = 1\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "label", "p_hat"])
-        writer.writerows(rows)
-    expected = reference_problem(path)
-    if expected is None:  # the planted faults cancelled out
-        assert load_frame(path).N == len(rows)
-        return
-    row_no, message = expected
-    with pytest.raises(IngestionError) as info:
-        load_frame(path)
-    assert str(info.value) == f"{path}: row {row_no}: {message}"
+    with _scratch("frame.csv") as path:
+        with open(path, "w", newline="") as fh:
+            fh.write("# seed = 1\n")
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "label", "p_hat"])
+            writer.writerows(rows)
+        expected = reference_problem(path)
+        if expected is None:  # the planted faults cancelled out
+            assert load_frame(path).N == len(rows)
+            return
+        row_no, message = expected
+        with pytest.raises(IngestionError) as info:
+            load_frame(path)
+        assert str(info.value) == f"{path}: row {row_no}: {message}"
 
 
 def test_generate_bytes_are_pinned(tmp_path, monkeypatch):

@@ -70,7 +70,7 @@ def _replicate_alone(frame, design, estimator, n, rng):
         est_fn = srs_estimate if estimator == "srs" else difference_estimate
         return est_fn(srs_wor(frame, n, rng)), None
     strat = stratify_by_prediction(frame, STRATIFIED_KW["tau"])
-    sizes = allocate(strat, n, STRATIFIED_KW["allocation"]).sizes
+    sizes = allocate(strat, n, STRATIFIED_KW["allocation"])
     components = []
     for name in ("one", "zero"):  # one shared generator, stratum one first
         if sizes[name]:
