@@ -1,7 +1,10 @@
 """Replicated sampling experiments on a fully known frame.
 
-Each replicate r of a run draws its randomness from a generator seeded
-with (seed, r), so any single replicate can be reproduced alone.
+Each replicate r of a run draws its randomness from the generator that
+``np.random.default_rng((seed..., r))`` gives, so any single replicate can
+be reproduced alone.  A run computes the PCG64 seed words of all its
+replicates in one vectorised pass of SeedSequence's hash, which yields
+the same words, and so the same streams, as seeding each one by one.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import designs, estimators
 from .classifier_sim import calibrate_profile, simulate_predictions
@@ -36,9 +40,97 @@ def _seed_tuple(seed) -> tuple[int, ...]:
     return tuple(int(v) for v in seed)
 
 
+# SeedSequence's constants (NumPy NEP 19); its hash constants run through
+# the same values whatever the entropy, so the hash vectorises over seeds
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix, its hash constant advancing call by call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _replicate_states(seed, start: int, stop: int) -> np.ndarray:
+    """PCG64 seed words of replicates start..stop-1, one row each.
+
+    Row k equals ``SeedSequence(seed + (start + k,)).generate_state(4,
+    np.uint64)``, the words ``default_rng(seed + (start + k,))`` seeds
+    PCG64 with, computed for every row in one pass.  Replicate indices
+    must lie in [0, 2**32) so each is exactly one entropy word.
+    """
+    if not 0 <= start <= stop <= 2**32:
+        raise ValueError("replicate indices must lie in [0, 2**32)")
+    r = np.arange(start, stop, dtype=np.uint32)
+    words = []  # the seed's uint32 entropy words, least significant first
+    for v in _seed_tuple(seed):
+        if v < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(v & _MASK32)
+        while v > _MASK32:
+            v >>= 32
+            words.append(v & _MASK32)
+    entropy = [np.full(r.size, w, dtype=np.uint32) for w in words] + [r]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [
+        hashmix(entropy[i] if i < len(entropy) else np.zeros_like(r))
+        for i in range(_POOL_SIZE)
+    ]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+    # generate_state(4, np.uint64): 8 uint32 words cycling over the pool,
+    # paired low word first
+    out = _hasher(_INIT_B, _MULT_B)
+    halves = [out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return np.stack(
+        [halves[2 * k] | halves[2 * k + 1] << np.uint64(32) for k in range(4)], axis=1
+    )
+
+
+class _State(ISeedSequence):
+    """Hands PCG64 seed words computed in advance by ``_replicate_states``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_State(words)))
+
+
 def replicate_rng(seed, r: int) -> np.random.Generator:
-    """The generator replicate r draws from: seeded with (seed, r)."""
-    return np.random.default_rng(_seed_tuple(seed) + (int(r),))
+    """The generator replicate r draws from: ``default_rng((seed..., r))``.
+
+    Its state and stream are those of numpy's generator; it does not
+    ``spawn``, as its seed words come precomputed.
+    """
+    r = int(r)
+    return _generator(_replicate_states(seed, r, r + 1)[0])
 
 
 # Freedman-Diaconis asks for one bin per IQR-scaled width, so a single
@@ -147,6 +239,8 @@ def _check_run_args(frame, design, estimator, n, R):
         raise ValueError(f"n={n} exceeds N={frame.N}, and SRS draws are distinct units")
     if R < 1:
         raise ValueError("R must be at least 1")
+    if R >= 2**32:
+        raise ValueError("R must be below 2**32, so each replicate index is one seed word")
 
 
 def run_replications(
@@ -181,6 +275,7 @@ def run_replications(
     SimReport
     """
     _check_run_args(frame, design, estimator, n, R)
+    states = _replicate_states(seed, 0, R)
     if R == 1:
         warnings.warn("R=1 gives a degenerate empirical SE of 0", stacklevel=2)
 
@@ -211,7 +306,7 @@ def run_replications(
     variances = np.empty(R)
     zero_totals = np.full(R, np.nan) if any(zero for _, zero, _, _ in parts) else None
     for r in range(R):
-        rng = replicate_rng(seed, r)
+        rng = _generator(states[r])
         total = variance = 0.0
         for n_h, zero, x, base in parts:
             if design == "pps":

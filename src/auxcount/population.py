@@ -70,7 +70,8 @@ class Frame:
         probs = np.asarray(aux_probs, dtype=np.float64)
         if probs.ndim != 1 or len(ids) != probs.size:
             raise ValueError("ids and aux_probs must be 1-d and equal length")
-        if probs.size and (np.min(probs) < 0.0 or np.max(probs) > 1.0):
+        # written so that NaN, which fails every comparison, fails the check
+        if probs.size and not (np.min(probs) >= 0.0 and np.max(probs) <= 1.0):
             raise ValueError("aux_prob values must lie in [0, 1]")
         if labels is None:
             lab = np.full(probs.size, np.nan)

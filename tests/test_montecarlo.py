@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
@@ -25,6 +26,7 @@ from auxcount import (
     stratified_estimate,
     stratify_by_prediction,
 )
+from auxcount import montecarlo
 from auxcount.montecarlo import HISTOGRAM_MAX_BINS, HistogramBin
 
 from conftest import _ids
@@ -92,6 +94,37 @@ class TestReplicateRng:
         a = replicate_rng((5, 1), 0).random(4)
         b = replicate_rng((5, 2), 0).random(4)
         assert not np.array_equal(a, b)
+
+    # one- to five-int seeds, and ints of one to three 32-bit words: with
+    # the replicate index, two to seven entropy words, so both SeedSequence's
+    # zero padding (under 4 words) and its extra mixing (over 4) run
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 2**32 - 1, 2**32, 2**70, np.int64(7),
+         (5,), (5, 1), (5, 1, 2), (5, 1, 2, 3), (5, 1, 2, 3, 4), (2**70, 2**32, 9)],
+        ids=repr,
+    )
+    def test_bulk_seeding_is_seed_sequence(self, seed):
+        key = seed if isinstance(seed, tuple) else (int(seed),)
+        R = 10_000
+        states = montecarlo._replicate_states(seed, 0, R)
+        assert states.shape == (R, 4) and states.dtype == np.uint64
+        for r in (0, 1, 17, R - 1):
+            words = np.random.SeedSequence(key + (r,)).generate_state(4, np.uint64)
+            assert np.array_equal(states[r], words)
+            expected = np.random.default_rng(key + (r,))
+            bulk, alone = montecarlo._generator(states[r]), replicate_rng(seed, r)
+            assert bulk.bit_generator.state == alone.bit_generator.state
+            assert bulk.bit_generator.state == expected.bit_generator.state
+            first = expected.random(4)
+            assert np.array_equal(bulk.random(4), first)
+            assert np.array_equal(alone.random(4), first)
+
+    def test_replicate_index_is_one_seed_word(self):
+        with pytest.raises(ValueError, match=re.escape("[0, 2**32)")):
+            replicate_rng(5, -1)
+        with pytest.raises(ValueError, match=re.escape("[0, 2**32)")):
+            replicate_rng(5, 2**32)
 
 
 class TestHistogram:
@@ -166,6 +199,22 @@ class TestRunValidation:
             run_replications(fr, design="srs", estimator="srs", n=51, R=2, seed=1)
         # with replacement, PPS may draw more than N times
         run_replications(fr, design="pps", estimator="hh", n=51, R=2, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, (3, -1)])
+    def test_negative_seed_refused_before_any_replicate(self, seed, monkeypatch):
+        with pytest.raises(ValueError) as seed_sequence:
+            np.random.SeedSequence(-1)
+        monkeypatch.setattr(montecarlo, "_generator", None)  # a replicate would fail
+        with pytest.raises(ValueError, match=re.escape(str(seed_sequence.value))):
+            run_replications(_small_pps_frame(), design="pps", estimator="hh", n=5, R=2, seed=seed)
+        with pytest.raises(ValueError, match=re.escape(str(seed_sequence.value))):
+            replicate_rng(seed, 0)
+
+    @pytest.mark.parametrize("R", [2**32, 2**40])
+    def test_replicate_count_below_2_32(self, R, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_generator", None)
+        with pytest.raises(ValueError, match=re.escape("below 2**32")):
+            run_replications(_small_pps_frame(), design="pps", estimator="hh", n=5, R=R, seed=1)
 
     def test_single_replicate_warns(self):
         with pytest.warns(UserWarning, match="R=1"):

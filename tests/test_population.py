@@ -51,6 +51,15 @@ def test_rejects_bad_inputs():
         Frame(["a"], [0.5, 0.5])
 
 
+def test_rejects_nan_scores():
+    # NaN fails every comparison, so a range check must be written to catch it
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        Frame(["a", "b", "c", "d"], [0.2, np.nan, 0.7, 0.9], [0, 1, 1, 0])
+    fr = Frame(["a", "b"], [0.2, 0.7], [0, 1])
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        fr.replace_probs([np.nan, 0.5])
+
+
 @pytest.mark.parametrize("ids", [[" a", "a"], [" b"], ["b\t"], [""], ["a", "\u3000c"]])
 def test_refuses_ids_load_frame_would_not_read_back(ids):
     # load_frame strips padding from an id and refuses an empty one
