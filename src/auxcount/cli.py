@@ -226,6 +226,8 @@ def cmd_generate(args) -> int:
     resolved = _resolve(args, GENERATE_SPEC)
     _require(resolved, "N", "positives", "seed")
     N, positives = resolved["N"], resolved["positives"]
+    if N < 1:
+        raise ConfigError("N must be at least 1")
     if not 0 <= positives <= N:
         raise ConfigError(f"positives={positives} must lie in [0, N={N}]")
     labels = np.zeros(N)
@@ -308,6 +310,8 @@ def cmd_sample(args) -> int:
         raise ConfigError(
             f"unknown design {design!r}; choose from {montecarlo.DESIGN_CHOICES}"
         )
+    if (design == "stratified") != (resolved["allocation"] is not None):
+        raise ConfigError("stratified sampling needs an allocation rule, and only it takes one")
     frame = load_frame(resolved["frame"])
     audit = _audit("sample", resolved)
     lines = _audit_lines(audit)
@@ -318,8 +322,6 @@ def cmd_sample(args) -> int:
         sample = designs.srs_wor(frame, resolved["n"], resolved["seed"])
         designs.write_sample(sample, _out_path(args, resolved["out_sample"]), lines)
     else:
-        if resolved["allocation"] is None:
-            raise ConfigError("stratified sampling needs an allocation rule")
         strat = stratify_by_prediction(frame, resolved["tau"])
         sizes = designs.allocate(strat, resolved["n"], resolved["allocation"])
         rng = np.random.default_rng(resolved["seed"])
@@ -419,7 +421,7 @@ def cmd_simulate(args) -> int:
         n=resolved["n"],
         R=resolved["R"],
         seed=resolved["seed"],
-        tau=resolved["tau"],
+        tau=resolved["tau"] if resolved["design"] == "stratified" else None,
         allocation=resolved["allocation"],
         srs_baseline_se=resolved["baseline_se"],
     )

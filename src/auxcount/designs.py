@@ -4,7 +4,8 @@ and sample-size allocation between the two predicted-class strata.
 PPS draws use a Vose alias table of (prob, alias) records built once per
 frame; uniform draws use a sparse partial Fisher-Yates shuffle that
 replays in Python only the steps whose slots another step also touches,
-so cost scales with the sample, not the frame.
+so cost scales with the sample, not the frame.  Both turn uniforms into
+draws a block of rows at a time; a single sample is the one-row case.
 """
 
 from __future__ import annotations
@@ -92,25 +93,42 @@ class Sample:
         return not np.isnan(np.asarray(self.y, dtype=np.float64)).any()
 
 
-def _srs_indices(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
-    """First n slots of a partial Fisher-Yates shuffle of range(N).
+def _srs_slots(u: np.ndarray, N: int) -> np.ndarray:
+    """First n slots of a partial Fisher-Yates shuffle of range(N), one
+    shuffle per row of the (B, n) uniforms u.
 
     Step j swaps slots j and k_j = j + floor(u_j * (N - j)) and draws what
-    k_j held.  A step whose k_j is n or more and unique touches no slot any
-    other step reads, so it draws k_j itself; the other steps are replayed
-    in order, tracking displaced slots in a dict.  Memory and time are O(n).
+    k_j held.  A step whose k_j is n or more and unique in its row touches
+    no slot any other step reads, so it draws k_j itself; the other steps
+    are replayed in order, tracking each row's displaced slots in a dict.
+    Repeated slots are found by sorting each row and comparing neighbours,
+    so memory is O(B n) and time O(B n log n).
     """
-    u = rng.random(n)
+    n = u.shape[-1]
     j = np.arange(n)
     k = np.minimum(j + (u * (N - j)).astype(np.intp), N - 1)  # u = 1.0 gives N
-    ks = np.sort(k)
-    shared = np.flatnonzero((k < n) | np.isin(k, ks[1:][np.diff(ks) == 0]))
-    displaced: dict[int, int] = {}
-    for step, slot in zip(shared.tolist(), k[shared].tolist()):
+    order = np.argsort(k, axis=-1)
+    tie = np.diff(np.take_along_axis(k, order, axis=-1), axis=-1) == 0
+    rows, ranks = np.divmod(np.flatnonzero(tie), n - 1)  # rare unless n ~ N
+    shared = k < n
+    shared[rows, order[rows, ranks]] = shared[rows, order[rows, ranks + 1]] = True
+    at = np.flatnonzero(shared)  # into k's flat view, row by row, steps in order
+    flat = k.reshape(-1)
+    rows, steps = np.divmod(at, n)
+    drawn, row = [], -1
+    for b, step, slot in zip(rows.tolist(), steps.tolist(), flat[at].tolist()):
+        if b != row:
+            displaced, row = {}, b
         held = displaced.get(step, step)
-        k[step] = displaced.get(slot, slot)
+        drawn.append(displaced.get(slot, slot))
         displaced[slot] = held
+    flat[at] = drawn
     return k
+
+
+def _srs_indices(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
+    """One shuffle of :func:`_srs_slots`, on n uniforms drawn from rng."""
+    return _srs_slots(rng.random(n)[np.newaxis], N)[0]
 
 
 def srs_wor(frame: Frame, n: int, seed) -> Sample:
@@ -183,7 +201,10 @@ class AliasTable:
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         j = rng.integers(self.size, size=size)
-        u = rng.random(size)
+        return self.lookup(j, rng.random(size))
+
+    def lookup(self, j: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Units drawn by slots j and uniforms u, of any one shape."""
         s = self.slots[j]
         return np.where(u < s["prob"], j, s["alias"])
 

@@ -64,35 +64,42 @@ class Estimate:
         return self.variance
 
 
-def _hh(x: np.ndarray) -> tuple[float, float | None]:
-    """(mean(x), var(x, ddof=1) / n) for PPS-WR draws x_i = y_i / pi_i.
+def _hh(x: np.ndarray):
+    """(mean(x), var(x, ddof=1) / n) for PPS-WR draws x_i = y_i / pi_i,
+    along the last axis: one sample's draws, or a row per replicate.
 
     Below two draws the variance is None.  Both moments are np.mean's and
     np.var(ddof=1)'s own ufunc sequence, so they match those bit for bit.
     """
-    n = x.size
-    m = np.add.reduce(x) / n
+    n = x.shape[-1]
+    m = np.add.reduce(x, axis=-1, keepdims=True) / n
     d = x - m
-    return float(m), float(np.add.reduce(d * d) / (n - 1)) / n if n >= 2 else None
+    return m[..., 0], np.add.reduce(d * d, axis=-1) / (n - 1) / n if n >= 2 else None
 
 
-def _expansion(v: np.ndarray, N: int, base: float = 0.0) -> tuple[float, float | None]:
-    """(base + N * mean(v), N^2 (1 - n/N) s^2 / n) for an SRS-WOR of v.
+def _expansion(v: np.ndarray, N: int, base: float = 0.0):
+    """(base + N * mean(v), N^2 (1 - n/N) s^2 / n) for an SRS-WOR of v,
+    along the last axis as in :func:`_hh`.
 
     A census (n = N) has variance 0; below two draws the variance is None.
     The moments are computed as in :func:`_hh`, bit for bit numpy's.
     """
-    n = v.size
+    n = v.shape[-1]
     if n > N:
         raise ValueError(f"n={n} exceeds N={N}")
-    m = np.add.reduce(v) / n
-    total = base + N * float(m)
+    m = np.add.reduce(v, axis=-1, keepdims=True) / n
+    total = base + N * m[..., 0]
     if n == N:
         return total, 0.0
     if n < 2:
         return total, None
     d = v - m
-    return total, N * N * (1.0 - n / N) * float(np.add.reduce(d * d) / (n - 1)) / n
+    return total, N * N * (1.0 - n / N) * (np.add.reduce(d * d, axis=-1) / (n - 1)) / n
+
+
+def _as_floats(total, variance) -> tuple[float, float | None]:
+    """A one-sample kernel result as Python floats."""
+    return float(total), None if variance is None else float(variance)
 
 
 def _require_labeled(sample: Sample):
@@ -119,9 +126,9 @@ def hh_estimate(sample: Sample) -> Estimate:
     if sample.design != DESIGN_PPS:
         raise ValueError(f"hh_estimate needs a {DESIGN_PPS} sample")
     _require_labeled(sample)
-    total, variance = _hh(
+    total, variance = _as_floats(*_hh(
         np.asarray(sample.y, dtype=np.float64) / np.asarray(sample.pi, dtype=np.float64)
-    )
+    ))
     return Estimate(ESTIMATOR_HH, total, variance, n=sample.n, N=sample.parent_N)
 
 
@@ -159,7 +166,7 @@ def srs_estimate(sample: Sample) -> Estimate:
     if len(set(sample.unit_ids)) != sample.n:
         raise ValueError("SRS draws must be distinct units")
     N, n = sample.parent_N, sample.n
-    total, variance = _expansion(np.asarray(sample.y, dtype=np.float64), N)
+    total, variance = _as_floats(*_expansion(np.asarray(sample.y, dtype=np.float64), N))
     return Estimate(ESTIMATOR_SRS, total, variance, n=n, N=N)
 
 
@@ -184,7 +191,7 @@ def difference_estimate(sample: Sample) -> Estimate:
         raise ValueError("every draw must carry a score")
     N, n = sample.parent_N, sample.n
     d = np.asarray(sample.y, dtype=np.float64) - np.asarray(sample.p_hat, dtype=np.float64)
-    total, variance = _expansion(d, N, sample.parent_aux_total)
+    total, variance = _as_floats(*_expansion(d, N, sample.parent_aux_total))
     return Estimate(ESTIMATOR_DIFF, total, variance, n=n, N=N)
 
 

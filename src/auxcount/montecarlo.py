@@ -2,9 +2,11 @@
 
 Each replicate r of a run draws its randomness from the generator that
 ``np.random.default_rng((seed..., r))`` gives, so any single replicate can
-be reproduced alone.  A run computes the PCG64 seed words of all its
-replicates in one vectorised pass of SeedSequence's hash, which yields
-the same words, and so the same streams, as seeding each one by one.
+be reproduced alone.  A run takes its replicates a block at a time: one
+vectorised pass of SeedSequence's hash gives the block's PCG64 seed words
+(the same words, so the same streams, as seeding one by one), each
+generator fills its replicate's row of uniforms, and the rest runs once
+per block.
 """
 
 from __future__ import annotations
@@ -133,6 +135,9 @@ def replicate_rng(seed, r: int) -> np.random.Generator:
     return _generator(_replicate_states(seed, r, r + 1)[0])
 
 
+# draws per block of replicates evaluated together: 512 KiB per float64 matrix
+_BLOCK_DRAWS = 2**16
+
 # Freedman-Diaconis asks for one bin per IQR-scaled width, so a single
 # far outlier can ask for millions; past this many, bins are equal-width
 HISTOGRAM_MAX_BINS = 1000
@@ -219,7 +224,7 @@ class SimReport:
         }
 
 
-def _check_run_args(frame, design, estimator, n, R):
+def _check_run_args(frame, design, estimator, n, R, tau, allocation):
     if design not in DESIGN_CHOICES:
         raise ConfigError(f"unknown design {design!r}; choose from {DESIGN_CHOICES}")
     if estimator not in ESTIMATOR_CHOICES:
@@ -231,6 +236,10 @@ def _check_run_args(frame, design, estimator, n, R):
             f"estimator {estimator!r} does not apply to design {design!r}; "
             f"valid here: {_VALID_PAIRS[design]}"
         )
+    if design == "stratified" and (tau is None or allocation is None):
+        raise ConfigError("stratified runs need tau and allocation")
+    if design != "stratified" and (tau is not None or allocation is not None):
+        raise ConfigError(f"tau and allocation apply only to stratified runs, not {design!r}")
     if not frame.fully_labeled:
         raise ValueError("replicated runs need a fully labeled frame")
     if n < 2:
@@ -258,9 +267,9 @@ def run_replications(
     """Draw R independent samples and estimate the total each time.
 
     Supported pairings: design "pps" with estimator "hh"; "srs" with
-    "srs" or "diff"; "stratified" (needs ``tau`` and ``allocation``)
-    with "strat_srs" or "strat_diff", where the difference estimator is
-    applied in the zero stratum only.
+    "srs" or "diff"; "stratified" (needs ``tau`` and ``allocation``,
+    which other designs refuse) with "strat_srs" or "strat_diff", where
+    the difference estimator is applied in the zero stratum only.
 
     Parameters
     ----------
@@ -274,14 +283,11 @@ def run_replications(
     -------
     SimReport
     """
-    _check_run_args(frame, design, estimator, n, R)
-    states = _replicate_states(seed, 0, R)
+    _check_run_args(frame, design, estimator, n, R, tau, allocation)
     if R == 1:
         warnings.warn("R=1 gives a degenerate empirical SE of 0", stacklevel=2)
 
     if design == "stratified":
-        if tau is None or allocation is None:
-            raise ConfigError("stratified runs need tau and allocation")
         strat = stratify_by_prediction(frame, tau)
         sizes = designs.allocate(strat, n, allocation)
         # (stratum, draws, is the zero stratum) in stratified_estimate's order
@@ -302,26 +308,35 @@ def run_replications(
             x, base = sub.labels - sub.aux_probs, sub.aux_total
         parts[k] = (n_h, zero, x, base)
 
-    totals = np.empty(R)
-    variances = np.empty(R)
+    totals = np.zeros(R)
+    variances = np.zeros(R)
     zero_totals = np.full(R, np.nan) if any(zero for _, zero, _, _ in parts) else None
-    for r in range(R):
-        rng = _generator(states[r])
-        total = variance = 0.0
+    block_rows = max(1, _BLOCK_DRAWS // n)
+    for start in range(0, R, block_rows):
+        block = slice(start, min(start + block_rows, R))
+        states = _replicate_states(seed, block.start, block.stop)
+        # each replicate's draws, in the order its generator gives them
+        u = np.empty((len(states), n))
+        j = np.empty(u.shape, dtype=np.int64) if design == "pps" else None  # alias slots
+        for b, words in enumerate(states):
+            rng = _generator(words)
+            if design == "pps":
+                j[b] = rng.integers(table.size, size=n)
+            rng.random(out=u[b])
+        col = 0  # the strata's uniforms lie side by side, stratum one first
         for n_h, zero, x, base in parts:
             if design == "pps":
-                t, v = estimators._hh(x[table.draw(rng, n_h)])
+                t, v = estimators._hh(x[table.lookup(j, u)])
             else:
-                idx = designs._srs_indices(rng, x.size, n_h)
+                idx = designs._srs_slots(u[:, col : col + n_h], x.size)
                 t, v = estimators._expansion(x[idx], x.size, base)
+            col += n_h
             if v is None:
                 raise VarianceUndefinedError(f"a replicate of {n_h} draw(s) has no variance")
             if zero:
-                zero_totals[r] = t
-            total += t
-            variance += v
-        totals[r] = total
-        variances[r] = variance
+                zero_totals[block] = t
+            totals[block] += t
+            variances[block] += v
 
     mean = float(np.mean(totals))
     emp_se = float(np.std(totals, ddof=1)) if R >= 2 else 0.0

@@ -87,6 +87,14 @@ class TestGenerate:
             "generate", "--N", 100, "--positives", 5, "--seed", 1, "--out", tmp_path,
         ) == 2
 
+    def test_empty_frame_refused(self, tmp_path, capsys):
+        assert run(
+            "generate", "--N", 0, "--positives", 0, "--a1", 4, "--b1", 1,
+            "--a0", 0.5, "--b0", 3, "--seed", 1, "--out", tmp_path,
+        ) == 2
+        assert "N must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "frame.csv").exists()
+
 
 class TestMetrics:
     def test_matches_library_values(self, frame_dir):
@@ -215,6 +223,18 @@ class TestSampleAndEstimate:
         assert run("estimate", *strata, "--estimator", "hh") == 2
         assert not (tmp_path / "record.csv").exists()
         assert run("estimate", *strata, "--zero-estimator", "diff") == 0
+
+    def test_allocation_needs_the_stratified_design(self, frame_dir, tmp_path, capsys):
+        frame, out = frame_dir / "frame.csv", tmp_path / "out"
+        out.mkdir()
+        for argv in (
+            ["sample", "--design", "pps", "--n", 10, "--allocation", "equal"],
+            ["simulate", "--design", "srs", "--estimator", "srs", "--n", 10, "--R", 5,
+             "--allocation", "neyman_oracle"],
+        ):
+            assert run(*argv, "--frame", frame, "--seed", 1, "--out", out) == 2
+            assert "stratified" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_config_precedence(self, frame_dir, tmp_path):
         cfg = tmp_path / "sample.cfg"

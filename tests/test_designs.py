@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,60 @@ class TestSrsIndices:
         got = designs._srs_indices(Stub(), N, n)
         assert np.array_equal(got, reference_srs_indices(Stub(), N, n))
         assert got.tolist() == [N - 1, *range(n - 1)]
+
+
+class _Row:
+    """A generator stub that hands over one fixed row of uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+# Generator.random's largest value, and 1.0, which only a stub can give
+_TOP_EDGES = (np.nextafter(1.0, 0.0), 1.0)
+
+
+@st.composite
+def _uniform_blocks(draw):
+    """(N, u): a (B, n) block of uniforms, some rows all at a top edge."""
+    N, n = draw(_srs_shapes())
+    B = draw(st.integers(1, 6))
+    u = np.random.default_rng(draw(st.integers(0, 2**63))).random((B, n))
+    for b in draw(st.sets(st.integers(0, B - 1))):
+        u[b] = draw(st.sampled_from(_TOP_EDGES))
+    return N, u
+
+
+class TestSrsSlots:
+    @settings(max_examples=300, deadline=None)
+    @given(_uniform_blocks())
+    @example((1, np.array([[0.3], [1.0]])))
+    @example((600, np.random.default_rng(1).random((4, 600))))
+    @example((601, np.random.default_rng(2).random((5, 600))))
+    @example((190_944, np.random.default_rng(3).random((3, 500))))
+    @example((7, np.array([[0.9] * 7, [np.nextafter(1.0, 0.0)] * 7, [1.0] * 7])))
+    def test_every_row_is_the_sequential_loop(self, block):
+        N, u = block
+        got = designs._srs_slots(u, N)
+        assert got.shape == u.shape
+        for b in range(u.shape[0]):
+            want = reference_srs_indices(_Row(u[b]), N, u.shape[1])
+            assert got.dtype == want.dtype
+            assert np.array_equal(got[b], want)
+
+    def test_census_of_a_large_frame_stays_n_log_n(self):
+        # every step shares a slot when n = N; marking them by comparing
+        # each repeated slot with its whole row would take minutes here
+        N = 10**5
+        fr = _frame(np.full(N, 0.5))
+        start = time.perf_counter()
+        s = srs_wor(fr, N, seed=2)
+        assert time.perf_counter() - start < 2.0
+        assert len(set(s.unit_ids.tolist())) == N
 
 
 class TestPpsWr:

@@ -242,6 +242,36 @@ class TestKernels:
         assert estimators._expansion(x, N, base) == reference_expansion(x, N, base)
 
 
+def _kernel_blocks():
+    """(B, n) blocks of draws, with n = 20,000 past numpy's 8,192-element buffer."""
+    rng = np.random.default_rng(77)
+    for n in (1, 2, 8, 9, 500, 20_000):
+        hh = np.where(rng.random((3, n)) < 0.02, 1.0 / rng.uniform(PROB_FLOOR, 1.0, (3, n)), 0.0)
+        residuals = rng.uniform(-1.0, 1.0, (3, n))
+        labels = (rng.random((3, n)) < 0.5).astype(np.float64)
+        constant = np.array([np.zeros(n), np.full(n, 0.25), np.full(n, 1e4 / PROB_FLOOR)])
+        for block in (hh, residuals, labels, constant):
+            yield block
+
+
+def _row(value, b):
+    """Row b of a kernel's output; None, and a census's variance 0.0, hold for every row."""
+    return value if value is None or np.ndim(value) == 0 else value[b]
+
+
+class TestKernelBlocks:
+    @pytest.mark.parametrize("block", list(_kernel_blocks()), ids=lambda b: f"{b.shape}")
+    def test_every_row_has_the_reference_bits(self, block):
+        n = block.shape[1]
+        t, v = estimators._hh(block)
+        for b, row in enumerate(block):
+            assert (t[b], _row(v, b)) == reference_hh(row)
+        for N, base in ((n, 0.0), (n + 1, 3.5), (190_944, 0.0)):
+            t, v = estimators._expansion(block, N, base)
+            for b, row in enumerate(block):
+                assert (t[b], _row(v, b)) == reference_expansion(row, N, base)
+
+
 class TestStratifiedEstimate:
     def test_sums_independent_strata(self):
         one = srs_estimate(_srs([0.5] * 4, [1, 1, 1, 0], parent_N=8))

@@ -184,6 +184,15 @@ class TestRunValidation:
                 n=20, R=2, seed=1,
             )
 
+    @pytest.mark.parametrize("design,estimator", [("pps", "hh"), ("srs", "diff")])
+    @pytest.mark.parametrize("setting", [dict(allocation="bogus"), dict(tau=0.5)])
+    def test_tau_and_allocation_only_for_stratified(self, design, estimator, setting):
+        with pytest.raises(ConfigError, match="only to stratified"):
+            run_replications(
+                _stratified_frame(), design=design, estimator=estimator,
+                n=20, R=2, seed=1, **setting,
+            )
+
     def test_unlabeled_frame_rejected(self):
         fr = Frame(_ids("u", 10), np.full(10, 0.4))
         with pytest.raises(ValueError, match="labeled"):
@@ -255,6 +264,23 @@ class TestRunReplications:
             )
             if zero is not None:
                 assert zero.total == a.zero_stratum_estimates[r]
+
+    @pytest.mark.parametrize("design,estimator", PAIRINGS)
+    def test_runs_across_blocks_match_replicates_alone(self, design, estimator):
+        fr, n, R, seed = _stratified_frame(), 200, 700, 31
+        rows = montecarlo._BLOCK_DRAWS // n
+        assert R > 2 * rows and R % rows  # three or more blocks, the last one partial
+        rep = run_replications(
+            fr, design=design, estimator=estimator, n=n, R=R, seed=seed, **_run_kw(design)
+        )
+        for start in range(0, R, rows):
+            for r in (start, min(start + rows, R) - 1):
+                alone, zero = _replicate_alone(fr, design, estimator, n, replicate_rng(seed, r))
+                assert (alone.total, alone.variance) == (
+                    rep.estimates[r], rep.estimated_variances[r]
+                )
+                if zero is not None:
+                    assert zero.total == rep.zero_stratum_estimates[r]
 
     # sha256 of (estimates, estimated_variances, zero_stratum_estimates) on
     # _stratified_frame() at n=20, R=50, seed=11, recorded while each
