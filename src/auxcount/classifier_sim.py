@@ -9,10 +9,9 @@ the calibration search below relies on that.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .errors import CalibrationError, UndefinedMetricError
 from .population import Frame
@@ -88,6 +87,8 @@ def simulate_predictions(frame: Frame, profile: QualityProfile, seed) -> Frame:
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    from scipy.special import betaincinv
+
     _require_labels(frame, "simulate_predictions")
     u = np.random.default_rng(seed).random(frame.N)
     pos = frame.labels == 1.0
@@ -147,6 +148,7 @@ class CalibrationResult:
     profile: QualityProfile
     sharpness: float
     realized: float
+    frame: Frame = field(compare=False, repr=False)
 
 
 def calibrate_profile(
@@ -165,9 +167,9 @@ def calibrate_profile(
     same seed at every step, and stops when the realized metric is
     within ``CALIBRATION_REL_TOL`` (relative) of the target.
 
-    The returned profile together with ``seed`` reproduces, through
-    :func:`simulate_predictions`, exactly the frame the realized metric
-    was measured on.
+    The result's ``frame`` is the frame the realized metric was measured
+    on: ``simulate_predictions(frame, result.profile, seed)``, bit for
+    bit, without simulating it again.
 
     Raises
     ------
@@ -187,26 +189,28 @@ def calibrate_profile(
             raise ValueError("target_f1 must lie in (0, 1)")
         target, metric = float(target_f1), "f1"
 
-    def realized(s: float) -> float:
+    # Loss falls and F1 rises with sharpness; fold both into a value
+    # that falls, sign times the metric, so one bracketing loop serves.
+    sign = 1.0 if metric == "loss" else -1.0
+    goal = sign * target
+    sim = None  # the latest step's frame, the one a result carries
+
+    def value(s: float) -> float:
+        nonlocal sim
         sim = simulate_predictions(frame, QualityProfile.symmetric(s), seed)
         if metric == "loss":
             return population_loss(sim) / sim.N
-        return f1_from_counts(confusion_counts(sim, tau))
-
-    # Loss falls and F1 rises with sharpness; fold both into a value
-    # that falls, so one bracketing loop serves.
-    sign = 1.0 if metric == "loss" else -1.0
-    goal = sign * target
-
-    def value(s: float) -> float:
-        return sign * realized(s)
+        return -f1_from_counts(confusion_counts(sim, tau))
 
     def close(v: float) -> bool:
         return abs(v - goal) <= CALIBRATION_REL_TOL * abs(goal)
 
+    def result(s: float, v: float) -> CalibrationResult:
+        return CalibrationResult(QualityProfile.symmetric(s), float(s), sign * v, sim)
+
     best_s, best_v = 1.0, value(1.0)
     if close(best_v):
-        return _calibration_result(best_s, sign * best_v)
+        return result(best_s, best_v)
     if best_v < goal:
         raise CalibrationError(
             f"target {metric} {target:g} is outside the family's range on this "
@@ -219,7 +223,7 @@ def calibrate_profile(
     v_hi = value(hi)
     while v_hi > goal and hi < _MAX_SHARPNESS:
         if close(v_hi):
-            return _calibration_result(hi, sign * v_hi)
+            return result(hi, v_hi)
         lo, hi = hi, hi * 2.0
         v_hi = value(hi)
     if abs(v_hi - goal) < abs(best_v - goal):
@@ -238,7 +242,7 @@ def calibrate_profile(
         if abs(v - goal) < abs(best_v - goal):
             best_s, best_v = mid, v
         if close(v):
-            return _calibration_result(mid, sign * v)
+            return result(mid, v)
         if v > goal:
             lo = mid
         else:
@@ -248,12 +252,4 @@ def calibrate_profile(
         f"steps; best realized {sign * best_v:g} at sharpness {best_s:g}",
         best_sharpness=best_s,
         best_metric=sign * best_v,
-    )
-
-
-def _calibration_result(s, realized):
-    return CalibrationResult(
-        profile=QualityProfile.symmetric(s),
-        sharpness=float(s),
-        realized=float(realized),
     )

@@ -32,7 +32,7 @@ from .errors import (
     VarianceUndefinedError,
 )
 from .population import (
-    STRATUM_ONE, STRATUM_ZERO, Frame, float_texts, load_frame, read_table,
+    STRATUM_ONE, STRATUM_ZERO, Frame, _float_or_none, float_texts, load_frame, read_table,
     stratify_by_prediction, write_frame, write_table,
 )
 
@@ -230,29 +230,28 @@ def cmd_generate(args) -> int:
         raise ConfigError("N must be at least 1")
     if not 0 <= positives <= N:
         raise ConfigError(f"positives={positives} must lie in [0, N={N}]")
-    labels = np.zeros(N)
-    labels[:positives] = 1.0
-    base = Frame([f"u{i}" for i in range(N)], np.full(N, 0.5), labels)
-
     shapes = [resolved[k] for k in ("a1", "b1", "a0", "b0")]
     targets = [k for k in ("target_loss", "target_f1") if resolved[k] is not None]
-    if all(v is not None for v in shapes):
+    if None in shapes and (shapes != [None] * 4 or len(targets) != 1):
+        raise ConfigError("give all of a1,b1,a0,b0, or none and one of target_loss/target_f1")
+    labels = np.zeros(N)
+    labels[:positives] = 1.0
+    # u0..u{N-1} are unique and unpadded: only the other columns need checks
+    ids = np.array([f"u{i}" for i in range(N)], dtype=object)
+    base = Frame.__new__(Frame)._set(ids, np.full(N, 0.5), labels, None)
+    if None not in shapes:
         profile = classifier_sim.QualityProfile(
             shape_pos=(shapes[0], shapes[1]), shape_neg=(shapes[2], shapes[3])
         )
-    elif len(targets) == 1:
+        frame = classifier_sim.simulate_predictions(base, profile, resolved["seed"])
+    else:
         kwargs = {targets[0]: resolved[targets[0]]}
         cal = classifier_sim.calibrate_profile(
             base, tau=resolved["tau"], seed=resolved["seed"], **kwargs
         )
-        profile = cal.profile
-        (resolved["a1"], resolved["b1"]) = profile.shape_pos
-        (resolved["a0"], resolved["b0"]) = profile.shape_neg
-    else:
-        raise ConfigError(
-            "give all of a1,b1,a0,b0 or exactly one of target_loss/target_f1"
-        )
-    frame = classifier_sim.simulate_predictions(base, profile, resolved["seed"])
+        frame = cal.frame
+        (resolved["a1"], resolved["b1"]) = cal.profile.shape_pos
+        (resolved["a0"], resolved["b0"]) = cal.profile.shape_neg
     audit = _audit("generate", resolved)
     write_frame(frame, _out_path(args, resolved["out_frame"]), _audit_lines(audit))
     return 0
@@ -369,11 +368,7 @@ def cmd_estimate(args) -> int:
             raise ConfigError("zero_estimator must be 'srs' or 'diff'")
         one = _load_stratum_sample(resolved["sample_one"], STRATUM_ONE)
         zero = _load_stratum_sample(resolved["sample_zero"], STRATUM_ZERO)
-        zero_fn = (
-            estimators.srs_estimate
-            if resolved["zero_estimator"] == "srs"
-            else estimators.difference_estimate
-        )
+        zero_fn = _SINGLE_ESTIMATORS[resolved["zero_estimator"]]
         estimate = estimators.stratified_estimate(
             [
                 (STRATUM_ONE, estimators.srs_estimate(one)),
@@ -536,7 +531,15 @@ def _read_record_rows(path) -> list[dict]:
     if "total" not in header or ragged is not None:
         raise ConfigError(f"{path}: not an estimate record file")
     width = len(header)
-    return [dict(zip(header, fields[i : i + width])) for i in range(0, rows * width, width)]
+    records = [dict(zip(header, fields[i : i + width])) for i in range(0, rows * width, width)]
+    for row, record in enumerate(records, start=2):  # the header is row 1
+        for key in ("total", "se", "ci_lo", "ci_hi", "deff"):
+            text = record.get(key, "")  # blank is a value left out
+            value = _float_or_none(text) if text else 0.0
+            if value is None or (key == "se" and not value >= 0.0):
+                kind = "a nonnegative number" if key == "se" else "a number"
+                raise ConfigError(f"{path}: row {row}: {key} {text!r} is not {kind}")
+    return records
 
 
 # ---------------------------------------------------------------------------

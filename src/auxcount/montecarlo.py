@@ -18,7 +18,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import designs, estimators
-from .classifier_sim import calibrate_profile, simulate_predictions
+from .classifier_sim import calibrate_profile
 from .errors import CalibrationError, ConfigError, SweepError, VarianceUndefinedError
 from .population import (
     Frame,
@@ -383,8 +383,8 @@ def proposition1_sweep(
     """Design variance of the PPS total as classifier loss shrinks.
 
     For each per-unit loss target (strictly decreasing), calibrate a
-    symmetric profile on the frame, regenerate scores, and record the
-    closed-form design variance next to the empirical variance over R
+    symmetric profile on the frame, take the frame it scored, and record
+    the closed-form design variance next to the empirical variance over R
     replicated samples.  Better classifiers should drive both toward 0.
 
     Raises
@@ -407,10 +407,9 @@ def proposition1_sweep(
             cal = calibrate_profile(frame, target_loss=target, seed=cal_seed)
         except CalibrationError as exc:
             raise SweepError(f"sweep point {k} (target {target:g}): {exc}") from exc
-        sim = simulate_predictions(frame, cal.profile, cal_seed)
-        exact = estimators.exact_hh_design_variance(sim, n)
+        exact = estimators.exact_hh_design_variance(cal.frame, n)
         report = run_replications(
-            sim,
+            cal.frame,
             design="pps",
             estimator="hh",
             n=n,

@@ -317,9 +317,8 @@ def write_table(path, comments, header, rows, ids=()) -> None:
 
 def first_repeat(ids) -> int | None:
     """Index of the first id equal to an earlier one, or None."""
-    _, firsts = np.unique(np.asarray(ids, dtype=object), return_index=True)
-    repeats = np.setdiff1d(np.arange(len(ids)), firsts)
-    return int(repeats[0]) if repeats.size else None
+    first = {}  # each id's first index
+    return next((i for i, uid in enumerate(ids) if first.setdefault(uid, i) != i), None)
 
 
 def load_frame(path, columns: Mapping[str, str] | None = None) -> Frame:

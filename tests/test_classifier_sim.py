@@ -194,6 +194,40 @@ class TestCalibrateProfile:
         sim = simulate_predictions(fr, res.profile, seed=33)
         assert population_loss(sim) / sim.N == pytest.approx(res.realized, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "N, t, target, sharpness",
+        [
+            (5000, 25, {"target_loss": 1.0}, 1.0),  # returns at sharpness 1
+            (8000, 4000, {"target_f1": 0.5}, 1.0),
+            (5000, 250, {"target_loss": 0.1}, 3.3125),  # returns while bisecting
+            (20_000, 100, {"target_f1": 0.68}, 4.375),
+        ],
+    )
+    def test_result_carries_measured_frame(self, N, t, target, sharpness):
+        fr = _label_frame(N, t)
+        res = calibrate_profile(fr, seed=3, **target)
+        assert res.sharpness == sharpness
+        again = simulate_predictions(fr, res.profile, seed=3)
+        assert res.frame.aux_probs.tobytes() == again.aux_probs.tobytes()
+        assert res.frame.ids is fr.ids and res.frame.labels is fr.labels
+
+    def test_result_carries_frame_measured_while_bracketing(self):
+        fr = _label_frame(5000, 250)
+        # a target just below the loss at sharpness 2, the bracket's first step
+        at_two = simulate_predictions(fr, QualityProfile.symmetric(2.0), seed=7)
+        target = 0.99 * population_loss(at_two) / fr.N
+        res = calibrate_profile(fr, target_loss=target, seed=7)
+        assert res.sharpness == 2.0
+        assert res.frame.aux_probs.tobytes() == at_two.aux_probs.tobytes()
+
+    def test_frame_left_out_of_eq_and_repr(self):
+        fr = _label_frame(2000, 100)
+        res = calibrate_profile(fr, target_loss=0.2, seed=5)
+        assert "frame" not in repr(res)
+        assert res == classifier_sim.CalibrationResult(
+            res.profile, res.sharpness, res.realized, _label_frame(10, 1)
+        )
+
     def test_unreachable_target_raises_with_best_point(self):
         fr = _label_frame(2000, 100)
         with pytest.raises(CalibrationError) as exc:

@@ -87,6 +87,19 @@ class TestGenerate:
             "generate", "--N", 100, "--positives", 5, "--seed", 1, "--out", tmp_path,
         ) == 2
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [["--a1", 40], ["--a1", 4, "--b1", 1], ["--a1", 4, "--b1", 1, "--a0", 0.5]],
+    )
+    @pytest.mark.parametrize("target", [[], ["--target-f1", 0.7]])
+    def test_partial_shapes_refused(self, tmp_path, capsys, shapes, target):
+        assert run(
+            "generate", "--N", 100, "--positives", 5, *shapes, *target,
+            "--seed", 1, "--out", tmp_path,
+        ) == 2
+        assert "give all of a1,b1,a0,b0" in capsys.readouterr().err
+        assert not (tmp_path / "frame.csv").exists()
+
     def test_empty_frame_refused(self, tmp_path, capsys):
         assert run(
             "generate", "--N", 0, "--positives", 0, "--a1", 4, "--b1", 1,
@@ -394,6 +407,39 @@ class TestReport:
         rerun.mkdir()
         assert run("report", "--config", cfg, "--out", rerun) == 0
         assert (rerun / "table.txt").read_bytes() == (frame_dir / "table.txt").read_bytes()
+
+    @pytest.mark.parametrize(
+        "field, text, message",
+        [
+            ("total", "abc", "total 'abc' is not a number"),
+            ("se", "x", "se 'x' is not a nonnegative number"),
+            ("ci_lo", "1..2", "ci_lo '1..2' is not a number"),
+            ("ci_hi", " ", "ci_hi ' ' is not a number"),
+            ("deff", "abc", "deff 'abc' is not a number"),
+            ("se", "-5", "se '-5' is not a nonnegative number"),
+            ("se", "nan", "se 'nan' is not a nonnegative number"),
+        ],
+    )
+    def test_bad_record_names_file_and_row(self, frame_dir, capsys, field, text, message):
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", "--design", "srs",
+            "--n", 25, "--seed", 14, "--out", frame_dir,
+        ) == 0
+        assert run(
+            "estimate", "--sample", frame_dir / "sample.csv", "--estimator", "srs",
+            "--baseline-se", 3.0, "--out", frame_dir,
+        ) == 0
+        good = frame_dir / "record.csv"
+        lines = good.read_text().splitlines()
+        header = lines[-2].split(",")
+        cells = lines[-1].split(",")
+        cells[header.index(field)] = text
+        bad = frame_dir / "bad.csv"
+        bad.write_text("\n".join(lines[:-1] + [lines[-1], ",".join(cells)]) + "\n")
+        capsys.readouterr()
+        assert run("report", "--inputs", good, bad, "--out", frame_dir) == 2
+        assert capsys.readouterr().err == f"auxcount: error: {bad}: row 3: {message}\n"
+        assert not (frame_dir / "table.txt").exists()
 
     def test_empty_inputs_fail(self, tmp_path):
         empty = tmp_path / "empty.csv"

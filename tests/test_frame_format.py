@@ -275,3 +275,23 @@ def test_generate_bytes_are_pinned(tmp_path, monkeypatch):
     }
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize(
+    "target, digest",
+    [
+        (["--target-f1", "0.7", "--seed", "11"],
+         "3c95f16bb563e5ce77e19ce028048110095cc32371529cc6ac6a5b6a3607ec8a"),
+        (["--target-loss", "0.05", "--seed", "3"],
+         "82c200b4aa07c569ce158d8458554bdd1cd170a72a181bd76007339d2e6a0caa"),
+        # calibration accepts sharpness 1, its first step
+        (["--target-loss", "1.0", "--seed", "3"],
+         "1f83d7cf490f3e5dd587fbeb5de5d3c1bec7a52fafe162a2606dd213637c33d8"),
+    ],
+)
+def test_calibrated_generate_bytes_are_pinned(tmp_path, target, digest):
+    # digests of the frames written when generate simulated the calibrated
+    # profile a second time instead of keeping the frame calibration measured
+    assert main(["generate", "--N", "5000", "--positives", "25", *target,
+                 "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "frame.csv").read_bytes()).hexdigest() == digest

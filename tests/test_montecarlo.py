@@ -425,6 +425,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="positive"):
             proposition1_sweep(fr, (0.5, -0.1), n=20, R=10, seed=1)
 
+    def test_points_are_pinned(self):
+        # the values of the sweep that simulated every calibrated frame twice
+        pts = proposition1_sweep(self._frame(), (0.5, 0.3), n=20, R=60, seed=9)
+        assert [
+            (p.realized_loss, p.sharpness, p.exact_variance, p.empirical_variance)
+            for p in pts
+        ] == [
+            (0.4915815113832606, 1.5, 354.2901149811939, 262.483942696578),
+            (0.30190023606420063, 1.9375, 103.02861446730417, 118.6510020668721),
+        ]
+
     def test_uncalibratable_target_names_the_point(self):
         with pytest.raises(SweepError, match="sweep point 0"):
             proposition1_sweep(self._frame(), (2.0,), n=20, R=10, seed=1)
@@ -439,3 +450,19 @@ def test_import_leaves_scipy_stats_unloaded():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    # scipy.special is imported only when scores are simulated
+    src = os.path.dirname(os.path.dirname(auxcount.__file__))
+    code = (
+        "import sys\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import auxcount; print(scipy())\n"
+        "import auxcount.cli; print(scipy())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.split("\n") == ["[]", "[]", ""]
