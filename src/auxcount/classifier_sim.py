@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, UndefinedMetricError
-from .population import Frame
+from .population import PROB_FLOOR, Frame, _check_tau, clamp_probs
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -23,6 +23,9 @@ DEFAULT_THRESHOLD = 0.5
 CALIBRATION_REL_TOL = 0.02
 CALIBRATION_MAX_STEPS = 60
 _MAX_SHARPNESS = 2.0**20
+# F1 steps score a unit whose score lies within this relative distance
+# of tau, or whose uniform lies within this absolute one of the CDF at tau
+_GUARD_REL, _GUARD_ABS = 1e-9, 1e-12
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,36 @@ def f1_from_counts(counts: ConfusionCounts) -> float:
     return 2.0 * counts.tp / denom
 
 
+def _counts_by_sharpness(frame: Frame, seed, tau: float):
+    """``s -> confusion_counts(simulate_predictions(frame, symmetric(s), seed), tau)``.
+
+    A score is the inverse Beta CDF of its unit's uniform, so it reaches
+    tau when the uniform reaches its class's CDF at tau.  Only units whose
+    uniform lies in a guard band around that CDF value are scored.
+    """
+    from scipy.special import betainc, betaincinv
+
+    _check_tau(tau)
+    u = np.random.default_rng(seed).random(frame.N)
+    u_pos, u_neg = u[frame.labels == 1.0], u[frame.labels == 0.0]
+    near = np.minimum(1.0, tau * np.array([1.0 - _GUARD_REL, 1.0, 1.0 + _GUARD_REL]))
+
+    def ones(a: float, b: float, v) -> int:  # units of v whose clamped score is >= tau
+        if not PROB_FLOOR < tau <= 1.0 - PROB_FLOOR:  # the clamp decides alone
+            return v.size if tau <= PROB_FLOOR else 0
+        cdf = betainc(a, b, near)
+        lo, hi = min(cdf[:2]) - _GUARD_ABS, max(cdf[1:]) + _GUARD_ABS
+        band = clamp_probs(betaincinv(a, b, v[(v >= lo) & (v <= hi)]))
+        return int(np.count_nonzero(v > hi) + np.count_nonzero(band >= tau))
+
+    def counts(s: float) -> ConfusionCounts:
+        profile = QualityProfile.symmetric(s)
+        tp, fp = ones(*profile.shape_pos, u_pos), ones(*profile.shape_neg, u_neg)
+        return ConfusionCounts(tp=tp, fp=fp, fn=u_pos.size - tp, tn=u_neg.size - fp)
+
+    return counts
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     profile: QualityProfile
@@ -163,13 +196,15 @@ def calibrate_profile(
 
     Exactly one of ``target_loss`` (mean cross-entropy per unit) or
     ``target_f1`` (F1 at threshold ``tau``) must be given.  The search
-    brackets then bisects over sharpness, re-simulating scores with the
-    same seed at every step, and stops when the realized metric is
-    within ``CALIBRATION_REL_TOL`` (relative) of the target.
+    brackets then bisects over sharpness, with the same seed at every
+    step, and stops when the realized metric is within
+    ``CALIBRATION_REL_TOL`` (relative) of the target.  A loss step scores
+    every unit.  An F1 step counts each class against its Beta CDF at
+    tau, scoring only the units in a guard band around that CDF value.
 
-    The result's ``frame`` is the frame the realized metric was measured
-    on: ``simulate_predictions(frame, result.profile, seed)``, bit for
-    bit, without simulating it again.
+    The result's ``frame`` is ``simulate_predictions(frame,
+    result.profile, seed)``, bit for bit: the last loss step's frame, or
+    for F1 the frame scored once at the accepted sharpness.
 
     Raises
     ------
@@ -193,20 +228,23 @@ def calibrate_profile(
     # that falls, sign times the metric, so one bracketing loop serves.
     sign = 1.0 if metric == "loss" else -1.0
     goal = sign * target
-    sim = None  # the latest step's frame, the one a result carries
+    sim = None  # the latest loss step's frame, the one a result carries
+    counts = _counts_by_sharpness(frame, seed, tau) if metric == "f1" else None
 
     def value(s: float) -> float:
         nonlocal sim
+        if metric == "f1":
+            return -f1_from_counts(counts(s))
         sim = simulate_predictions(frame, QualityProfile.symmetric(s), seed)
-        if metric == "loss":
-            return population_loss(sim) / sim.N
-        return -f1_from_counts(confusion_counts(sim, tau))
+        return population_loss(sim) / sim.N
 
     def close(v: float) -> bool:
         return abs(v - goal) <= CALIBRATION_REL_TOL * abs(goal)
 
     def result(s: float, v: float) -> CalibrationResult:
-        return CalibrationResult(QualityProfile.symmetric(s), float(s), sign * v, sim)
+        profile = QualityProfile.symmetric(s)
+        scored = sim if metric == "loss" else simulate_predictions(frame, profile, seed)
+        return CalibrationResult(profile, float(s), sign * v, scored)
 
     best_s, best_v = 1.0, value(1.0)
     if close(best_v):

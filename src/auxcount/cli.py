@@ -536,9 +536,11 @@ def _read_record_rows(path) -> list[dict]:
         for key in ("total", "se", "ci_lo", "ci_hi", "deff"):
             text = record.get(key, "")  # blank is a value left out
             value = _float_or_none(text) if text else 0.0
-            if value is None or (key == "se" and not value >= 0.0):
+            if value is None or np.isnan(value) or (key == "se" and value < 0.0):
                 kind = "a nonnegative number" if key == "se" else "a number"
                 raise ConfigError(f"{path}: row {row}: {key} {text!r} is not {kind}")
+            if np.isinf(value) and key != "deff":  # a tiny baseline SE overflows deff
+                raise ConfigError(f"{path}: row {row}: {key} {text!r} is not finite")
     return records
 
 

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 from auxcount import (
@@ -19,6 +21,7 @@ from auxcount import (
     simulate_predictions,
 )
 from auxcount import classifier_sim
+from auxcount.population import PROB_FLOOR
 
 from conftest import _ids
 
@@ -240,6 +243,108 @@ class TestCalibrateProfile:
             calibrate_profile(fr, seed=1)
         with pytest.raises(ValueError):
             calibrate_profile(fr, target_loss=0.1, target_f1=0.5, seed=1)
+
+
+def _count_simulations(monkeypatch) -> list:
+    """Record the sharpness of every simulate_predictions call from here on."""
+    calls, real = [], classifier_sim.simulate_predictions
+
+    def counted(frame, profile, seed):
+        calls.append(profile.shape_pos[0])
+        return real(frame, profile, seed)
+
+    monkeypatch.setattr(classifier_sim, "simulate_predictions", counted)
+    return calls
+
+
+class TestCalibrationWork:
+    def test_f1_calibration_scores_the_frame_once(self, monkeypatch):
+        calls = _count_simulations(monkeypatch)
+        res = calibrate_profile(_label_frame(20_000, 100), target_f1=0.68, seed=3)
+        assert calls == [res.sharpness] == [4.375]
+
+    def test_loss_calibration_scores_every_step(self, monkeypatch):
+        calls = _count_simulations(monkeypatch)
+        res = calibrate_profile(_label_frame(5000, 250), target_loss=0.1, seed=3)
+        assert res.sharpness == 3.3125
+        assert calls == [1.0, 2.0, 4.0, 3.0, 3.5, 3.25, 3.375, 3.3125]
+
+    # messages and best points as they were when every F1 step scored the frame
+    @pytest.mark.parametrize(
+        "N, t, target, tau, seed, message, best_metric",
+        [
+            (8000, 4000, 0.3, 0.5, 3, "target f1 0.3 is outside the family's range on "
+             "this frame (best at sharpness 1: 0.50163)", 0.5016302984700276),
+            (300, 12, 0.05, 0.5, 4, "target f1 0.05 is outside the family's range on "
+             "this frame (best at sharpness 1: 0.0874317)", 0.08743169398907104),
+            # at tau <= PROB_FLOOR every unit reads as 1, above 1 - PROB_FLOOR none
+            (2000, 100, 0.5, 1e-7, 3, "target f1 0.5 not reachable: best realized "
+             "0.0952381 at sharpness 1", 0.09523809523809523),
+            (2000, 100, 0.5, 1 - 5e-7, 3, "target f1 0.5 not reachable: best realized "
+             "0 at sharpness 1", 0.0),
+        ],
+    )
+    def test_f1_errors_keep_message_and_best_point(
+        self, monkeypatch, N, t, target, tau, seed, message, best_metric
+    ):
+        calls = _count_simulations(monkeypatch)
+        with pytest.raises(CalibrationError) as exc:
+            calibrate_profile(_label_frame(N, t), target_f1=target, tau=tau, seed=seed)
+        assert str(exc.value) == message
+        assert exc.value.best_sharpness == 1.0
+        assert exc.value.best_metric == best_metric
+        assert calls == []
+
+    def test_f1_calibration_refuses_bad_tau(self):
+        with pytest.raises(ValueError, match="threshold"):
+            calibrate_profile(_label_frame(100, 10), target_f1=0.5, tau=1.0, seed=1)
+
+
+_TAUS = (
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    | st.just(0.5)
+    | st.floats(0.0, PROB_FLOOR, exclude_min=True)
+    | st.floats(1.0 - PROB_FLOOR, 1.0, exclude_min=True, exclude_max=True)
+)
+
+
+class TestCountsBySharpness:
+    """The F1 steps' class counts equal the counts of the scored frame."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_counts_equal_scored_counts(self, data):
+        N = data.draw(st.integers(1, 20_000) | st.integers(1, 40), label="N")
+        t = data.draw(st.integers(0, N), label="positives")
+        s = data.draw(
+            st.sampled_from([1.0, 2.0**20]) | st.floats(1.0, 8.0) | st.floats(1.0, 2.0**20),
+            label="sharpness",
+        )
+        seed = data.draw(st.integers(0, 2**63), label="seed")
+        fr = _label_frame(N, t)
+        sim = simulate_predictions(fr, QualityProfile.symmetric(s), seed)
+        # a unit's own score as tau puts its uniform on its class's CDF at tau,
+        # inside the guard band; half the cases are built that way
+        at_unit = st.integers(0, N - 1).map(lambda i: float(sim.aux_probs[i]))
+        tau = data.draw(at_unit if data.draw(st.booleans()) else _TAUS, label="tau")
+        counts = classifier_sim._counts_by_sharpness(fr, seed, tau)(s)
+        assert counts == confusion_counts(sim, tau)
+
+    def test_only_the_guard_band_is_scored(self, monkeypatch):
+        fr, s, seed = _label_frame(5000, 250), 3.0, 5
+        sim = simulate_predictions(fr, QualityProfile.symmetric(s), seed)
+        tau = float(sim.aux_probs[7])  # a positive's score: its uniform is in the band
+        assert PROB_FLOOR < tau < 1.0 - PROB_FLOOR
+        scored, real = [], scipy.special.betaincinv
+
+        def counted(a, b, x, **kwargs):
+            scored.append(np.size(x))
+            return real(a, b, x, **kwargs)
+
+        monkeypatch.setattr(scipy.special, "betaincinv", counted)
+        counts = classifier_sim._counts_by_sharpness(fr, seed, tau)(s)
+        assert counts == confusion_counts(sim, tau)
+        assert 1 <= sum(scored) <= 10
 
 
 def test_loss_and_errors_fall_together_over_sharpness_grid():

@@ -418,6 +418,15 @@ class TestReport:
             ("deff", "abc", "deff 'abc' is not a number"),
             ("se", "-5", "se '-5' is not a nonnegative number"),
             ("se", "nan", "se 'nan' is not a nonnegative number"),
+            ("total", "nan", "total 'nan' is not a number"),
+            ("ci_lo", "nan", "ci_lo 'nan' is not a number"),
+            ("ci_hi", "NaN", "ci_hi 'NaN' is not a number"),
+            ("deff", "nan", "deff 'nan' is not a number"),
+            ("total", "inf", "total 'inf' is not finite"),
+            ("total", "-inf", "total '-inf' is not finite"),
+            ("se", "inf", "se 'inf' is not finite"),
+            ("ci_lo", "-inf", "ci_lo '-inf' is not finite"),
+            ("ci_hi", "Infinity", "ci_hi 'Infinity' is not finite"),
         ],
     )
     def test_bad_record_names_file_and_row(self, frame_dir, capsys, field, text, message):
@@ -440,6 +449,21 @@ class TestReport:
         assert run("report", "--inputs", good, bad, "--out", frame_dir) == 2
         assert capsys.readouterr().err == f"auxcount: error: {bad}: row 3: {message}\n"
         assert not (frame_dir / "table.txt").exists()
+
+    def test_infinite_deff_is_accepted(self, frame_dir, capsys):
+        # a valid, tiny baseline SE overflows the squared SE ratio to inf
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", "--design", "srs",
+            "--n", 25, "--seed", 14, "--out", frame_dir,
+        ) == 0
+        assert run(
+            "estimate", "--sample", frame_dir / "sample.csv", "--estimator", "srs",
+            "--baseline-se", 1e-320, "--out", frame_dir,
+        ) == 0
+        assert _read_record_rows(frame_dir / "record.csv")[0]["deff"] == "inf"
+        capsys.readouterr()
+        assert run("report", "--inputs", frame_dir / "record.csv", "--out", frame_dir) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[-1] == "inf"
 
     def test_empty_inputs_fail(self, tmp_path):
         empty = tmp_path / "empty.csv"
