@@ -246,15 +246,16 @@ def calibrate_profile(
         scored = sim if metric == "loss" else simulate_predictions(frame, profile, seed)
         return CalibrationResult(profile, float(s), sign * v, scored)
 
+    def failure(message: str) -> CalibrationError:
+        return CalibrationError(message, best_sharpness=best_s, best_metric=sign * best_v)
+
     best_s, best_v = 1.0, value(1.0)
     if close(best_v):
         return result(best_s, best_v)
     if best_v < goal:
-        raise CalibrationError(
+        raise failure(
             f"target {metric} {target:g} is outside the family's range on this "
-            f"frame (best at sharpness 1: {sign * best_v:g})",
-            best_sharpness=best_s,
-            best_metric=sign * best_v,
+            f"frame (best at sharpness 1: {sign * best_v:g})"
         )
 
     lo, hi = 1.0, 2.0
@@ -267,11 +268,9 @@ def calibrate_profile(
     if abs(v_hi - goal) < abs(best_v - goal):
         best_s, best_v = hi, v_hi
     if v_hi > goal:  # never crossed, even at the sharpness cap
-        raise CalibrationError(
+        raise failure(
             f"target {metric} {target:g} not reachable: best realized "
-            f"{sign * best_v:g} at sharpness {best_s:g}",
-            best_sharpness=best_s,
-            best_metric=sign * best_v,
+            f"{sign * best_v:g} at sharpness {best_s:g}"
         )
 
     for _ in range(CALIBRATION_MAX_STEPS):
@@ -285,9 +284,7 @@ def calibrate_profile(
             lo = mid
         else:
             hi = mid
-    raise CalibrationError(
+    raise failure(
         f"calibration to {metric} {target:g} did not converge in {CALIBRATION_MAX_STEPS} "
-        f"steps; best realized {sign * best_v:g} at sharpness {best_s:g}",
-        best_sharpness=best_s,
-        best_metric=sign * best_v,
+        f"steps; best realized {sign * best_v:g} at sharpness {best_s:g}"
     )

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .population import (
     STRATUM_ONE, STRATUM_ZERO, Frame, _float_or_none, float_texts, load_frame, read_table,
-    stratify_by_prediction, write_frame, write_table,
+    write_frame, write_table,
 )
 
 PAPER_Z = 2.0
@@ -113,6 +113,8 @@ def _require(resolved: dict, *keys: str):
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -142,11 +144,7 @@ def audit_to_config_lines(audit: dict) -> list[str]:
     audit proper.
     """
     spec = _COMMANDS[audit["command"]][1]
-    return [
-        f"{key} = {_fmt(value)}"
-        for key, value in audit.items()
-        if key in spec and _is_result_key(key)
-    ]
+    return _audit_lines({k: v for k, v in audit.items() if k in spec and _is_result_key(k)})
 
 
 def read_audit(path) -> dict:
@@ -162,31 +160,14 @@ def _out_path(args, name: str) -> str:
     return f"{out}/{name}"
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
 def _write_json(path, audit: dict, payload: dict):
-    doc = {"audit": _jsonable(audit)}
-    doc.update(_jsonable(payload))
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump({"audit": audit, **payload}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_record_csv(path, audit: dict, records: list[dict]):
-    def cell(value):
-        if value is None:
-            return ""
-        return repr(float(value)) if isinstance(value, float) else str(value)
-
-    rows = ([cell(record.get(f)) for f in estimators.RECORD_FIELDS] for record in records)
+    rows = ([_fmt(record.get(f)) for f in estimators.RECORD_FIELDS] for record in records)
     write_table(path, _audit_lines(audit), estimators.RECORD_FIELDS, rows)
 
 
@@ -314,24 +295,18 @@ def cmd_sample(args) -> int:
     frame = load_frame(resolved["frame"])
     audit = _audit("sample", resolved)
     lines = _audit_lines(audit)
-    if design == "pps":
-        sample = designs.pps_wr(frame, resolved["n"], resolved["seed"])
+    if design != "stratified":
+        draw = designs.pps_wr if design == "pps" else designs.srs_wor
+        sample = draw(frame, resolved["n"], resolved["seed"])
         designs.write_sample(sample, _out_path(args, resolved["out_sample"]), lines)
-    elif design == "srs":
-        sample = designs.srs_wor(frame, resolved["n"], resolved["seed"])
-        designs.write_sample(sample, _out_path(args, resolved["out_sample"]), lines)
-    else:
-        strat = stratify_by_prediction(frame, resolved["tau"])
-        sizes = designs.allocate(strat, resolved["n"], resolved["allocation"])
-        rng = np.random.default_rng(resolved["seed"])
-        stem = resolved["out_sample"]
-        stem = stem[:-4] if stem.endswith(".csv") else stem
-        for name in (STRATUM_ONE, STRATUM_ZERO):
-            n_h = sizes[name]
-            if n_h == 0:
-                continue
-            sample = designs.srs_wor(strat.strata[name], n_h, rng)
-            designs.write_sample(sample, _out_path(args, f"{stem}_{name}.csv"), lines)
+        return 0
+    plan = designs.stratified_plan(frame, resolved["n"], resolved["tau"], resolved["allocation"])
+    rng = np.random.default_rng(resolved["seed"])
+    stem = resolved["out_sample"]
+    stem = stem[:-4] if stem.endswith(".csv") else stem
+    for sub, n_h in plan:
+        sample = designs.srs_wor(sub, n_h, rng)
+        designs.write_sample(sample, _out_path(args, f"{stem}_{sub.stratum}.csv"), lines)
     return 0
 
 

@@ -28,6 +28,7 @@ from .population import (
     parse_floats,
     parse_labels,
     read_table,
+    stratify_by_prediction,
     write_table,
 )
 
@@ -304,6 +305,15 @@ def allocate(strat: StratifiedFrame, n: int, rule: str) -> dict[str, int]:
     return {STRATUM_ONE: n1, STRATUM_ZERO: n - n1}
 
 
+def stratified_plan(frame: Frame, n: int, tau: float, rule: str) -> list[tuple[Frame, int]]:
+    """(stratum, n_h) for the "one" then the "zero" stratum of ``frame`` at
+    threshold tau, n_h as :func:`allocate` spreads n by ``rule``; a
+    stratum allocated no draws is left out."""
+    strat = stratify_by_prediction(frame, tau)
+    sizes = allocate(strat, n, rule)
+    return [(strat.strata[h], sizes[h]) for h in (STRATUM_ONE, STRATUM_ZERO) if sizes[h]]
+
+
 def write_sample(sample: Sample, path, header_lines=()) -> None:
     """Write draws as CSV with the frame facts needed to estimate later.
 
@@ -349,8 +359,9 @@ def load_sample(path) -> Sample:
     Raises
     ------
     IngestionError
-        On missing header facts, malformed rows, or out-of-range values;
-        messages name the first offending row.
+        On missing header facts, malformed rows, a ``draw_index`` other
+        than 0..n-1 in order, or out-of-range values; messages name the
+        first offending row.
     """
     comments, header, fields, rows, ragged = read_table(path)
     facts = _header_fields(comments)
@@ -361,7 +372,8 @@ def load_sample(path) -> Sample:
         raise IngestionError(f"{path}: expected columns {','.join(_SAMPLE_COLUMNS)}")
     width = len(_SAMPLE_COLUMNS)
     stop = (rows if ragged is None else ragged) * width
-    _, ids, raw_pi, raw_y, raw_p = (fields[j:stop:width] for j in range(width))
+    raw_draw, ids, raw_pi, raw_y, raw_p = (fields[j:stop:width] for j in range(width))
+    misplaced = next((i for i, text in enumerate(raw_draw) if text.strip() != str(i)), None)
     pi, bad_pi = parse_floats(raw_pi)
     p_hat, bad_p = parse_floats(raw_p)
     y, bad_y = parse_labels(raw_y)
@@ -370,11 +382,14 @@ def load_sample(path) -> Sample:
     problems = []
     if ragged is not None:
         problems.append((ragged, 0, f"expected {width} fields"))
+    if misplaced is not None:
+        text = raw_draw[misplaced].strip()
+        problems.append((misplaced, 1, f"draw_index {text!r}, expected {misplaced}"))
     unparsed = [i for i in (bad_pi, bad_p) if i is not None]
     if unparsed:
-        problems.append((min(unparsed), 1, "bad numeric field"))
+        problems.append((min(unparsed), 2, "bad numeric field"))
     if bad_y is not None:
-        problems.append((bad_y, 2, f"label {raw_y[bad_y].strip()!r} not in {{0, 1, blank}}"))
+        problems.append((bad_y, 3, f"label {raw_y[bad_y].strip()!r} not in {{0, 1, blank}}"))
     if problems:
         row, _, message = min(problems)
         raise IngestionError(f"{path}: draw {row + 1}: {message}")

@@ -237,13 +237,27 @@ def confidence_interval(estimate: Estimate, z: float = DEFAULT_Z) -> tuple[float
 
 
 def design_effect(estimate, baseline_se_srs: float) -> float:
-    """Squared SE ratio against an SRS baseline for the same frame and n."""
+    """Squared SE ratio against an SRS baseline for the same frame and n;
+    inf where the square is past the largest float."""
     if not baseline_se_srs > 0:
         raise ValueError("baseline SE must be positive")
     se = estimate.se if isinstance(estimate, Estimate) else float(estimate)
     if se is None:
         raise VarianceUndefinedError("estimate has no variance, so no design effect")
-    return (se / baseline_se_srs) ** 2
+    try:
+        return (se / baseline_se_srs) ** 2
+    except OverflowError:  # float ** raises where float * gives inf
+        return math.inf
+
+
+def _unit_variance(N: int, p: float) -> float:
+    """The finite-population unit variance S^2 = p (1 - p) N / (N - 1) of
+    a binary trait at prevalence p."""
+    if N < 2:
+        raise ValueError("N must be at least 2")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    return p * (1.0 - p) * N / (N - 1)
 
 
 def srs_se_for_total(N: int, p: float, n: int) -> float:
@@ -251,13 +265,9 @@ def srs_se_for_total(N: int, p: float, n: int) -> float:
 
     Uses the finite-population unit variance S^2 = p (1 - p) N / (N - 1).
     """
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    s2 = _unit_variance(N, p)
     if not 1 <= n <= N:
         raise ValueError(f"need 1 <= n <= N, got n={n}")
-    s2 = p * (1.0 - p) * N / (N - 1)
     return math.sqrt(N * N * (1.0 - n / N) * s2 / n)
 
 
@@ -269,16 +279,12 @@ def equivalent_srs_n(N: int, p: float, target_se: float) -> int:
     and rounds up.  Any positive target is achievable because the SE
     hits 0 at n = N.
     """
-    if N < 2:
-        raise ValueError("N must be at least 2")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
+    s2 = _unit_variance(N, p)
     if not target_se > 0:
         raise ValueError(
             f"unachievable target SE {target_se!r}: the SE at n=N is 0.0 and "
             "targets must be positive"
         )
-    s2 = p * (1.0 - p) * N / (N - 1)
     if s2 == 0.0:
         return 1
     inv_n = target_se**2 / (N * N * s2) + 1.0 / N

@@ -68,11 +68,8 @@ def delta_f1(inputs: F1Inputs) -> tuple[float, float]:
         f1 in [0, 1]; variance >= 0, and exactly 0 when both input
         variances are 0.
     """
-    denom = inputs.tp_hat + inputs.fn_hat + inputs.c
-    if denom <= 0:
-        raise UndefinedMetricError("F1 undefined: tp_hat + fn_hat + c is zero")
-    f1 = 2.0 * inputs.tp_hat / denom
-    g_tp, g_fn = f1_gradient(inputs)
+    g_tp, g_fn = f1_gradient(inputs)  # raises where F1 is undefined
+    f1 = 2.0 * inputs.tp_hat / (inputs.tp_hat + inputs.fn_hat + inputs.c)
     variance = g_tp**2 * inputs.var_tp + g_fn**2 * inputs.var_fn
     return f1, variance
 

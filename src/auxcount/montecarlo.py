@@ -12,7 +12,7 @@ per block.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -20,12 +20,7 @@ from numpy.random.bit_generator import ISeedSequence
 from . import designs, estimators
 from .classifier_sim import calibrate_profile
 from .errors import CalibrationError, ConfigError, SweepError, VarianceUndefinedError
-from .population import (
-    Frame,
-    STRATUM_ONE,
-    STRATUM_ZERO,
-    stratify_by_prediction,
-)
+from .population import STRATUM_ZERO, Frame
 
 DESIGN_CHOICES = ("pps", "srs", "stratified")
 ESTIMATOR_CHOICES = ("hh", "srs", "diff", "strat_srs", "strat_diff")
@@ -184,6 +179,9 @@ def estimate_histogram(values) -> tuple[HistogramBin, ...]:
     return tuple(bins)
 
 
+_PER_REPLICATE = ("estimates", "estimated_variances", "zero_stratum_estimates")
+
+
 @dataclass(frozen=True, eq=False)
 class SimReport:
     """Summary of one replicated run, plus the per-replicate estimates."""
@@ -206,22 +204,13 @@ class SimReport:
     zero_stratum_estimates: np.ndarray | None
 
     def summary_dict(self) -> dict:
-        """JSON-ready summary (per-replicate arrays stay out)."""
-        return {
-            "design": self.design,
-            "estimator": self.estimator,
-            "n": self.n,
-            "R": self.R,
-            "seed": list(self.seed),
-            "true_total": self.true_total,
-            "empirical_mean": self.empirical_mean,
-            "empirical_se": self.empirical_se,
-            "bias": self.bias,
-            "mean_estimated_variance": self.mean_estimated_variance,
-            "deff_vs_srs": self.deff_vs_srs,
-            "zero_stratum_empty_fraction": self.zero_stratum_empty_fraction,
-            "histogram": [[b.lo, b.hi, b.count] for b in self.bins],
-        }
+        """JSON-ready summary: every field but the per-replicate arrays,
+        with ``bins`` as ``histogram`` rows of [lo, hi, count]."""
+        names = [f.name for f in fields(self) if f.name not in _PER_REPLICATE]
+        summary = {name: getattr(self, name) for name in names}
+        summary["seed"] = list(self.seed)
+        summary["histogram"] = [[b.lo, b.hi, b.count] for b in summary.pop("bins")]
+        return summary
 
 
 def _check_run_args(frame, design, estimator, n, R, tau, allocation):
@@ -288,13 +277,10 @@ def run_replications(
         warnings.warn("R=1 gives a degenerate empirical SE of 0", stacklevel=2)
 
     if design == "stratified":
-        strat = stratify_by_prediction(frame, tau)
-        sizes = designs.allocate(strat, n, allocation)
         # (stratum, draws, is the zero stratum) in stratified_estimate's order
         parts = [
-            (strat.strata[name], sizes[name], name == STRATUM_ZERO)
-            for name in (STRATUM_ONE, STRATUM_ZERO)
-            if sizes[name] > 0
+            (sub, n_h, sub.stratum == STRATUM_ZERO)
+            for sub, n_h in designs.stratified_plan(frame, n, tau, allocation)
         ]
     else:
         parts = [(frame, n, False)]

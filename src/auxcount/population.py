@@ -26,7 +26,7 @@ PROB_FLOOR = 1e-6
 STRATUM_ONE = "one"
 STRATUM_ZERO = "zero"
 
-_DEFAULT_COLUMNS = {"id": "id", "label": "label", "aux_prob": "p_hat"}
+_FRAME_COLUMNS = ("id", "label", "p_hat")
 _LABEL_VALUES = {"": np.nan, "0": 0.0, "1": 1.0}
 # bytes.translate deletes these, leaving a text's commas and newlines
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
@@ -321,21 +321,13 @@ def first_repeat(ids) -> int | None:
     return next((i for i, uid in enumerate(ids) if first.setdefault(uid, i) != i), None)
 
 
-def load_frame(path, columns: Mapping[str, str] | None = None) -> Frame:
+def load_frame(path) -> Frame:
     """Read a frame from CSV.
 
-    The file must carry a header naming an id column, a label column and a
-    probability column (default names: ``id``, ``label``, ``p_hat``).
-    Labels may be blank for unlabeled units.  Probabilities are clamped
-    into [PROB_FLOOR, 1 - PROB_FLOOR] here and nowhere else.  ``#``
-    lines above the header are comments.
-
-    Parameters
-    ----------
-    path : str or Path
-    columns : mapping, optional
-        Rename map from the logical names ``id``/``label``/``aux_prob``
-        to the header names actually present in the file.
+    The file must carry a header naming the columns ``id``, ``label`` and
+    ``p_hat``, in any order.  Labels may be blank for unlabeled units.
+    Probabilities are clamped into [PROB_FLOOR, 1 - PROB_FLOOR] here and
+    nowhere else.  ``#`` lines above the header are comments.
 
     Returns
     -------
@@ -348,25 +340,16 @@ def load_frame(path, columns: Mapping[str, str] | None = None) -> Frame:
         labels outside {0, 1}, or probabilities outside [0, 1]; the
         message names the first offending row.
     """
-    names = dict(_DEFAULT_COLUMNS)
-    if columns:
-        unknown = set(columns) - set(names)
-        if unknown:
-            raise ValueError(f"unknown column keys: {sorted(unknown)}")
-        names.update(columns)
-
     _, header, fields, rows, ragged = read_table(path)
     where = {name: j for j, name in enumerate(header)}
-    missing = [c for c in names.values() if c not in where]
+    missing = [c for c in _FRAME_COLUMNS if c not in where]
     if missing:
         raise IngestionError(f"{path}: missing columns {missing}")
     if not rows:
         raise IngestionError(f"{path}: no data rows")
     width = len(header)
     stop = (rows if ragged is None else ragged) * width
-    ids, raw_p, raw_y = (
-        fields[where[names[key]] : stop : width] for key in ("id", "aux_prob", "label")
-    )
+    ids, raw_y, raw_p = (fields[where[c] : stop : width] for c in _FRAME_COLUMNS)
     del fields
     ids = list(map(str.strip, ids))
     probs, unparsed = parse_floats(raw_p)
@@ -408,4 +391,4 @@ def write_frame(frame: Frame, path, header_lines=()) -> None:
     """
     ids = frame.ids.tolist()
     rows = zip(ids, label_texts(frame.labels), float_texts(frame.aux_probs))
-    write_table(path, header_lines, ("id", "label", "p_hat"), rows, ids)
+    write_table(path, header_lines, _FRAME_COLUMNS, rows, ids)

@@ -451,19 +451,21 @@ class TestReport:
         assert not (frame_dir / "table.txt").exists()
 
     def test_infinite_deff_is_accepted(self, frame_dir, capsys):
-        # a valid, tiny baseline SE overflows the squared SE ratio to inf
+        # a valid, tiny baseline SE overflows the squared SE ratio to inf:
+        # at 1e-320 the ratio itself, at 1e-160 (ratio about 1e161) its square
         assert run(
             "sample", "--frame", frame_dir / "frame.csv", "--design", "srs",
             "--n", 25, "--seed", 14, "--out", frame_dir,
         ) == 0
-        assert run(
-            "estimate", "--sample", frame_dir / "sample.csv", "--estimator", "srs",
-            "--baseline-se", 1e-320, "--out", frame_dir,
-        ) == 0
-        assert _read_record_rows(frame_dir / "record.csv")[0]["deff"] == "inf"
-        capsys.readouterr()
-        assert run("report", "--inputs", frame_dir / "record.csv", "--out", frame_dir) == 0
-        assert capsys.readouterr().out.splitlines()[1].split()[-1] == "inf"
+        for baseline_se in (1e-320, 1e-160):
+            assert run(
+                "estimate", "--sample", frame_dir / "sample.csv", "--estimator", "srs",
+                "--baseline-se", baseline_se, "--out", frame_dir,
+            ) == 0
+            assert _read_record_rows(frame_dir / "record.csv")[0]["deff"] == "inf"
+            capsys.readouterr()
+            assert run("report", "--inputs", frame_dir / "record.csv", "--out", frame_dir) == 0
+            assert capsys.readouterr().out.splitlines()[1].split()[-1] == "inf"
 
     def test_empty_inputs_fail(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -619,6 +619,23 @@ class TestSampleIO:
         with pytest.raises(IngestionError, match="draw 2: expected 5 fields"):
             load_sample(path)
 
+    @pytest.mark.parametrize(
+        "indices, message",
+        [(("7", "1"), "draw 1: draw_index '7', expected 0"),
+         (("0", "abc"), "draw 2: draw_index 'abc', expected 1"),
+         (("1", "0"), "draw 1: draw_index '1', expected 0")],
+        ids=["seven", "text", "swapped"],
+    )
+    def test_load_refuses_draws_out_of_order(self, tmp_path, indices, message):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "# sample_design = SRS_WOR\n# parent_N = 10\n# parent_aux_total = 2.0\n"
+            f"draw_index,unit_id,pi,y,p_hat\n{indices[0]},a,0.2,1,0.4\n{indices[1]},b,0.2,0,0.3\n"
+        )
+        with pytest.raises(IngestionError) as info:
+            load_sample(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_load_errors(self, tmp_path):
         missing = tmp_path / "m.csv"
         missing.write_text("draw_index,unit_id,pi,y,p_hat\n0,a,0.5,1,0.4\n")

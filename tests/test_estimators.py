@@ -359,6 +359,12 @@ class TestIntervalsAndEffects:
         assert design_effect(116.0, 600.0) == pytest.approx(0.0374, abs=5e-5)
         assert design_effect(600.0, 600.0) == 1.0
 
+    def test_design_effect_overflows_to_inf(self):
+        # the ratio is finite, but its square is past the largest double
+        assert design_effect(11.5, 1e-160) == math.inf
+        assert design_effect(11.5, 1e-320) == math.inf
+        assert design_effect(3.0, 7.0) == (3.0 / 7.0) ** 2
+
     def test_design_effect_errors(self):
         with pytest.raises(ValueError):
             design_effect(100.0, 0.0)

@@ -277,6 +277,58 @@ def test_generate_bytes_are_pinned(tmp_path, monkeypatch):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+def test_artifact_bytes_are_pinned(tmp_path, monkeypatch):
+    # digests of every other artifact kind the CLI writes, recorded before
+    # the writers and the stratified plan were shared between commands
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["generate", "--N", "5000", "--positives", "25", "--a1", "4", "--b1", "1.5",
+         "--a0", "0.2", "--b0", "8", "--seed", "3"],
+        ["metrics", "--frame", "frame.csv"],
+        ["sample", "--frame", "frame.csv", "--design", "pps", "--n", "50", "--seed", "4"],
+        ["sample", "--frame", "frame.csv", "--design", "srs", "--n", "60", "--seed", "6",
+         "--out-sample", "srs.csv"],
+        ["sample", "--frame", "frame.csv", "--design", "stratified",
+         "--allocation", "neyman_proxy", "--n", "50", "--seed", "5"],
+        ["estimate", "--sample", "sample.csv", "--estimator", "hh", "--baseline-se", "3.5",
+         "--out-record", "hh.csv"],
+        ["estimate", "--sample", "srs.csv", "--estimator", "diff", "--paper-mode",
+         "--out-record", "diff.csv"],
+        ["estimate", "--sample-one", "sample_one.csv", "--sample-zero", "sample_zero.csv",
+         "--out-record", "strat.csv"],
+        ["report", "--inputs", "hh.csv", "diff.csv", "strat.csv"],
+        ["simulate", "--frame", "frame.csv", "--design", "srs", "--estimator", "srs",
+         "--n", "50", "--R", "300", "--seed", "7", "--out", "srs"],
+        ["simulate", "--frame", "frame.csv", "--design", "stratified",
+         "--estimator", "strat_diff", "--allocation", "proportional", "--n", "50",
+         "--R", "300", "--seed", "8", "--baseline-se", "6.5", "--out", "strat"],
+    ):
+        if "--out" in argv:
+            os.mkdir(argv[-1])
+        assert main(argv) == 0
+    frame = load_frame("frame.csv")
+    zero = population.stratify_by_prediction(frame, 0.5).strata["zero"]
+    write_sample(designs.pps_wr(zero, 40, 9), "zero_pps.csv")
+    assert main(["f1", "--sample-one", "sample_one.csv", "--sample-zero", "zero_pps.csv",
+                 "--flagged-tp", "3", "--flagged-fn", "1", "--c", "40"]) == 0
+    digests = {
+        "metrics.json": "e0ca16085a18635bfaaf40bd39fda7341df4686424f21740ec35de4153a20dfc",
+        "hh.csv": "c52cfce80dec5e23f77409b5c5d55189eaca1cb93db088cccacbbea7bf62f22a",
+        "diff.csv": "902eee527f76f80360e67b4f7b0f13491e04dbab6e17ae174e36f9fad897e451",
+        "strat.csv": "68b969bba9b55d10dfbc576abea7e294039872aba8be3d61694d575858637ad3",
+        "table.txt": "915edb0ff48630d74a4f374955f275dc4cbcb9e1916f95ee25f72940add6d51c",
+        "srs/report.json": "84c0bce30cb29b13a1d9d01c18bc3afe847353c60b9f8182c30f532717468ab8",
+        "srs/replicates.csv": "cc3be3acd355a956fd03d465d27b41d9c7224ac49f0ee63deadfc951ddaddb90",
+        "srs/histogram.csv": "b3fbf3ad0962b68a0f5ca6b18117d1b194d80bfe04f8f70f5fd6d1da538d19e6",
+        "strat/report.json": "5fe0d1c2631d31abe25edd80fdf188d24d4ca857d038562694d56ad93ab937f7",
+        "strat/replicates.csv": "e8982f31d7e686fb12038bbaebd5a09f0ddb0dace293bce727ab2505c17ed51e",
+        "strat/histogram.csv": "2f47a03ba5ad20326f7c7c3a3853465f29a48f6bfc1b40ea522fa4395bbb821d",
+        "f1.json": "7382dd80d0c08f231c3d7b6a25422d1085b614c06fb1ff9cdcd960a9d22f054a",
+    }
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize(
     "target, digest",
     [

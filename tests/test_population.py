@@ -151,10 +151,15 @@ def test_load_frame_basic(tmp_path):
     assert fr.aux_probs.tolist() == [0.9, 0.2, 0.1]
 
 
-def test_load_frame_custom_columns(tmp_path):
-    path = _write(tmp_path, "pk,gold,score\na,1,0.9\n")
-    fr = load_frame(path, columns={"id": "pk", "label": "gold", "aux_prob": "score"})
-    assert fr.N == 1 and fr.true_total == 1
+def test_load_frame_reads_columns_by_name(tmp_path):
+    path = _write(tmp_path, "p_hat,extra,label,id\n0.9,x,1,a\n0.2,y,,b\n")
+    fr = load_frame(path)
+    assert fr.ids.tolist() == ["a", "b"]
+    assert fr.aux_probs.tolist() == [0.9, 0.2]
+    assert np.array_equal(fr.labels, [1.0, np.nan], equal_nan=True)
+    missing = _write(tmp_path, "id,score,label\na,0.9,1\n", "m.csv")
+    with pytest.raises(IngestionError, match=r"missing columns \['p_hat'\]"):
+        load_frame(missing)
 
 
 def test_load_frame_errors_name_the_row(tmp_path):
