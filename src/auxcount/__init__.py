@@ -16,9 +16,9 @@ from .population import (
     PROB_FLOOR,
     STRATUM_ONE,
     STRATUM_ZERO,
-    StratifiedFrame,
     clamp_probs,
     load_frame,
+    read_header_fields,
     stratify_by_prediction,
     write_frame,
 )
@@ -45,7 +45,6 @@ from .designs import (
     allocate,
     load_sample,
     pps_wr,
-    read_header_fields,
     srs_wor,
     write_sample,
 )

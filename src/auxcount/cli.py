@@ -32,8 +32,8 @@ from .errors import (
     VarianceUndefinedError,
 )
 from .population import (
-    STRATUM_ONE, STRATUM_ZERO, Frame, _float_or_none, float_texts, load_frame, read_table,
-    write_frame, write_table,
+    STRATUM_ONE, STRATUM_ZERO, Frame, _float_or_none, float_texts, load_frame,
+    read_header_fields, read_table, write_frame, write_table,
 )
 
 PAPER_Z = 2.0
@@ -152,7 +152,7 @@ def read_audit(path) -> dict:
     if str(path).endswith(".json"):
         with open(path) as fh:
             return json.load(fh)["audit"]
-    return designs.read_header_fields(path)
+    return read_header_fields(path)
 
 
 def _out_path(args, name: str) -> str:
@@ -161,9 +161,9 @@ def _out_path(args, name: str) -> str:
 
 
 def _write_json(path, audit: dict, payload: dict):
+    text = json.dumps({"audit": audit, **payload}, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump({"audit": audit, **payload}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_record_csv(path, audit: dict, records: list[dict]):
@@ -172,17 +172,12 @@ def _write_record_csv(path, audit: dict, records: list[dict]):
 
 
 def _load_stratum_sample(path, stratum: str):
-    """A sample given as one stratum's; refused if its file names another."""
+    """A sample given as one stratum's; refused unless its file names that stratum."""
     sample = designs.load_sample(path)
-    if sample.stratum not in (None, stratum):
-        raise ConfigError(f"{path}: a sample of stratum {sample.stratum!r}, given as {stratum!r}")
+    if sample.stratum != stratum:
+        found = "no stratum" if sample.stratum is None else f"stratum {sample.stratum!r}"
+        raise ConfigError(f"{path}: a sample of {found}, given as {stratum!r}")
     return sample
-
-
-def _resolve_z(resolved) -> float:
-    if resolved["z"] is not None:
-        return resolved["z"]
-    return PAPER_Z if resolved["paper_mode"] else estimators.DEFAULT_Z
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +288,7 @@ def cmd_sample(args) -> int:
     if (design == "stratified") != (resolved["allocation"] is not None):
         raise ConfigError("stratified sampling needs an allocation rule, and only it takes one")
     frame = load_frame(resolved["frame"])
-    audit = _audit("sample", resolved)
-    lines = _audit_lines(audit)
+    lines = _audit_lines(_audit("sample", resolved))
     if design != "stratified":
         draw = designs.pps_wr if design == "pps" else designs.srs_wor
         sample = draw(frame, resolved["n"], resolved["seed"])
@@ -302,8 +296,7 @@ def cmd_sample(args) -> int:
         return 0
     plan = designs.stratified_plan(frame, resolved["n"], resolved["tau"], resolved["allocation"])
     rng = np.random.default_rng(resolved["seed"])
-    stem = resolved["out_sample"]
-    stem = stem[:-4] if stem.endswith(".csv") else stem
+    stem = resolved["out_sample"].removesuffix(".csv")
     for sub, n_h in plan:
         sample = designs.srs_wor(sub, n_h, rng)
         designs.write_sample(sample, _out_path(args, f"{stem}_{sub.stratum}.csv"), lines)
@@ -334,7 +327,9 @@ def cmd_estimate(args) -> int:
     stratified = resolved["sample_one"] is not None or resolved["sample_zero"] is not None
     if stratified and resolved["sample"] is not None:
         raise ConfigError("give either sample or sample_one/sample_zero, not both")
-    z = _resolve_z(resolved)
+    z = resolved["z"]
+    if z is None:
+        z = PAPER_Z if resolved["paper_mode"] else estimators.DEFAULT_Z
     if stratified:
         _require(resolved, "sample_one", "sample_zero")
         if resolved["estimator"] is not None:
@@ -522,23 +517,17 @@ def _read_record_rows(path) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 _COMMANDS = {
-    "generate": (cmd_generate, GENERATE_SPEC),
-    "metrics": (cmd_metrics, METRICS_SPEC),
-    "sample": (cmd_sample, SAMPLE_SPEC),
-    "estimate": (cmd_estimate, ESTIMATE_SPEC),
-    "simulate": (cmd_simulate, SIMULATE_SPEC),
-    "f1": (cmd_f1, F1_SPEC),
-    "report": (cmd_report, REPORT_SPEC),
-}
-
-_HELP = {
-    "generate": "write a synthetic labeled frame with simulated scores",
-    "metrics": "population loss, confusion counts and F1 of a labeled frame",
-    "sample": "draw a sample (pps, srs, or stratified) from a frame",
-    "estimate": "turn an annotated sample into an estimate record",
-    "simulate": "replicated sampling experiment on a labeled frame",
-    "f1": "delta-method F1 from two stratum samples plus audited counts",
-    "report": "merge estimate records into an aligned table",
+    "generate": (
+        cmd_generate, GENERATE_SPEC, "write a synthetic labeled frame with simulated scores"
+    ),
+    "metrics": (
+        cmd_metrics, METRICS_SPEC, "population loss, confusion counts and F1 of a labeled frame"
+    ),
+    "sample": (cmd_sample, SAMPLE_SPEC, "draw a sample (pps, srs, or stratified) from a frame"),
+    "estimate": (cmd_estimate, ESTIMATE_SPEC, "turn an annotated sample into an estimate record"),
+    "simulate": (cmd_simulate, SIMULATE_SPEC, "replicated sampling experiment on a labeled frame"),
+    "f1": (cmd_f1, F1_SPEC, "delta-method F1 from two stratum samples plus audited counts"),
+    "report": (cmd_report, REPORT_SPEC, "merge estimate records into an aligned table"),
 }
 
 
@@ -548,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Design-based estimation of rare totals with classifier scores.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, spec) in _COMMANDS.items():
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (_, spec, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="key = value settings file")
         p.add_argument("--out", help="output directory (default: current)")
         for key, (typ, _) in spec.items():
@@ -565,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command, _ = _COMMANDS[args.command]
+    command = _COMMANDS[args.command][0]
     try:
         return command(args)
     except (VarianceUndefinedError, UndefinedMetricError, CalibrationError, SweepError) as exc:

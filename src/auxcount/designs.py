@@ -10,7 +10,6 @@ draws a block of rows at a time; a single sample is the one-row case.
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from .population import (
     STRATUM_ONE,
     STRATUM_ZERO,
     Frame,
-    StratifiedFrame,
+    _first,
     float_texts,
     label_texts,
     parse_floats,
@@ -150,10 +149,14 @@ def srs_wor(frame: Frame, n: int, seed) -> Sample:
     if not 1 <= n <= frame.N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={frame.N}")
     idx = _srs_indices(np.random.default_rng(seed), frame.N, n)
+    return _sample(frame, DESIGN_SRS, idx, np.full(n, n / frame.N))
+
+
+def _sample(frame: Frame, design: str, idx: np.ndarray, pi: np.ndarray) -> Sample:
     return Sample(
-        design=DESIGN_SRS,
+        design=design,
         unit_ids=frame.ids[idx],
-        pi=np.full(n, n / frame.N),
+        pi=pi,
         y=frame.labels[idx],
         p_hat=frame.aux_probs[idx],
         parent_N=frame.N,
@@ -233,19 +236,10 @@ def pps_wr(frame: Frame, n: int, seed) -> Sample:
     if frame.N < 1:
         raise ValueError("cannot sample an empty frame")
     idx = _alias_for(frame).draw(np.random.default_rng(seed), n)
-    return Sample(
-        design=DESIGN_PPS,
-        unit_ids=frame.ids[idx],
-        pi=frame.aux_probs[idx] / frame.aux_total,
-        y=frame.labels[idx],
-        p_hat=frame.aux_probs[idx],
-        parent_N=frame.N,
-        parent_aux_total=frame.aux_total,
-        stratum=frame.stratum,
-    )
+    return _sample(frame, DESIGN_PPS, idx, frame.aux_probs[idx] / frame.aux_total)
 
 
-def allocate(strat: StratifiedFrame, n: int, rule: str) -> dict[str, int]:
+def allocate(strata: dict[str, Frame], n: int, rule: str) -> dict[str, int]:
     """Spread a total sample size over the "one" and "zero" strata.
 
     Rules
@@ -268,7 +262,7 @@ def allocate(strat: StratifiedFrame, n: int, rule: str) -> dict[str, int]:
     """
     if rule not in ALLOCATION_RULES:
         raise ValueError(f"unknown allocation rule {rule!r}")
-    one, zero = strat.strata[STRATUM_ONE], strat.strata[STRATUM_ZERO]
+    one, zero = strata[STRATUM_ONE], strata[STRATUM_ZERO]
     c1, c0 = one.N, zero.N
     if n > c1 + c0:
         raise AllocationError(f"n={n} exceeds population size {c1 + c0}")
@@ -309,9 +303,9 @@ def stratified_plan(frame: Frame, n: int, tau: float, rule: str) -> list[tuple[F
     """(stratum, n_h) for the "one" then the "zero" stratum of ``frame`` at
     threshold tau, n_h as :func:`allocate` spreads n by ``rule``; a
     stratum allocated no draws is left out."""
-    strat = stratify_by_prediction(frame, tau)
-    sizes = allocate(strat, n, rule)
-    return [(strat.strata[h], sizes[h]) for h in (STRATUM_ONE, STRATUM_ZERO) if sizes[h]]
+    strata = stratify_by_prediction(frame, tau)
+    sizes = allocate(strata, n, rule)
+    return [(strata[h], sizes[h]) for h in (STRATUM_ONE, STRATUM_ZERO) if sizes[h]]
 
 
 def write_sample(sample: Sample, path, header_lines=()) -> None:
@@ -338,21 +332,6 @@ def write_sample(sample: Sample, path, header_lines=()) -> None:
     write_table(path, [*header_lines, *facts], _SAMPLE_COLUMNS, rows, ids)
 
 
-def _header_fields(lines) -> dict[str, str]:
-    fields: dict[str, str] = {}
-    for line in lines:
-        key, sep, value = line[1:].partition("=")
-        if sep:
-            fields[key.strip()] = value.strip()
-    return fields
-
-
-def read_header_fields(path) -> dict[str, str]:
-    """Collect the leading ``# key = value`` lines of a CSV artifact."""
-    with open(path) as fh:
-        return _header_fields(itertools.takewhile(lambda line: line.startswith("#"), fh))
-
-
 def load_sample(path) -> Sample:
     """Read a sample written by :func:`write_sample`.
 
@@ -360,11 +339,11 @@ def load_sample(path) -> Sample:
     ------
     IngestionError
         On missing header facts, malformed rows, a ``draw_index`` other
-        than 0..n-1 in order, or out-of-range values; messages name the
-        first offending row.
+        than 0..n-1 in order, out-of-range values, a ``pi`` other than
+        p_hat / parent_aux_total (PPS) or n / parent_N (SRS), or a PPS unit
+        drawn again with another y or p_hat; messages name the first bad row.
     """
-    comments, header, fields, rows, ragged = read_table(path)
-    facts = _header_fields(comments)
+    facts, header, fields, rows, ragged = read_table(path)
     for key in ("sample_design", "parent_N", "parent_aux_total"):
         if key not in facts:
             raise IngestionError(f"{path}: missing '# {key} = ...' header line")
@@ -396,7 +375,7 @@ def load_sample(path) -> Sample:
     if not rows:
         raise IngestionError(f"{path}: no draws")
     try:
-        return Sample(
+        sample = Sample(
             design=facts["sample_design"],
             unit_ids=np.asarray(ids, dtype=object),
             pi=pi,
@@ -408,3 +387,19 @@ def load_sample(path) -> Sample:
         )
     except ValueError as exc:
         raise IngestionError(f"{path}: {exc}") from None
+    if sample.design == DESIGN_PPS:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = p_hat / sample.parent_aux_total
+        first = {}  # a unit drawn again repeats the y and p_hat of its first draw
+        seen = [first.setdefault(uid, i) for i, uid in enumerate(ids)]
+        codes = np.nan_to_num(y, nan=2.0)
+        clash = (codes != codes[seen]) | (p_hat != p_hat[seen])
+    else:
+        want, clash = np.full(rows, rows / sample.parent_N), np.zeros(rows, dtype=bool)
+    row = _first((pi != want) | clash)
+    if row is not None:
+        what = f"pi {raw_pi[row].strip()}, expected {float(want[row])!r}"
+        if pi[row] == want[row]:
+            what = f"unit {ids[row]!r} drawn before with another y or p_hat"
+        raise IngestionError(f"{path}: draw {row + 1}: {what}")
+    return sample

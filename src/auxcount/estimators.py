@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import VarianceUndefinedError
-from .population import Frame
+from .population import Frame, first_repeat
 from .designs import DESIGN_PPS, DESIGN_SRS, Sample
 
 ESTIMATOR_HH = "HH"
@@ -68,13 +68,10 @@ def _hh(x: np.ndarray):
     """(mean(x), var(x, ddof=1) / n) for PPS-WR draws x_i = y_i / pi_i,
     along the last axis: one sample's draws, or a row per replicate.
 
-    Below two draws the variance is None.  Both moments are np.mean's and
-    np.var(ddof=1)'s own ufunc sequence, so they match those bit for bit.
+    Below two draws the variance is None.
     """
     n = x.shape[-1]
-    m = np.add.reduce(x, axis=-1, keepdims=True) / n
-    d = x - m
-    return m[..., 0], np.add.reduce(d * d, axis=-1) / (n - 1) / n if n >= 2 else None
+    return np.mean(x, axis=-1), np.var(x, axis=-1, ddof=1) / n if n >= 2 else None
 
 
 def _expansion(v: np.ndarray, N: int, base: float = 0.0):
@@ -82,19 +79,16 @@ def _expansion(v: np.ndarray, N: int, base: float = 0.0):
     along the last axis as in :func:`_hh`.
 
     A census (n = N) has variance 0; below two draws the variance is None.
-    The moments are computed as in :func:`_hh`, bit for bit numpy's.
     """
     n = v.shape[-1]
     if n > N:
         raise ValueError(f"n={n} exceeds N={N}")
-    m = np.add.reduce(v, axis=-1, keepdims=True) / n
-    total = base + N * m[..., 0]
+    total = base + N * np.mean(v, axis=-1)
     if n == N:
         return total, 0.0
     if n < 2:
         return total, None
-    d = v - m
-    return total, N * N * (1.0 - n / N) * (np.add.reduce(d * d, axis=-1) / (n - 1)) / n
+    return total, N * N * (1.0 - n / N) * np.var(v, axis=-1, ddof=1) / n
 
 
 def _as_floats(total, variance) -> tuple[float, float | None]:
@@ -102,7 +96,9 @@ def _as_floats(total, variance) -> tuple[float, float | None]:
     return float(total), None if variance is None else float(variance)
 
 
-def _require_labeled(sample: Sample):
+def _check_sample(sample: Sample, design: str, name: str):
+    if sample.design != design:
+        raise ValueError(f"{name} needs a {design} sample")
     if not sample.labeled:
         raise ValueError("every draw must carry a label; annotate the sample first")
 
@@ -123,9 +119,7 @@ def hh_estimate(sample: Sample) -> Estimate:
     Estimate
         With ``variance`` None when n < 2.
     """
-    if sample.design != DESIGN_PPS:
-        raise ValueError(f"hh_estimate needs a {DESIGN_PPS} sample")
-    _require_labeled(sample)
+    _check_sample(sample, DESIGN_PPS, "hh_estimate")
     total, variance = _as_floats(*_hh(
         np.asarray(sample.y, dtype=np.float64) / np.asarray(sample.pi, dtype=np.float64)
     ))
@@ -160,9 +154,7 @@ def srs_estimate(sample: Sample) -> Estimate:
     Variance is N^2 (1 - n/N) s^2 / n with the finite-population
     correction; a census (n = N, even of one unit) gets variance 0.
     """
-    if sample.design != DESIGN_SRS:
-        raise ValueError(f"srs_estimate needs a {DESIGN_SRS} sample")
-    _require_labeled(sample)
+    _check_sample(sample, DESIGN_SRS, "srs_estimate")
     if len(set(sample.unit_ids)) != sample.n:
         raise ValueError("SRS draws must be distinct units")
     N, n = sample.parent_N, sample.n
@@ -184,9 +176,7 @@ def difference_estimate(sample: Sample) -> Estimate:
     total; variance is the SRS formula applied to the residuals.  Exact
     (zero variance) when the scores equal the labels everywhere.
     """
-    if sample.design != DESIGN_SRS:
-        raise ValueError(f"difference_estimate needs a {DESIGN_SRS} sample")
-    _require_labeled(sample)
+    _check_sample(sample, DESIGN_SRS, "difference_estimate")
     if np.isnan(np.asarray(sample.p_hat, dtype=np.float64)).any():
         raise ValueError("every draw must carry a score")
     N, n = sample.parent_N, sample.n
@@ -211,11 +201,9 @@ def stratified_estimate(components) -> Estimate:
     parts = list(components)
     if not parts:
         raise ValueError("no stratum estimates given")
-    seen = set()
-    for name, _ in parts:
-        if name in seen:
-            raise ValueError(f"duplicate stratum id {name!r}")
-        seen.add(name)
+    repeat = first_repeat([name for name, _ in parts])
+    if repeat is not None:
+        raise ValueError(f"duplicate stratum id {parts[repeat][0]!r}")
     total = sum(e.total for _, e in parts)
     variance = sum(e._require_variance() for _, e in parts)
     return Estimate(

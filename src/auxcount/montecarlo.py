@@ -22,13 +22,13 @@ from .classifier_sim import calibrate_profile
 from .errors import CalibrationError, ConfigError, SweepError, VarianceUndefinedError
 from .population import STRATUM_ZERO, Frame
 
-DESIGN_CHOICES = ("pps", "srs", "stratified")
-ESTIMATOR_CHOICES = ("hh", "srs", "diff", "strat_srs", "strat_diff")
 _VALID_PAIRS = {
     "pps": ("hh",),
     "srs": ("srs", "diff"),
     "stratified": ("strat_srs", "strat_diff"),
 }
+DESIGN_CHOICES = tuple(_VALID_PAIRS)
+ESTIMATOR_CHOICES = tuple(e for pairs in _VALID_PAIRS.values() for e in pairs)
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
@@ -204,12 +204,14 @@ class SimReport:
     zero_stratum_estimates: np.ndarray | None
 
     def summary_dict(self) -> dict:
-        """JSON-ready summary: every field but the per-replicate arrays,
-        with ``bins`` as ``histogram`` rows of [lo, hi, count]."""
+        """Strict-JSON summary: all but the per-replicate fields, ``bins`` as ``histogram``
+        rows of [lo, hi, count], and an overflowed ``deff_vs_srs`` as the text "inf"."""
         names = [f.name for f in fields(self) if f.name not in _PER_REPLICATE]
         summary = {name: getattr(self, name) for name in names}
         summary["seed"] = list(self.seed)
         summary["histogram"] = [[b.lo, b.hi, b.count] for b in summary.pop("bins")]
+        if self.deff_vs_srs == np.inf:
+            summary["deff_vs_srs"] = "inf"
         return summary
 
 

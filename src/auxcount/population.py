@@ -12,8 +12,6 @@ import csv
 import io
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -151,32 +149,17 @@ class Frame:
         return f"Frame(N={self.N}, aux_total={self._aux_total:.6g})"
 
 
-@dataclass(frozen=True)
-class StratifiedFrame:
-    """A frame split into named strata at a prediction threshold."""
-
-    strata: Mapping[str, Frame]
-
-    @property
-    def sizes(self) -> dict[str, int]:
-        return {name: f.N for name, f in self.strata.items()}
-
-    @property
-    def N(self) -> int:
-        return sum(f.N for f in self.strata.values())
-
-
 def _check_tau(tau):
     if not (0.0 < tau < 1.0):
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {tau}")
 
 
-def stratify_by_prediction(frame: Frame, tau: float) -> StratifiedFrame:
+def stratify_by_prediction(frame: Frame, tau: float) -> dict[str, Frame]:
     """Split a frame into a "one" and a "zero" stratum at threshold tau.
 
     Units with aux_prob >= tau land in the "one" stratum, the rest in
-    "zero".  A stratum left with no units is kept, with size 0, so that
-    downstream allocation sees a stable pair of names.
+    "zero", keyed by those names in that order.  A stratum left with no
+    units is kept, with size 0, so that allocation sees a stable pair.
 
     Parameters
     ----------
@@ -186,35 +169,48 @@ def stratify_by_prediction(frame: Frame, tau: float) -> StratifiedFrame:
 
     Returns
     -------
-    StratifiedFrame
+    dict of str to Frame
     """
     _check_tau(tau)
     if frame.N < 1:
         raise ValueError("cannot stratify an empty frame")
     ones = np.flatnonzero(frame.aux_probs >= tau)
     zeros = np.flatnonzero(frame.aux_probs < tau)
-    strata = {
+    return {
         STRATUM_ONE: frame.take(ones, stratum=STRATUM_ONE),
         STRATUM_ZERO: frame.take(zeros, stratum=STRATUM_ZERO),
     }
-    return StratifiedFrame(strata=strata)
+
+
+def _read_head(fh) -> tuple[dict[str, str], str]:
+    """The ``# key = value`` facts of the leading ``#`` lines, and the line after them."""
+    facts = {}
+    line = fh.readline()
+    while line.startswith("#"):
+        key, sep, value = line[1:].partition("=")
+        if sep:
+            facts[key.strip()] = value.strip()
+        line = fh.readline()
+    return facts, line
+
+
+def read_header_fields(path) -> dict[str, str]:
+    """Collect the leading ``# key = value`` lines of a CSV artifact."""
+    with open(path) as fh:
+        return _read_head(fh)[0]
 
 
 def read_table(path):
-    """Split a CSV file into (comments, header, fields, rows, ragged).
+    """Split a CSV file into (facts, header, fields, rows, ragged).
 
-    ``comments`` are the leading ``#`` lines: below the column header a
-    ``#`` is data.  Blank lines are skipped.  ``fields`` holds every data
-    field, row after row; ``ragged`` is the index of the first row whose
-    width differs from the header's (None if none), from which on the
-    fields no longer line up with the columns.
+    ``facts`` come from the leading ``# key = value`` lines: below the
+    column header a ``#`` is data.  Blank lines are skipped.  ``fields``
+    holds every data field, row after row; ``ragged`` is the index of the
+    first row whose width differs from the header's (None if none), from
+    which on the fields no longer line up with the columns.
     """
     with open(path, newline="") as fh:
-        comments = []
-        line = fh.readline()
-        while line.startswith("#"):
-            comments.append(line)
-            line = fh.readline()
+        facts, line = _read_head(fh)
         header = next(csv.reader([line]), [])
         body = fh.read()
     width = len(header)
@@ -225,10 +221,10 @@ def read_table(path):
             raise IngestionError(f"{path}: {exc}") from None
         widths = np.fromiter(map(len, table), np.intp, len(table))
         fields = list(itertools.chain.from_iterable(table))
-        return comments, header, fields, len(table), _first(widths != width)
+        return facts, header, fields, len(table), _first(widths != width)
     body = (re.sub("\n\n+", "\n", body) if "\n\n" in body else body).strip("\n")
     if not body:
-        return comments, header, [], 0, None
+        return facts, header, [], 0, None
     # with no quotes, a row's width is its comma count plus one: compare
     # the file's separators, in order, with those of rows that fit
     seps = body.encode().translate(None, _NOT_SEPARATOR) + b"\n"
@@ -239,7 +235,7 @@ def read_table(path):
         size = min(len(seps), len(fits))
         pos = _first(np.frombuffer(seps, np.uint8, size) != np.frombuffer(fits, np.uint8, size))
         ragged = seps.count(b"\n", 0, pos)
-    return comments, header, body.replace("\n", ",").split(","), rows, ragged
+    return facts, header, body.replace("\n", ",").split(","), rows, ragged
 
 
 def _first(mask) -> int | None:

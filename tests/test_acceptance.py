@@ -153,7 +153,7 @@ def test_criterion_6_unbiased_and_calibrated(capsys, benign_frame, benign_run):
 
 
 def test_criterion_7_zero_stratum_bimodality(capsys, bimodal_frame, bimodal_run):
-    zero = stratify_by_prediction(bimodal_frame, 0.5).strata["zero"]
+    zero = stratify_by_prediction(bimodal_frame, 0.5)["zero"]
     predicted = float(hypergeom.pmf(0, zero.N, zero.true_total, 200))
     emp = bimodal_run.zero_stratum_empty_fraction
     band = 3.0 * math.sqrt(predicted * (1 - predicted) / bimodal_run.R)

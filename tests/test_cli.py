@@ -319,12 +319,29 @@ class TestSimulate:
         assert sum(int(r.rsplit(",", 1)[1]) for r in hist_rows) == 40
 
 
+    def test_overflowed_deff_is_written_as_strict_json(self, frame_dir):
+        assert run(
+            "simulate", "--frame", frame_dir / "frame.csv", "--design", "srs",
+            "--estimator", "diff", "--n", 30, "--R", 20, "--seed", 3,
+            "--baseline-se", "1e-200", "--out", frame_dir,
+        ) == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not strict JSON")
+
+        doc = json.loads((frame_dir / "report.json").read_text(), parse_constant=refuse)
+        assert doc["deff_vs_srs"] == "inf"
+
+
 class TestF1Command:
     def test_matches_library(self, tmp_path):
         rng = np.random.default_rng(2)
-        one_frame = Frame(_ids("a", 20), np.full(20, 0.8), np.r_[np.ones(6), np.zeros(14)])
+        one_frame = Frame(
+            _ids("a", 20), np.full(20, 0.8), np.r_[np.ones(6), np.zeros(14)], stratum="one"
+        )
         zero_frame = Frame(
-            _ids("z", 60), rng.uniform(0.01, 0.4, 60), np.r_[np.ones(3), np.zeros(57)]
+            _ids("z", 60), rng.uniform(0.01, 0.4, 60), np.r_[np.ones(3), np.zeros(57)],
+            stratum="zero",
         )
         one = srs_wor(one_frame, 10, seed=5)
         zero = pps_wr(zero_frame, 25, seed=6)
@@ -343,6 +360,30 @@ class TestF1Command:
         )
         assert doc["f1"] == pytest.approx(want_f1)
         assert doc["se"] == pytest.approx(want_se)
+
+    def test_sample_without_stratum_line_is_refused(self, tmp_path):
+        # whole-frame samples hold both strata's positives: taken as the zero
+        # stratum's, the PPS one gave fn_hat 47.9 against a true fn of 7
+        assert run(
+            "generate", "--N", 5000, "--positives", 50, "--a1", 4, "--b1", 1.5,
+            "--a0", 0.2, "--b0", 8, "--seed", 3, "--out", tmp_path,
+        ) == 0
+        frame = tmp_path / "frame.csv"
+        assert run(
+            "sample", "--frame", frame, "--design", "stratified", "--n", 200,
+            "--allocation", "proportional", "--seed", 4, "--out", tmp_path,
+        ) == 0
+        for design in ("pps", "srs"):
+            assert run(
+                "sample", "--frame", frame, "--design", design, "--n", 200, "--seed", 5,
+                "--out", tmp_path, "--out-sample", f"whole_{design}.csv",
+            ) == 0
+        one = ["--sample-one", tmp_path / "sample_one.csv", "--out", tmp_path]
+        f1 = ["--sample-zero", tmp_path / "whole_pps.csv", "--flagged-tp", 0, "--flagged-fn", 0]
+        assert run("f1", *one, *f1, "--c", 45) == 2
+        assert run("estimate", *one, "--sample-zero", tmp_path / "whole_srs.csv") == 2
+        assert not (tmp_path / "f1.json").exists()
+        assert not (tmp_path / "record.csv").exists()
 
 
 class TestReport:

@@ -380,7 +380,7 @@ class TestAllocate:
         def var_at(n1):
             total = 0.0
             for name, n_h in (("one", n1), ("zero", n - n1)):
-                f = strat.strata[name]
+                f = strat[name]
                 S2 = np.var(f.labels, ddof=1)
                 total += f.N**2 * (1 - n_h / f.N) * S2 / n_h
             return total
@@ -462,8 +462,8 @@ def reference_allocate(strat, n: int, rule: str) -> ReferencePlan:
     two-stratum closed form in allocate must reproduce exactly."""
     if rule not in ALLOCATION_RULES:
         raise ValueError(f"unknown allocation rule {rule!r}")
-    names = list(strat.strata)
-    frames = [strat.strata[name] for name in names]
+    names = list(strat)
+    frames = [strat[name] for name in names]
     caps = [f.N for f in frames]
     if n > sum(caps):
         raise AllocationError(f"n={n} exceeds population size {sum(caps)}")
@@ -520,7 +520,8 @@ def _assert_same_allocations(strat, ns):
         for n in ns:
             want = _outcome(reference_allocate, strat, n, rule)
             want = want if isinstance(want, type) else want.sizes
-            assert _outcome(allocate, strat, n, rule) == want, (strat.sizes, n, rule)
+            sizes = {h: f.N for h, f in strat.items()}
+            assert _outcome(allocate, strat, n, rule) == want, (sizes, n, rule)
 
 
 def _random_strata(rng, N1, N0, labeled=True):
@@ -591,7 +592,7 @@ class TestSampleIO:
     def test_stratum_tag_rides_along(self, tmp_path):
         fr = _frame(np.full(8, 0.7), np.ones(8))
         strat = stratify_by_prediction(fr, 0.5)
-        s = srs_wor(strat.strata["one"], 3, seed=2)
+        s = srs_wor(strat["one"], 3, seed=2)
         path = tmp_path / "one.csv"
         write_sample(s, path)
         assert load_sample(path).stratum == "one"
@@ -635,6 +636,45 @@ class TestSampleIO:
         with pytest.raises(IngestionError) as info:
             load_sample(path)
         assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("draw", [pps_wr, srs_wor])
+    def test_load_refuses_a_pi_off_its_design(self, tmp_path, draw):
+        fr = _frame(np.linspace(0.05, 0.8, 30), np.tile([1.0, 0.0, np.nan], 10))
+        path = tmp_path / "s.csv"
+        write_sample(draw(fr, 6, seed=14), path)
+        lines = path.read_text().splitlines(keepends=True)
+        row = lines.index("draw_index,unit_id,pi,y,p_hat\n") + 3
+        fields = lines[row].split(",")
+        cut = repr(float(fields[2]) / 1000)
+        lines[row] = ",".join([*fields[:2], cut, *fields[3:]])
+        path.write_text("".join(lines))
+        with pytest.raises(IngestionError) as info:
+            load_sample(path)
+        assert str(info.value) == f"{path}: draw 3: pi {cut}, expected {fields[2]}"
+
+    @pytest.mark.parametrize(
+        "again", ["2,a,0.2,0,0.4", "2,a,0.25,1,0.5"], ids=["y", "p_hat"]
+    )
+    def test_load_refuses_a_pps_unit_drawn_again_with_other_values(self, tmp_path, again):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            "# sample_design = PPS_WR\n# parent_N = 10\n# parent_aux_total = 2.0\n"
+            f"draw_index,unit_id,pi,y,p_hat\n0,a,0.2,1,0.4\n1,b,0.15,0,0.3\n{again}\n"
+        )
+        with pytest.raises(IngestionError) as info:
+            load_sample(path)
+        message = "draw 3: unit 'a' drawn before with another y or p_hat"
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_load_refuses_an_srs_pi_other_than_n_over_N(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "# sample_design = SRS_WOR\n# parent_N = 10\n# parent_aux_total = 2.0\n"
+            "draw_index,unit_id,pi,y,p_hat\n0,a,0.2,1,0.4\n1,b,0.5,0,0.3\n"
+        )
+        with pytest.raises(IngestionError) as info:
+            load_sample(path)
+        assert str(info.value) == f"{path}: draw 2: pi 0.5, expected 0.2"
 
     def test_load_errors(self, tmp_path):
         missing = tmp_path / "m.csv"

@@ -24,6 +24,7 @@ from auxcount import (
     IngestionError,
     load_frame,
     load_sample,
+    pps_wr,
     srs_wor,
     write_frame,
     write_sample,
@@ -115,6 +116,20 @@ def test_write_then_load_is_exact(frame):
 @given(frames(), st.data())
 def test_sample_write_then_load_is_exact(frame, data):
     sample = srs_wor(frame, data.draw(st.integers(1, frame.N)), seed=3)
+    with _scratch("sample.csv") as path:
+        write_sample(sample, path)
+        back = load_sample(path)
+        assert back.unit_ids.tolist() == sample.unit_ids.tolist()
+        assert np.array_equal(back.pi, sample.pi)
+        assert np.array_equal(back.y, sample.y, equal_nan=True)
+        assert np.array_equal(back.p_hat, sample.p_hat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(frames(), st.integers(1, 60))
+def test_pps_sample_write_then_load_is_exact(frame, n):
+    # repeated draws of one unit, unlabeled ones too, pass the load's pi and repeat checks
+    sample = pps_wr(frame, n, seed=3)
     with _scratch("sample.csv") as path:
         write_sample(sample, path)
         back = load_sample(path)
@@ -307,7 +322,7 @@ def test_artifact_bytes_are_pinned(tmp_path, monkeypatch):
             os.mkdir(argv[-1])
         assert main(argv) == 0
     frame = load_frame("frame.csv")
-    zero = population.stratify_by_prediction(frame, 0.5).strata["zero"]
+    zero = population.stratify_by_prediction(frame, 0.5)["zero"]
     write_sample(designs.pps_wr(zero, 40, 9), "zero_pps.csv")
     assert main(["f1", "--sample-one", "sample_one.csv", "--sample-zero", "zero_pps.csv",
                  "--flagged-tp", "3", "--flagged-fn", "1", "--c", "40"]) == 0

@@ -76,7 +76,7 @@ def _replicate_alone(frame, design, estimator, n, rng):
     components = []
     for name in ("one", "zero"):  # one shared generator, stratum one first
         if sizes[name]:
-            sample = srs_wor(strat.strata[name], sizes[name], rng)
+            sample = srs_wor(strat[name], sizes[name], rng)
             diff = name == "zero" and estimator == "strat_diff"
             components.append((name, (difference_estimate if diff else srs_estimate)(sample)))
     return stratified_estimate(components), dict(components).get("zero")

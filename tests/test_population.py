@@ -93,7 +93,7 @@ def test_take_refuses_a_repeated_index():
 def test_derived_frames_are_read_only():
     fr = Frame(["a", "b", "c"], [0.9, 0.2, 0.6], [1, 0, 1])
     strat = stratify_by_prediction(fr.replace_probs([0.8, 0.1, 1.0]), 0.5)
-    derived = [fr.replace_probs([0.1, 0.2, 0.3]), fr.take([1, 2]), *strat.strata.values()]
+    derived = [fr.replace_probs([0.1, 0.2, 0.3]), fr.take([1, 2]), *strat.values()]
     for d in derived:
         for arr in (d.ids, d.aux_probs, d.labels):
             with pytest.raises(ValueError):
@@ -113,7 +113,7 @@ def test_predicted_classes_threshold_is_inclusive():
 def test_stratify_threshold_rule():
     fr = Frame(["a", "b", "c"], [0.9, 0.2, 0.6], [1, 0, 1])
     strat = stratify_by_prediction(fr, 0.5)
-    one, zero = strat.strata[STRATUM_ONE], strat.strata[STRATUM_ZERO]
+    one, zero = strat[STRATUM_ONE], strat[STRATUM_ZERO]
     assert sorted(one.aux_probs.tolist()) == [0.6, 0.9]
     assert zero.aux_probs.tolist() == [0.2]
     assert one.stratum == STRATUM_ONE and zero.stratum == STRATUM_ZERO
@@ -122,8 +122,8 @@ def test_stratify_threshold_rule():
 def test_stratify_keeps_empty_stratum():
     fr = Frame(["a", "b"], [0.1, 0.2], [0, 0])
     strat = stratify_by_prediction(fr, 0.5)
-    assert strat.sizes == {STRATUM_ONE: 0, STRATUM_ZERO: 2}
-    assert strat.N == 2
+    assert {h: f.N for h, f in strat.items()} == {STRATUM_ONE: 0, STRATUM_ZERO: 2}
+    assert sum(f.N for f in strat.values()) == 2
 
 
 def test_stratify_partitions_ids():
@@ -131,10 +131,10 @@ def test_stratify_partitions_ids():
     fr = Frame([f"u{i}" for i in range(500)], rng.random(500))
     strat = stratify_by_prediction(fr, 0.3)
     ids = set()
-    for sub in strat.strata.values():
+    for sub in strat.values():
         ids.update(sub.ids.tolist())
     assert len(ids) == 500
-    assert strat.N == 500
+    assert sum(f.N for f in strat.values()) == 500
 
 
 def _write(tmp_path, text, name="frame.csv"):

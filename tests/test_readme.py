@@ -1,7 +1,8 @@
-"""The README's CLI walkthrough, run as written, against its own numbers.
+"""The README's library quick start and CLI walkthrough, run as written,
+against their own numbers.
 
-Commands, the report table and the simulate results are all read from
-README.md, so the documentation and the code cannot drift apart.
+Code, commands, the report table and the documented results are all read
+from README.md, so the documentation and the code cannot drift apart.
 """
 
 import json
@@ -9,9 +10,11 @@ import re
 import shlex
 from pathlib import Path
 
+from auxcount import srs_se_for_total
 from auxcount.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+QUICK_START = README.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
 WALKTHROUGH = README.split("## CLI walkthrough", 1)[1].split("\n## ", 1)[0]
 BLOCKS = re.findall(r"```(\w*)\n(.*?)```", WALKTHROUGH, flags=re.S)
 
@@ -61,3 +64,29 @@ def test_walkthrough_reproduces_documented_numbers(tmp_path, monkeypatch, capsys
         for key, text in keys.items():
             decimals = len(text.split(".")[1])
             assert f"{report[key]:.{decimals}f}" == text, (name, key)
+
+
+def _decimals_as_shown(got: str, shown: str) -> str:
+    return f"{float(got):.{len(shown.split('.')[1])}f}"
+
+
+def test_quick_start_prints_documented_numbers(capsys):
+    (code,) = re.findall(r"```python\n(.*?)```", QUICK_START, flags=re.S)
+    namespace = {}
+    exec(code, namespace)
+    printed = capsys.readouterr().out.splitlines()
+    comments = re.findall(r"^print\(.*\)\s+# (.*)$", code, flags=re.M)
+    assert len(printed) == len(comments) == 2
+    for line, comment in zip(printed, comments):
+        shown = re.findall(r"\d+\.\d+", comment.split(" -- ")[0])
+        got = re.findall(r"\d+\.\d+", line)
+        assert len(got) == len(shown) == 2, (line, comment)
+        assert [_decimals_as_shown(g, w) for g, w in zip(got, shown)] == shown
+
+    # the prose below the block: an SRS SE "around 70", cut "by a factor of eight"
+    call = re.search(r"\(`(srs_se_for_total\(.*?\))`\)", QUICK_START).group(1)
+    srs_se = eval(call, {"srs_se_for_total": srs_se_for_total})
+    around = int(re.search(r"standard error around (\d+)", QUICK_START).group(1))
+    assert round(srs_se, -1) == around
+    factor = re.search(r"by a factor of (\w+)", QUICK_START).group(1)
+    assert round(srs_se / namespace["est"].se) == {"eight": 8}[factor]
