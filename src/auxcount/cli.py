@@ -56,9 +56,7 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_list(raw) -> list[str]:
-    if isinstance(raw, list):
-        return raw
+def _parse_list(raw: str) -> list[str]:
     return [part.strip() for part in raw.split(",") if part.strip()]
 
 

@@ -50,14 +50,13 @@ _SAMPLE_COLUMNS = ("draw_index", "unit_id", "pi", "y", "p_hat")
 class Sample:
     """Ordered draws from one frame under one design.
 
-    ``pi`` holds the per-draw selection probability: p_hat / aux_total
-    for PPS draws, n / N for uniform draws.  ``y`` is NaN where the
-    drawn unit is unlabeled.
+    ``y`` is NaN where the drawn unit is unlabeled.  SRS draws are
+    distinct units; a PPS unit drawn again repeats its first draw's y and
+    p_hat.
     """
 
     design: str
     unit_ids: np.ndarray
-    pi: np.ndarray
     y: np.ndarray
     p_hat: np.ndarray
     parent_N: int
@@ -67,26 +66,46 @@ class Sample:
     def __post_init__(self):
         if self.design not in (DESIGN_SRS, DESIGN_PPS):
             raise ValueError(f"unknown design {self.design!r}")
-        sizes = {len(self.unit_ids), len(self.pi), len(self.y), len(self.p_hat)}
-        if len(sizes) != 1:
+        if len({len(self.unit_ids), len(self.y), len(self.p_hat)}) != 1:
             raise ValueError("sample columns must have equal length")
         if self.n < 1:
             raise ValueError("a sample needs at least one draw")
         if self.parent_N < 1:
             raise ValueError("parent_N must be at least 1")
-        # NaN fails the pi and parent_aux_total checks; a NaN p_hat passes (unscored)
-        pi = np.asarray(self.pi, dtype=np.float64)
-        if not np.all((pi > 0.0) & (pi <= 1.0)):
-            raise ValueError("selection probabilities must lie in (0, 1]")
         p_hat = np.asarray(self.p_hat, dtype=np.float64)
-        if np.any(p_hat < 0.0) or np.any(p_hat > 1.0):
-            raise ValueError("scores must lie in [0, 1]")
+        row = _first((p_hat < 0.0) | (p_hat > 1.0))
+        if row is not None:
+            raise ValueError(f"draw {row + 1}: score {p_hat[row]} not in [0, 1]")
         if not 0.0 <= self.parent_aux_total < math.inf:
             raise ValueError("parent_aux_total must be finite and nonnegative")
+        # refuses a PPS draw with no score, p_hat > parent_aux_total and n > parent_N
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pi = self.pi
+        row = _first(~((pi > 0.0) & (pi <= 1.0)))  # NaN compares false
+        if row is not None:
+            raise ValueError(f"draw {row + 1}: selection probability {pi[row]} not in (0, 1]")
+        ids, first = np.asarray(self.unit_ids).tolist(), {}
+        seen = np.array([first.setdefault(uid, i) for i, uid in enumerate(ids)])
+        if self.design == DESIGN_SRS:
+            clash, what = seen != np.arange(self.n), "drawn before; SRS draws are distinct units"
+        else:
+            codes = np.nan_to_num(np.asarray(self.y, dtype=np.float64), nan=2.0)
+            clash = (codes != codes[seen]) | (p_hat != p_hat[seen])
+            what = "drawn before with another y or p_hat"
+        row = _first(clash)
+        if row is not None:
+            raise ValueError(f"draw {row + 1}: unit {ids[row]!r} {what}")
 
     @property
     def n(self) -> int:
         return len(self.unit_ids)
+
+    @property
+    def pi(self) -> np.ndarray:
+        """Selection probability per draw: p_hat / parent_aux_total (PPS) or n / parent_N."""
+        if self.design == DESIGN_PPS:
+            return np.asarray(self.p_hat, dtype=np.float64) / self.parent_aux_total
+        return np.full(self.n, self.n / self.parent_N)
 
     @property
     def labeled(self) -> bool:
@@ -148,15 +167,13 @@ def srs_wor(frame: Frame, n: int, seed) -> Sample:
     """
     if not 1 <= n <= frame.N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={frame.N}")
-    idx = _srs_indices(np.random.default_rng(seed), frame.N, n)
-    return _sample(frame, DESIGN_SRS, idx, np.full(n, n / frame.N))
+    return _sample(frame, DESIGN_SRS, _srs_indices(np.random.default_rng(seed), frame.N, n))
 
 
-def _sample(frame: Frame, design: str, idx: np.ndarray, pi: np.ndarray) -> Sample:
+def _sample(frame: Frame, design: str, idx: np.ndarray) -> Sample:
     return Sample(
         design=design,
         unit_ids=frame.ids[idx],
-        pi=pi,
         y=frame.labels[idx],
         p_hat=frame.aux_probs[idx],
         parent_N=frame.N,
@@ -235,8 +252,7 @@ def pps_wr(frame: Frame, n: int, seed) -> Sample:
         raise ValueError("n must be at least 1")
     if frame.N < 1:
         raise ValueError("cannot sample an empty frame")
-    idx = _alias_for(frame).draw(np.random.default_rng(seed), n)
-    return _sample(frame, DESIGN_PPS, idx, frame.aux_probs[idx] / frame.aux_total)
+    return _sample(frame, DESIGN_PPS, _alias_for(frame).draw(np.random.default_rng(seed), n))
 
 
 def allocate(strata: dict[str, Frame], n: int, rule: str) -> dict[str, int]:
@@ -339,9 +355,8 @@ def load_sample(path) -> Sample:
     ------
     IngestionError
         On missing header facts, malformed rows, a ``draw_index`` other
-        than 0..n-1 in order, out-of-range values, a ``pi`` other than
-        p_hat / parent_aux_total (PPS) or n / parent_N (SRS), or a PPS unit
-        drawn again with another y or p_hat; messages name the first bad row.
+        than 0..n-1 in order, draws :class:`Sample` refuses, or a ``pi``
+        other than the one the design gives; messages name a bad row.
     """
     facts, header, fields, rows, ragged = read_table(path)
     for key in ("sample_design", "parent_N", "parent_aux_total"):
@@ -378,7 +393,6 @@ def load_sample(path) -> Sample:
         sample = Sample(
             design=facts["sample_design"],
             unit_ids=np.asarray(ids, dtype=object),
-            pi=pi,
             y=y,
             p_hat=p_hat,
             parent_N=int(facts["parent_N"]),
@@ -387,19 +401,9 @@ def load_sample(path) -> Sample:
         )
     except ValueError as exc:
         raise IngestionError(f"{path}: {exc}") from None
-    if sample.design == DESIGN_PPS:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            want = p_hat / sample.parent_aux_total
-        first = {}  # a unit drawn again repeats the y and p_hat of its first draw
-        seen = [first.setdefault(uid, i) for i, uid in enumerate(ids)]
-        codes = np.nan_to_num(y, nan=2.0)
-        clash = (codes != codes[seen]) | (p_hat != p_hat[seen])
-    else:
-        want, clash = np.full(rows, rows / sample.parent_N), np.zeros(rows, dtype=bool)
-    row = _first((pi != want) | clash)
+    want = sample.pi
+    row = _first(pi != want)
     if row is not None:
-        what = f"pi {raw_pi[row].strip()}, expected {float(want[row])!r}"
-        if pi[row] == want[row]:
-            what = f"unit {ids[row]!r} drawn before with another y or p_hat"
-        raise IngestionError(f"{path}: draw {row + 1}: {what}")
+        text, expected = raw_pi[row].strip(), float(want[row])
+        raise IngestionError(f"{path}: draw {row + 1}: pi {text}, expected {expected!r}")
     return sample

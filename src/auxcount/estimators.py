@@ -81,8 +81,6 @@ def _expansion(v: np.ndarray, N: int, base: float = 0.0):
     A census (n = N) has variance 0; below two draws the variance is None.
     """
     n = v.shape[-1]
-    if n > N:
-        raise ValueError(f"n={n} exceeds N={N}")
     total = base + N * np.mean(v, axis=-1)
     if n == N:
         return total, 0.0
@@ -120,9 +118,7 @@ def hh_estimate(sample: Sample) -> Estimate:
         With ``variance`` None when n < 2.
     """
     _check_sample(sample, DESIGN_PPS, "hh_estimate")
-    total, variance = _as_floats(*_hh(
-        np.asarray(sample.y, dtype=np.float64) / np.asarray(sample.pi, dtype=np.float64)
-    ))
+    total, variance = _as_floats(*_hh(np.asarray(sample.y, dtype=np.float64) / sample.pi))
     return Estimate(ESTIMATOR_HH, total, variance, n=sample.n, N=sample.parent_N)
 
 
@@ -155,8 +151,6 @@ def srs_estimate(sample: Sample) -> Estimate:
     correction; a census (n = N, even of one unit) gets variance 0.
     """
     _check_sample(sample, DESIGN_SRS, "srs_estimate")
-    if len(set(sample.unit_ids)) != sample.n:
-        raise ValueError("SRS draws must be distinct units")
     N, n = sample.parent_N, sample.n
     total, variance = _as_floats(*_expansion(np.asarray(sample.y, dtype=np.float64), N))
     return Estimate(ESTIMATOR_SRS, total, variance, n=n, N=N)

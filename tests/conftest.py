@@ -94,14 +94,13 @@ def build_sweep_frame() -> Frame:
     return Frame(_ids("s", N), np.full(N, 0.5), labels)
 
 
-def make_sample(design, pi, y, p_hat, parent_N, aux_total, stratum=None) -> Sample:
-    n = len(pi)
+def make_sample(design, y, p_hat, parent_N, aux_total, stratum=None) -> Sample:
+    n = len(y)
     if p_hat is None:
         p_hat = np.full(n, np.nan)
     return Sample(
         design=design,
         unit_ids=np.array(_ids("x", n), dtype=object),
-        pi=np.asarray(pi, dtype=np.float64),
         y=np.asarray(y, dtype=np.float64),
         p_hat=np.asarray(p_hat, dtype=np.float64),
         parent_N=parent_N,
@@ -116,7 +115,7 @@ def one_stratum_review_sample(positives: int = 99) -> Sample:
     y = np.zeros(n)
     y[:positives] = 1.0
     return make_sample(
-        DESIGN_SRS, np.full(n, n / N), y, np.full(n, 0.6), N, 2600.0, stratum="one"
+        DESIGN_SRS, y, np.full(n, 0.6), N, 2600.0, stratum="one"
     )
 
 
@@ -128,7 +127,7 @@ def register_pps_sample() -> Sample:
     y[:k] = 1.0
     aux = 7118.0
     pi = np.full(n, 1.0 / v)
-    return make_sample(DESIGN_PPS, pi, y, pi * aux, N_2022, aux)
+    return make_sample(DESIGN_PPS, y, pi * aux, N_2022, aux)
 
 
 def register_stratified_samples() -> tuple[Sample, Sample, Sample]:
@@ -144,11 +143,10 @@ def register_stratified_samples() -> tuple[Sample, Sample, Sample]:
     y1 = np.zeros(n1)
     y1[:k1] = 1.0
     one = make_sample(
-        DESIGN_SRS, np.full(n1, n1 / N1), y1, np.full(n1, 0.62), N1, 3900.0, "one"
+        DESIGN_SRS, y1, np.full(n1, 0.62), N1, 3900.0, "one"
     )
     zero_srs = make_sample(
         DESIGN_SRS,
-        np.full(n0, n0 / N0),
         np.zeros(n0),
         np.full(n0, 0.011),
         N0,
@@ -166,7 +164,7 @@ def register_stratified_samples() -> tuple[Sample, Sample, Sample]:
     p0[1::2] = 0.01 - delta
     aux0 = total0 + (N0 / n0) * p0.sum()
     zero_diff = make_sample(
-        DESIGN_SRS, np.full(n0, n0 / N0), np.zeros(n0), p0, N0, aux0, "zero"
+        DESIGN_SRS, np.zeros(n0), p0, N0, aux0, "zero"
     )
     return one, zero_srs, zero_diff
 

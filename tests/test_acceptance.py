@@ -138,7 +138,7 @@ def test_criterion_6_unbiased_and_calibrated(capsys, benign_frame, benign_run):
     band = 3.0 * benign_run.empirical_se / math.sqrt(benign_run.R)
     y = [1.0, 0.0, 1.0, 0.0, 0.0, 1.0]
     exact_diff = difference_estimate(
-        make_sample(DESIGN_SRS, [0.12] * 6, y, y, 50, 21.0)
+        make_sample(DESIGN_SRS, y, y, 50, 21.0)
     )
     checks = {
         "mean within 3 MC SEs": abs(benign_run.empirical_mean - truth) <= band,

@@ -1,5 +1,7 @@
 import argparse
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +31,21 @@ from conftest import _ids
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def _cell_edits(text, column) -> list[str]:
+    """Texts to put in place of one cell of a sample file: junk, numbers
+    near and far from its value, and other cells of its column."""
+    edits = {"", "x", "nan", "inf", "-1", "0", "1", "1.5", f" {text} ", text + "0",
+             column[0], column[-1]}
+    try:
+        value = float(text)
+    except ValueError:
+        pass
+    else:
+        edits.update(repr(v) for v in (np.nextafter(value, 2.0), value * 2, value / 2))
+    edits.discard(text)
+    return sorted(edits)
 
 
 @pytest.fixture()
@@ -208,6 +225,60 @@ class TestSampleAndEstimate:
         argv = ["estimate", "--sample", path, "--estimator", estimator, "--out", tmp_path]
         assert run(*argv) == 2
         assert not (tmp_path / "record.csv").exists()
+
+    @pytest.mark.parametrize("stratified", [False, True], ids=["diff", "stratified-diff"])
+    def test_srs_unit_drawn_twice_is_refused(self, tmp_path, capsys, stratified):
+        facts = "# sample_design = SRS_WOR\n# parent_N = 10\n# parent_aux_total = 2.0\n"
+        header = "draw_index,unit_id,pi,y,p_hat\n"
+        zero = "# stratum = zero\n" if stratified else ""
+        path = tmp_path / "twice.csv"
+        path.write_text(f"{facts}{zero}{header}0,a,0.3,1,0.4\n1,b,0.3,0,0.3\n2,a,0.3,1,0.4\n")
+        argv = ["--sample", path, "--estimator", "diff"]
+        if stratified:
+            one = tmp_path / "one.csv"
+            one.write_text(f"{facts}# stratum = one\n{header}0,c,0.2,1,0.8\n1,d,0.2,0,0.7\n")
+            argv = ["--sample-one", one, "--sample-zero", path, "--zero-estimator", "diff"]
+        assert run("estimate", *argv, "--out", tmp_path) == 2
+        assert f"{path}: draw 3: unit 'a'" in capsys.readouterr().err
+        assert not (tmp_path / "record.csv").exists()
+
+    @pytest.mark.parametrize("design,estimator", [("pps", "hh"), ("srs", "srs")])
+    def test_one_edited_cell_is_refused_or_changes_nothing(
+        self, frame_dir, tmp_path, capsys, design, estimator
+    ):
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", "--design", design,
+            "--n", 8, "--seed", 3, "--out", tmp_path,
+        ) == 0
+        path, out = tmp_path / "sample.csv", tmp_path / "out"
+        out.mkdir()
+        lines = path.read_text().splitlines(keepends=True)
+        top = lines.index("draw_index,unit_id,pi,y,p_hat\n") + 1
+        rows = [line.rstrip("\n").split(",") for line in lines[top:]]
+
+        def estimate():
+            (out / "record.csv").unlink(missing_ok=True)
+            code = run("estimate", "--sample", path, "--estimator", estimator, "--out", out)
+            return code, capsys.readouterr().err
+
+        assert estimate() == (0, "")
+        want = (out / "record.csv").read_bytes()
+        refused = re.compile(rf"auxcount: error: {re.escape(str(path))}: draw \d+: ")
+        # y, and p_hat under SRS, are free data: editing them may change the
+        # estimate.  The PPS draws hold positives and draw unit u5 twice.
+        columns = (0, 1, 2, 4) if design == "pps" else (0, 1, 2)
+        for i, j in itertools.product(range(len(rows)), columns):
+            text = rows[i][j]
+            for edit in _cell_edits(text, [row[j] for row in rows]):
+                edited = [row[:j] + [edit] + row[j + 1:] if k == i else row
+                          for k, row in enumerate(rows)]
+                path.write_text("".join(lines[:top] + [",".join(row) + "\n" for row in edited]))
+                code, err = estimate()
+                what = f"draw {i + 1}, column {j}: {text!r} -> {edit!r}: exit {code} {err}"
+                if code == 2:
+                    assert refused.match(err), what
+                else:
+                    assert code == 0 and (out / "record.csv").read_bytes() == want, what
 
     def test_swapped_stratum_files_are_refused(self, frame_dir):
         assert run(

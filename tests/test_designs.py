@@ -723,7 +723,6 @@ class TestSampleIO:
             Sample(
                 design="CLUSTER",
                 unit_ids=np.array(["a"], dtype=object),
-                pi=np.array([0.5]),
                 y=np.array([1.0]),
                 p_hat=np.array([0.5]),
                 parent_N=10,
@@ -733,9 +732,8 @@ class TestSampleIO:
             Sample(
                 design=DESIGN_PPS,
                 unit_ids=np.array(["a"], dtype=object),
-                pi=np.array([0.0]),
                 y=np.array([1.0]),
-                p_hat=np.array([0.5]),
+                p_hat=np.array([0.0]),
                 parent_N=10,
                 parent_aux_total=1.0,
             )

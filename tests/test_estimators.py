@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -36,12 +37,12 @@ from conftest import (
 )
 
 
-def _pps(pi, y, p_hat=None, parent_N=100, aux_total=1.0):
-    return make_sample(DESIGN_PPS, pi, y, p_hat, parent_N, aux_total)
+def _pps(pi, y, parent_N=100, aux_total=1.0):
+    return make_sample(DESIGN_PPS, y, np.multiply(pi, aux_total), parent_N, aux_total)
 
 
-def _srs(pi, y, p_hat=None, parent_N=100, aux_total=1.0):
-    return make_sample(DESIGN_SRS, pi, y, p_hat, parent_N, aux_total)
+def _srs(y, p_hat=None, parent_N=100, aux_total=1.0):
+    return make_sample(DESIGN_SRS, y, p_hat, parent_N, aux_total)
 
 
 class TestHansenHurwitz:
@@ -76,7 +77,7 @@ class TestHansenHurwitz:
 
     def test_input_checks(self):
         with pytest.raises(ValueError, match="PPS_WR"):
-            hh_estimate(_srs([0.5], [1]))
+            hh_estimate(_srs([1]))
         with pytest.raises(ValueError, match="label"):
             hh_estimate(_pps([0.5, 0.5], [1, np.nan]))
 
@@ -108,39 +109,37 @@ class TestExactHHVariance:
 
 class TestSrsEstimate:
     def test_hand_computed(self):
-        s = _srs([0.5] * 5, [1, 0, 0, 1, 1], parent_N=10)
+        s = _srs([1, 0, 0, 1, 1], parent_N=10)
         e = srs_estimate(s)
         assert e.total == pytest.approx(6.0)
         assert e.variance == pytest.approx(3.0)
 
     def test_all_zero_sample(self):
-        e = srs_estimate(_srs([0.1] * 4, [0, 0, 0, 0], parent_N=40))
+        e = srs_estimate(_srs([0, 0, 0, 0], parent_N=40))
         assert e.total == 0.0
         assert e.variance == 0.0
 
     def test_census_has_zero_variance(self):
-        e = srs_estimate(_srs([1.0] * 6, [1, 0, 1, 0, 0, 0], parent_N=6))
+        e = srs_estimate(_srs([1, 0, 1, 0, 0, 0], parent_N=6))
         assert e.total == pytest.approx(2.0)
         assert e.variance == 0.0
 
     def test_duplicate_units_rejected(self):
-        s = make_sample(DESIGN_SRS, [0.5, 0.5], [1, 0], None, 10, 1.0)
-        object.__setattr__(s, "unit_ids", np.array(["a", "a"], dtype=object))
+        s = _srs([1, 0], parent_N=10)
         with pytest.raises(ValueError, match="distinct"):
-            srs_estimate(s)
+            dataclasses.replace(s, unit_ids=np.array(["a", "a"], dtype=object))
 
     def test_census_of_one_unit_has_zero_variance(self):
         for y in (0, 1):
-            e = srs_estimate(_srs([1.0], [y], parent_N=1))
+            e = srs_estimate(_srs([y], parent_N=1))
             assert (e.total, e.variance) == (float(y), 0.0)
-        d = difference_estimate(_srs([1.0], [1], p_hat=[0.3], parent_N=1, aux_total=0.3))
+        d = difference_estimate(_srs([1], p_hat=[0.3], parent_N=1, aux_total=0.3))
         assert d.total == pytest.approx(1.0)
         assert d.variance == 0.0
 
     def test_more_draws_than_units_rejected(self):
-        s = _srs([0.5] * 4, [1, 1, 0, 0], parent_N=3)
-        with pytest.raises(ValueError, match="exceeds"):
-            srs_estimate(s)
+        with pytest.raises(ValueError, match=r"selection probability 1\.33+ not in \(0, 1\]"):
+            _srs([1, 1, 0, 0], parent_N=3)
 
 
 class TestCensusEstimate:
@@ -158,27 +157,27 @@ class TestCensusEstimate:
 class TestDifferenceEstimate:
     def test_exact_when_scores_equal_labels(self):
         y = [1.0, 0.0, 1.0, 0.0, 0.0]
-        s = _srs([0.05] * 5, y, p_hat=y, parent_N=100, aux_total=17.0)
+        s = _srs(y, p_hat=y, parent_N=100, aux_total=17.0)
         e = difference_estimate(s)
         assert e.total == 17.0
         assert e.variance == 0.0
 
     def test_all_negative_draws_shrink_the_score_total(self):
         p_hat = [0.001, 0.003, 0.006, 0.01, 0.004, 0.002, 0.005, 0.007, 0.008, 0.004]
-        s = _srs([0.01] * 10, [0] * 10, p_hat=p_hat, parent_N=1000, aux_total=5.0)
+        s = _srs([0] * 10, p_hat=p_hat, parent_N=1000, aux_total=5.0)
         e = difference_estimate(s)
         assert e.total == pytest.approx(5.0 - 1000 * np.mean(p_hat))
         assert e.variance > 0
 
     def test_zero_scores_reduce_to_expansion(self):
         y = [1, 0, 0, 1, 1]
-        d = difference_estimate(_srs([0.5] * 5, y, p_hat=[0.0] * 5, parent_N=10, aux_total=0.0))
-        plain = srs_estimate(_srs([0.5] * 5, y, parent_N=10))
+        d = difference_estimate(_srs(y, p_hat=[0.0] * 5, parent_N=10, aux_total=0.0))
+        plain = srs_estimate(_srs(y, parent_N=10))
         assert d.total == pytest.approx(plain.total)
         assert d.variance == pytest.approx(plain.variance)
 
     def test_missing_scores_rejected(self):
-        s = _srs([0.5, 0.5], [1, 0], p_hat=[0.4, np.nan], parent_N=10)
+        s = _srs([1, 0], p_hat=[0.4, np.nan], parent_N=10)
         with pytest.raises(ValueError, match="score"):
             difference_estimate(s)
 
@@ -274,8 +273,8 @@ class TestKernelBlocks:
 
 class TestStratifiedEstimate:
     def test_sums_independent_strata(self):
-        one = srs_estimate(_srs([0.5] * 4, [1, 1, 1, 0], parent_N=8))
-        zero = srs_estimate(_srs([0.1] * 5, [0, 0, 1, 0, 0], parent_N=50))
+        one = srs_estimate(_srs([1, 1, 1, 0], parent_N=8))
+        zero = srs_estimate(_srs([0, 0, 1, 0, 0], parent_N=50))
         e = stratified_estimate([("one", one), ("zero", zero)])
         assert e.total == pytest.approx(one.total + zero.total)
         assert e.variance == pytest.approx(one.variance + zero.variance)
@@ -284,8 +283,8 @@ class TestStratifiedEstimate:
         assert dict(e.components)["one"] is one
 
     def test_two_empty_strata(self):
-        a = srs_estimate(_srs([0.5] * 2, [0, 0], parent_N=4))
-        b = srs_estimate(_srs([0.5] * 2, [0, 0], parent_N=4))
+        a = srs_estimate(_srs([0, 0], parent_N=4))
+        b = srs_estimate(_srs([0, 0], parent_N=4))
         e = stratified_estimate([("one", a), ("zero", b)])
         assert e.total == 0.0
         assert e.variance == 0.0
@@ -293,11 +292,11 @@ class TestStratifiedEstimate:
     def test_large_one_stratum(self):
         # 60 positives in 100 draws from a 7697-unit stratum
         y = [1.0] * 60 + [0.0] * 40
-        e = srs_estimate(_srs([100 / 7697] * 100, y, parent_N=7697))
+        e = srs_estimate(_srs(y, parent_N=7697))
         assert round(e.total) == 4618
 
     def test_rejects_bad_component_sets(self):
-        a = srs_estimate(_srs([0.5] * 2, [0, 0], parent_N=4))
+        a = srs_estimate(_srs([0, 0], parent_N=4))
         with pytest.raises(ValueError, match="no stratum"):
             stratified_estimate([])
         with pytest.raises(ValueError, match="duplicate"):

@@ -42,15 +42,9 @@ def _frame(name) -> Frame:
 
 def _draws(frame: Frame, design: str, idx) -> Sample:
     idx = np.asarray(idx, dtype=np.intp)
-    n = idx.size
-    if design == DESIGN_PPS:
-        pi = frame.aux_probs[idx] / frame.aux_total
-    else:
-        pi = np.full(n, n / frame.N)
     return Sample(
         design=design,
         unit_ids=frame.ids[idx],
-        pi=pi,
         y=frame.labels[idx],
         p_hat=frame.aux_probs[idx],
         parent_N=frame.N,

@@ -20,8 +20,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from auxcount import (
+    DESIGN_PPS,
+    DESIGN_SRS,
+    PROB_FLOOR,
     Frame,
     IngestionError,
+    Sample,
     load_frame,
     load_sample,
     pps_wr,
@@ -137,6 +141,68 @@ def test_pps_sample_write_then_load_is_exact(frame, n):
         assert np.array_equal(back.pi, sample.pi)
         assert np.array_equal(back.y, sample.y, equal_nan=True)
         assert np.array_equal(back.p_hat, sample.p_hat)
+
+
+@st.composite
+def sample_fields(draw, design=None):
+    """Keyword arguments of a hand-built Sample: PPS draws with replacement
+    from a pool of units, each with one y and p_hat, or SRS draws of
+    distinct units."""
+    design = design or draw(st.sampled_from([DESIGN_PPS, DESIGN_SRS]))
+    pool = draw(st.lists(IDS, min_size=1, max_size=12, unique=True))
+    score = st.floats(PROB_FLOOR, 1.0)
+    if design == DESIGN_SRS:
+        score = st.one_of(PROBS, st.just(np.nan))
+    units = [(uid, draw(LABELS), draw(score)) for uid in pool]
+    if design == DESIGN_PPS:
+        units = draw(st.lists(st.sampled_from(units), min_size=1, max_size=20))
+    ids, y, p_hat = zip(*units)
+    n = len(ids)
+    if design == DESIGN_PPS:
+        aux_total = max(p_hat) + draw(st.floats(0.0, 100.0))
+    else:
+        aux_total = draw(st.floats(0.0, 1e6))
+    return dict(
+        design=design,
+        unit_ids=np.array(ids, dtype=object),
+        y=np.array(y),
+        p_hat=np.array(p_hat),
+        parent_N=draw(st.integers(n, n + 1000)),
+        parent_aux_total=aux_total,
+        stratum=draw(st.sampled_from([None, "one", "zero"])),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_fields())
+def test_hand_built_sample_write_then_load_is_exact(fields):
+    sample = Sample(**fields)
+    with _scratch("sample.csv") as path:
+        write_sample(sample, path)
+        back = load_sample(path)
+    for name in ("design", "parent_N", "parent_aux_total", "stratum"):
+        assert getattr(back, name) == getattr(sample, name), name
+    assert back.unit_ids.tolist() == sample.unit_ids.tolist()
+    assert np.array_equal(back.pi, sample.pi)
+    assert np.array_equal(back.y, sample.y, equal_nan=True)
+    assert np.array_equal(back.p_hat, sample.p_hat, equal_nan=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sample_fields(DESIGN_PPS), st.data())
+def test_pps_sample_without_a_score_or_repeating_another_y_is_refused(fields, data):
+    ids, y, p_hat = fields["unit_ids"], fields["y"], fields["p_hat"]
+    row = data.draw(st.integers(0, len(ids) - 1))
+    unscored = p_hat.copy()
+    unscored[row] = np.nan
+    with pytest.raises(ValueError, match=f"^draw {row + 1}: "):
+        Sample(**{**fields, "p_hat": unscored})
+    other = data.draw(LABELS.filter(lambda v: not np.array_equal(v, y[row], equal_nan=True)))
+    with pytest.raises(ValueError) as info:
+        again = np.array([*ids, ids[row]], dtype=object)
+        Sample(**{**fields, "unit_ids": again, "y": np.append(y, other),
+                  "p_hat": np.append(p_hat, p_hat[row])})
+    assert str(info.value).startswith(f"draw {len(ids) + 1}: unit {ids[row]!r} drawn before")
 
 
 def reference_write_table(path, comments, header, rows, ids=()) -> None:
