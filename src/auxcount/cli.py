@@ -169,13 +169,24 @@ def _write_record_csv(path, audit: dict, records: list[dict]):
     write_table(path, _audit_lines(audit), estimators.RECORD_FIELDS, rows)
 
 
-def _load_stratum_sample(path, stratum: str):
-    """A sample given as one stratum's; refused unless its file names that stratum."""
-    sample = designs.load_sample(path)
-    if sample.stratum != stratum:
-        found = "no stratum" if sample.stratum is None else f"stratum {sample.stratum!r}"
-        raise ConfigError(f"{path}: a sample of {found}, given as {stratum!r}")
-    return sample
+def _estimate(sample, name: str):
+    """The estimate of the pairing table's ``name`` from sample, by its public
+    function looked up on the estimators module, where a wrapper may replace it."""
+    return getattr(estimators, estimators.PAIRINGS[name].function)(sample)
+
+
+def _stratum_estimates(resolved: dict, names) -> list:
+    """(stratum, estimate) from the sample_one and sample_zero files, by the
+    estimators ``names``; a file that does not name its stratum is refused."""
+    estimates = []
+    for stratum, name in zip((STRATUM_ONE, STRATUM_ZERO), names):
+        path = resolved[f"sample_{stratum}"]
+        sample = designs.load_sample(path)
+        if sample.stratum != stratum:
+            found = "no stratum" if sample.stratum is None else f"stratum {sample.stratum!r}"
+            raise ConfigError(f"{path}: a sample of {found}, given as {stratum!r}")
+        estimates.append((stratum, _estimate(sample, name)))
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -280,24 +291,18 @@ def cmd_sample(args) -> int:
     _require(resolved, "frame", "design", "n", "seed")
     design = resolved["design"]
     if design not in montecarlo.DESIGN_CHOICES:
-        raise ConfigError(
-            f"unknown design {design!r}; choose from {montecarlo.DESIGN_CHOICES}"
-        )
+        raise ConfigError(f"unknown design {design!r}; choose from {montecarlo.DESIGN_CHOICES}")
     if (design == "stratified") != (resolved["allocation"] is not None):
         raise ConfigError("stratified sampling needs an allocation rule, and only it takes one")
     frame = load_frame(resolved["frame"])
     lines = _audit_lines(_audit("sample", resolved))
-    if design != "stratified":
-        draw = designs.pps_wr if design == "pps" else designs.srs_wor
-        sample = draw(frame, resolved["n"], resolved["seed"])
-        designs.write_sample(sample, _out_path(args, resolved["out_sample"]), lines)
-        return 0
-    plan = designs.stratified_plan(frame, resolved["n"], resolved["tau"], resolved["allocation"])
+    plan = designs.sampling_plan(frame, resolved["n"], resolved["tau"], resolved["allocation"])
+    draw = designs.pps_wr if design == "pps" else designs.srs_wor
     rng = np.random.default_rng(resolved["seed"])
     stem = resolved["out_sample"].removesuffix(".csv")
-    for sub, n_h in plan:
-        sample = designs.srs_wor(sub, n_h, rng)
-        designs.write_sample(sample, _out_path(args, f"{stem}_{sub.stratum}.csv"), lines)
+    for sub, n_h in plan:  # a stratified sample writes one file per stratum
+        name = f"{stem}_{sub.stratum}.csv" if design == "stratified" else resolved["out_sample"]
+        designs.write_sample(draw(sub, n_h, rng), _out_path(args, name), lines)
     return 0
 
 
@@ -313,13 +318,6 @@ ESTIMATE_SPEC = {
     "out_record": (str, "record.csv"),
 }
 
-_SINGLE_ESTIMATORS = {
-    "hh": estimators.hh_estimate,
-    "srs": estimators.srs_estimate,
-    "diff": estimators.difference_estimate,
-}
-
-
 def cmd_estimate(args) -> int:
     resolved = _resolve(args, ESTIMATE_SPEC)
     stratified = resolved["sample_one"] is not None or resolved["sample_zero"] is not None
@@ -332,23 +330,20 @@ def cmd_estimate(args) -> int:
         _require(resolved, "sample_one", "sample_zero")
         if resolved["estimator"] is not None:
             raise ConfigError("stratified estimates take zero_estimator, not estimator")
-        if resolved["zero_estimator"] not in ("srs", "diff"):
-            raise ConfigError("zero_estimator must be 'srs' or 'diff'")
-        one = _load_stratum_sample(resolved["sample_one"], STRATUM_ONE)
-        zero = _load_stratum_sample(resolved["sample_zero"], STRATUM_ZERO)
-        zero_fn = _SINGLE_ESTIMATORS[resolved["zero_estimator"]]
-        estimate = estimators.stratified_estimate(
-            [
-                (STRATUM_ONE, estimators.srs_estimate(one)),
-                (STRATUM_ZERO, zero_fn(zero)),
-            ]
-        )
+        by_zero = {names[1]: names for names in estimators.STRATIFIED.values()}
+        if resolved["zero_estimator"] not in by_zero:
+            raise ConfigError(f"zero_estimator must be {' or '.join(map(repr, by_zero))}")
+        names = by_zero[resolved["zero_estimator"]]
+        estimate = estimators.stratified_estimate(_stratum_estimates(resolved, names))
     else:
         _require(resolved, "sample", "estimator")
-        if resolved["estimator"] not in _SINGLE_ESTIMATORS:
-            raise ConfigError("estimator must be one of 'hh', 'srs', 'diff'")
-        sample = designs.load_sample(resolved["sample"])
-        estimate = _SINGLE_ESTIMATORS[resolved["estimator"]](sample)
+        if resolved["zero_estimator"] != ESTIMATE_SPEC["zero_estimator"][1]:
+            raise ConfigError("zero_estimator applies only to sample_one/sample_zero estimates")
+        if resolved["estimator"] not in estimators.PAIRINGS:
+            raise ConfigError(
+                f"estimator must be one of {', '.join(map(repr, estimators.PAIRINGS))}"
+            )
+        estimate = _estimate(designs.load_sample(resolved["sample"]), resolved["estimator"])
     record = estimators.estimate_record(estimate, z=z, baseline_se=resolved["baseline_se"])
     resolved["z"] = z
     _write_record_csv(
@@ -422,8 +417,7 @@ F1_SPEC = {
 def cmd_f1(args) -> int:
     resolved = _resolve(args, F1_SPEC)
     _require(resolved, "sample_one", "sample_zero", "flagged_tp", "flagged_fn", "c")
-    one = estimators.srs_estimate(_load_stratum_sample(resolved["sample_one"], STRATUM_ONE))
-    zero = estimators.hh_estimate(_load_stratum_sample(resolved["sample_zero"], STRATUM_ZERO))
+    (_, one), (_, zero) = _stratum_estimates(resolved, estimators.F1_STRATA)
     flagged = classifier_sim.ConfusionCounts(
         tp=resolved["flagged_tp"], fp=0, fn=resolved["flagged_fn"], tn=0
     )

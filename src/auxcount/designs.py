@@ -145,43 +145,6 @@ def _srs_slots(u: np.ndarray, N: int) -> np.ndarray:
     return k
 
 
-def _srs_indices(rng: np.random.Generator, N: int, n: int) -> np.ndarray:
-    """One shuffle of :func:`_srs_slots`, on n uniforms drawn from rng."""
-    return _srs_slots(rng.random(n)[np.newaxis], N)[0]
-
-
-def srs_wor(frame: Frame, n: int, seed) -> Sample:
-    """Simple random sample of n distinct units, order of draw kept.
-
-    Parameters
-    ----------
-    frame : Frame
-    n : int
-        1 <= n <= N.
-    seed : int, sequence of int, or numpy Generator
-
-    Returns
-    -------
-    Sample
-        With ``pi`` = n / N on every draw.
-    """
-    if not 1 <= n <= frame.N:
-        raise ValueError(f"need 1 <= n <= N, got n={n}, N={frame.N}")
-    return _sample(frame, DESIGN_SRS, _srs_indices(np.random.default_rng(seed), frame.N, n))
-
-
-def _sample(frame: Frame, design: str, idx: np.ndarray) -> Sample:
-    return Sample(
-        design=design,
-        unit_ids=frame.ids[idx],
-        y=frame.labels[idx],
-        p_hat=frame.aux_probs[idx],
-        parent_N=frame.N,
-        parent_aux_total=frame.aux_total,
-        stratum=frame.stratum,
-    )
-
-
 class AliasTable:
     """Vose alias table of (prob, alias) records, so that each O(1) draw
     reads one cache line of the table instead of one in each of two arrays.
@@ -220,10 +183,6 @@ class AliasTable:
         self.slots = slots
         self.size = size
 
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        j = rng.integers(self.size, size=size)
-        return self.lookup(j, rng.random(size))
-
     def lookup(self, j: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Units drawn by slots j and uniforms u, of any one shape."""
         s = self.slots[j]
@@ -241,6 +200,47 @@ def _alias_for(frame: Frame) -> AliasTable:
     return table
 
 
+def _draws(rngs, rows: int, n: int, slots: int = 0):
+    """(j, u): a row per generator in ``rngs`` of n alias slots below
+    ``slots`` (none where 0), then n uniforms, in the order it gives them."""
+    u = np.empty((rows, n))
+    j = np.empty(u.shape, dtype=np.int64) if slots else None
+    for b, rng in enumerate(rngs):
+        if slots:
+            j[b] = rng.integers(slots, size=n)
+        rng.random(out=u[b])
+    return j, u
+
+
+def _units(frame: Frame, design: str, j, u: np.ndarray) -> np.ndarray:
+    """Units of ``frame`` that rows of alias slots j and uniforms u draw."""
+    if design == DESIGN_PPS:
+        return _alias_for(frame).lookup(j, u)
+    return _srs_slots(u, frame.N)
+
+
+def _sample(frame: Frame, design: str, n: int, seed) -> Sample:
+    slots = frame.N if design == DESIGN_PPS else 0
+    idx = _units(frame, design, *_draws([np.random.default_rng(seed)], 1, n, slots))[0]
+    return Sample(
+        design=design,
+        unit_ids=frame.ids[idx],
+        y=frame.labels[idx],
+        p_hat=frame.aux_probs[idx],
+        parent_N=frame.N,
+        parent_aux_total=frame.aux_total,
+        stratum=frame.stratum,
+    )
+
+
+def srs_wor(frame: Frame, n: int, seed) -> Sample:
+    """Simple random sample of n distinct units, 1 <= n <= N, order of draw
+    kept.  ``seed`` is an int, a sequence of ints or a numpy Generator."""
+    if not 1 <= n <= frame.N:
+        raise ValueError(f"need 1 <= n <= N, got n={n}, N={frame.N}")
+    return _sample(frame, DESIGN_SRS, n, seed)
+
+
 def pps_wr(frame: Frame, n: int, seed) -> Sample:
     """With-replacement PPS sample, size measure p_hat.
 
@@ -252,7 +252,7 @@ def pps_wr(frame: Frame, n: int, seed) -> Sample:
         raise ValueError("n must be at least 1")
     if frame.N < 1:
         raise ValueError("cannot sample an empty frame")
-    return _sample(frame, DESIGN_PPS, _alias_for(frame).draw(np.random.default_rng(seed), n))
+    return _sample(frame, DESIGN_PPS, n, seed)
 
 
 def allocate(strata: dict[str, Frame], n: int, rule: str) -> dict[str, int]:
@@ -315,10 +315,13 @@ def allocate(strata: dict[str, Frame], n: int, rule: str) -> dict[str, int]:
     return {STRATUM_ONE: n1, STRATUM_ZERO: n - n1}
 
 
-def stratified_plan(frame: Frame, n: int, tau: float, rule: str) -> list[tuple[Frame, int]]:
-    """(stratum, n_h) for the "one" then the "zero" stratum of ``frame`` at
-    threshold tau, n_h as :func:`allocate` spreads n by ``rule``; a
-    stratum allocated no draws is left out."""
+def sampling_plan(frame: Frame, n: int, tau=None, rule=None) -> list[tuple[Frame, int]]:
+    """(stratum, n_h) for each part a sample draws: the whole frame when no
+    allocation ``rule`` is given, else the "one" then the "zero" stratum of
+    ``frame`` at threshold tau, n_h as :func:`allocate` spreads n by
+    ``rule``, leaving out a stratum allocated no draws."""
+    if rule is None:
+        return [(frame, n)]
     strata = stratify_by_prediction(frame, tau)
     sizes = allocate(strata, n, rule)
     return [(strata[h], sizes[h]) for h in (STRATUM_ONE, STRATUM_ZERO) if sizes[h]]

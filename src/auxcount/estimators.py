@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,9 +19,6 @@ from .errors import VarianceUndefinedError
 from .population import Frame, first_repeat
 from .designs import DESIGN_PPS, DESIGN_SRS, Sample
 
-ESTIMATOR_HH = "HH"
-ESTIMATOR_SRS = "SRS"
-ESTIMATOR_DIFF = "DIFF"
 ESTIMATOR_STRAT = "STRAT"
 
 DEFAULT_Z = 1.96
@@ -64,11 +62,11 @@ class Estimate:
         return self.variance
 
 
-def _hh(x: np.ndarray):
+def _hh(x: np.ndarray, N: int = 0, base: float = 0.0):
     """(mean(x), var(x, ddof=1) / n) for PPS-WR draws x_i = y_i / pi_i,
     along the last axis: one sample's draws, or a row per replicate.
 
-    Below two draws the variance is None.
+    Below two draws the variance is None.  N and base are unused here.
     """
     n = x.shape[-1]
     return np.mean(x, axis=-1), np.var(x, axis=-1, ddof=1) / n if n >= 2 else None
@@ -89,16 +87,43 @@ def _expansion(v: np.ndarray, N: int, base: float = 0.0):
     return total, N * N * (1.0 - n / N) * np.var(v, axis=-1, ddof=1) / n
 
 
-def _as_floats(total, variance) -> tuple[float, float | None]:
-    """A one-sample kernel result as Python floats."""
-    return float(total), None if variance is None else float(variance)
+class Pairing(NamedTuple):
+    function: str  # the public estimator's name
+    design: str  # the Sample design it reads, and so its sampler
+    label: str  # the Estimate's estimator
+    kernel: Callable  # _hh or _expansion, called with (x, N, base)
+    units: Callable  # (y, p_hat, score total) -> (x, base)
 
 
-def _check_sample(sample: Sample, design: str, name: str):
-    if sample.design != design:
-        raise ValueError(f"{name} needs a {design} sample")
+# The pairing table: an estimator of one stratum or a whole frame, by the
+# names the CLI and run_replications take
+PAIRINGS = {
+    "hh": Pairing("hh_estimate", DESIGN_PPS, "HH", _hh, lambda y, p, a: (y / (p / a), 0.0)),
+    "srs": Pairing("srs_estimate", DESIGN_SRS, "SRS", _expansion, lambda y, p, a: (y, 0.0)),
+    "diff": Pairing(
+        "difference_estimate", DESIGN_SRS, "DIFF", _expansion, lambda y, p, a: (y - p, a)
+    ),
+}
+# Two-stratum pairings: the estimator of stratum "one", then of "zero"
+STRATIFIED = {"strat_srs": ("srs", "srs"), "strat_diff": ("srs", "diff")}
+# What f1 reads: TP from an SRS sample of "one", FN from a PPS-WR sample of "zero"
+F1_STRATA = ("srs", "hh")
+
+
+def _estimate(sample: Sample, name: str) -> Estimate:
+    """The estimate of the PAIRINGS row ``name`` from one labeled sample."""
+    pairing = PAIRINGS[name]
+    if sample.design != pairing.design:
+        raise ValueError(f"{pairing.function} needs a {pairing.design} sample")
     if not sample.labeled:
         raise ValueError("every draw must carry a label; annotate the sample first")
+    y, p_hat = (np.asarray(v, dtype=np.float64) for v in (sample.y, sample.p_hat))
+    x, base = pairing.units(y, p_hat, sample.parent_aux_total)
+    if np.isnan(x).any():
+        raise ValueError("every draw must carry a score")
+    total, variance = pairing.kernel(x, sample.parent_N, base)
+    variance = None if variance is None else float(variance)
+    return Estimate(pairing.label, float(total), variance, n=sample.n, N=sample.parent_N)
 
 
 def hh_estimate(sample: Sample) -> Estimate:
@@ -117,9 +142,7 @@ def hh_estimate(sample: Sample) -> Estimate:
     Estimate
         With ``variance`` None when n < 2.
     """
-    _check_sample(sample, DESIGN_PPS, "hh_estimate")
-    total, variance = _as_floats(*_hh(np.asarray(sample.y, dtype=np.float64) / sample.pi))
-    return Estimate(ESTIMATOR_HH, total, variance, n=sample.n, N=sample.parent_N)
+    return _estimate(sample, "hh")
 
 
 def exact_hh_design_variance(frame: Frame, n: int) -> float:
@@ -150,17 +173,14 @@ def srs_estimate(sample: Sample) -> Estimate:
     Variance is N^2 (1 - n/N) s^2 / n with the finite-population
     correction; a census (n = N, even of one unit) gets variance 0.
     """
-    _check_sample(sample, DESIGN_SRS, "srs_estimate")
-    N, n = sample.parent_N, sample.n
-    total, variance = _as_floats(*_expansion(np.asarray(sample.y, dtype=np.float64), N))
-    return Estimate(ESTIMATOR_SRS, total, variance, n=n, N=N)
+    return _estimate(sample, "srs")
 
 
 def census_estimate(positives: int, N: int) -> Estimate:
     """Estimate from complete enumeration of a stratum: no variance left."""
     if not 0 <= positives <= N:
         raise ValueError("need 0 <= positives <= N")
-    return Estimate(ESTIMATOR_SRS, float(positives), 0.0, n=N, N=N)
+    return Estimate(PAIRINGS["srs"].label, float(positives), 0.0, n=N, N=N)
 
 
 def difference_estimate(sample: Sample) -> Estimate:
@@ -170,13 +190,7 @@ def difference_estimate(sample: Sample) -> Estimate:
     total; variance is the SRS formula applied to the residuals.  Exact
     (zero variance) when the scores equal the labels everywhere.
     """
-    _check_sample(sample, DESIGN_SRS, "difference_estimate")
-    if np.isnan(np.asarray(sample.p_hat, dtype=np.float64)).any():
-        raise ValueError("every draw must carry a score")
-    N, n = sample.parent_N, sample.n
-    d = np.asarray(sample.y, dtype=np.float64) - np.asarray(sample.p_hat, dtype=np.float64)
-    total, variance = _as_floats(*_expansion(d, N, sample.parent_aux_total))
-    return Estimate(ESTIMATOR_DIFF, total, variance, n=n, N=N)
+    return _estimate(sample, "diff")
 
 
 def stratified_estimate(components) -> Estimate:

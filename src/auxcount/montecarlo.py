@@ -22,10 +22,11 @@ from .classifier_sim import calibrate_profile
 from .errors import CalibrationError, ConfigError, SweepError, VarianceUndefinedError
 from .population import STRATUM_ZERO, Frame
 
+# each design's estimators, from the pairing table
 _VALID_PAIRS = {
-    "pps": ("hh",),
-    "srs": ("srs", "diff"),
-    "stratified": ("strat_srs", "strat_diff"),
+    "pps": tuple(k for k, p in estimators.PAIRINGS.items() if p.design == designs.DESIGN_PPS),
+    "srs": tuple(k for k, p in estimators.PAIRINGS.items() if p.design == designs.DESIGN_SRS),
+    "stratified": tuple(estimators.STRATIFIED),
 }
 DESIGN_CHOICES = tuple(_VALID_PAIRS)
 ESTIMATOR_CHOICES = tuple(e for pairs in _VALID_PAIRS.values() for e in pairs)
@@ -219,9 +220,7 @@ def _check_run_args(frame, design, estimator, n, R, tau, allocation):
     if design not in DESIGN_CHOICES:
         raise ConfigError(f"unknown design {design!r}; choose from {DESIGN_CHOICES}")
     if estimator not in ESTIMATOR_CHOICES:
-        raise ConfigError(
-            f"unknown estimator {estimator!r}; choose from {ESTIMATOR_CHOICES}"
-        )
+        raise ConfigError(f"unknown estimator {estimator!r}; choose from {ESTIMATOR_CHOICES}")
     if estimator not in _VALID_PAIRS[design]:
         raise ConfigError(
             f"estimator {estimator!r} does not apply to design {design!r}; "
@@ -257,10 +256,9 @@ def run_replications(
 ) -> SimReport:
     """Draw R independent samples and estimate the total each time.
 
-    Supported pairings: design "pps" with estimator "hh"; "srs" with
-    "srs" or "diff"; "stratified" (needs ``tau`` and ``allocation``,
-    which other designs refuse) with "strat_srs" or "strat_diff", where
-    the difference estimator is applied in the zero stratum only.
+    ``design`` and ``estimator`` pair as ``_VALID_PAIRS`` lists them, from
+    the pairing table ``estimators.PAIRINGS`` and ``estimators.STRATIFIED``.
+    Only "stratified" takes ``tau`` and ``allocation``, and needs them.
 
     Parameters
     ----------
@@ -278,46 +276,31 @@ def run_replications(
     if R == 1:
         warnings.warn("R=1 gives a degenerate empirical SE of 0", stacklevel=2)
 
-    if design == "stratified":
-        # (stratum, draws, is the zero stratum) in stratified_estimate's order
-        parts = [
-            (sub, n_h, sub.stratum == STRATUM_ZERO)
-            for sub, n_h in designs.stratified_plan(frame, n, tau, allocation)
-        ]
-    else:
-        parts = [(frame, n, False)]
-    # x, computed once so a draw is one gather: y / pi (HH), y - p_hat (difference) or y
-    for k, (sub, n_h, zero) in enumerate(parts):
-        x, base = sub.labels, 0.0
-        if design == "pps":
-            table = designs._alias_for(sub)
-            x = sub.labels / (sub.aux_probs / sub.aux_total)
-        elif estimator == "diff" or (zero and estimator == "strat_diff"):
-            x, base = sub.labels - sub.aux_probs, sub.aux_total
-        parts[k] = (n_h, zero, x, base)
+    # a PPS run draws alias slots of the whole frame; its table is built
+    # here, so that the build's scratch lists never coexist with a block
+    slots = designs._alias_for(frame).size if design == "pps" else 0
+    # each stratum's estimator from the table, and its unit values x, computed
+    # once so that a draw is one gather
+    names = estimators.STRATIFIED.get(estimator, (estimator,))
+    parts = []
+    for sub, n_h in designs.sampling_plan(frame, n, tau, allocation):
+        zero = design == "stratified" and sub.stratum == STRATUM_ZERO
+        pairing = estimators.PAIRINGS[names[zero]]
+        x, base = pairing.units(sub.labels, sub.aux_probs, sub.aux_total)
+        parts.append((sub, n_h, zero, pairing, x, base))
 
     totals = np.zeros(R)
     variances = np.zeros(R)
-    zero_totals = np.full(R, np.nan) if any(zero for _, zero, _, _ in parts) else None
+    zero_totals = np.full(R, np.nan) if any(zero for _, _, zero, *_ in parts) else None
     block_rows = max(1, _BLOCK_DRAWS // n)
     for start in range(0, R, block_rows):
         block = slice(start, min(start + block_rows, R))
         states = _replicate_states(seed, block.start, block.stop)
-        # each replicate's draws, in the order its generator gives them
-        u = np.empty((len(states), n))
-        j = np.empty(u.shape, dtype=np.int64) if design == "pps" else None  # alias slots
-        for b, words in enumerate(states):
-            rng = _generator(words)
-            if design == "pps":
-                j[b] = rng.integers(table.size, size=n)
-            rng.random(out=u[b])
+        j, u = designs._draws(map(_generator, states), len(states), n, slots)
         col = 0  # the strata's uniforms lie side by side, stratum one first
-        for n_h, zero, x, base in parts:
-            if design == "pps":
-                t, v = estimators._hh(x[table.lookup(j, u)])
-            else:
-                idx = designs._srs_slots(u[:, col : col + n_h], x.size)
-                t, v = estimators._expansion(x[idx], x.size, base)
+        for sub, n_h, zero, pairing, x, base in parts:
+            drawn = x[designs._units(sub, pairing.design, j, u[:, col : col + n_h])]
+            t, v = pairing.kernel(drawn, sub.N, base)
             col += n_h
             if v is None:
                 raise VarianceUndefinedError(f"a replicate of {n_h} draw(s) has no variance")
@@ -328,14 +311,8 @@ def run_replications(
 
     mean = float(np.mean(totals))
     emp_se = float(np.std(totals, ddof=1)) if R >= 2 else 0.0
-    deff = (
-        None
-        if srs_baseline_se is None
-        else estimators.design_effect(emp_se, srs_baseline_se)
-    )
-    zero_fraction = None
-    if zero_totals is not None:
-        zero_fraction = float(np.mean(zero_totals == 0.0))
+    deff = None if srs_baseline_se is None else estimators.design_effect(emp_se, srs_baseline_se)
+    zero_fraction = None if zero_totals is None else float(np.mean(zero_totals == 0.0))
     return SimReport(
         design=design,
         estimator=estimator,

@@ -308,6 +308,40 @@ class TestSampleAndEstimate:
         assert not (tmp_path / "record.csv").exists()
         assert run("estimate", *strata, "--zero-estimator", "diff") == 0
 
+    def test_zero_estimator_is_refused_with_a_single_sample(self, frame_dir, tmp_path, capsys):
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", "--design", "pps",
+            "--n", 40, "--seed", 3, "--out", frame_dir,
+        ) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["estimate", "--sample", frame_dir / "sample.csv", "--estimator", "hh"]
+        # nothing reads it here, so the audit would record a setting that did nothing
+        for bad in ("bogus", "diff"):
+            assert run(*argv, "--zero-estimator", bad, "--out", out) == 2
+            assert "zero_estimator applies only to" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+        assert run(*argv, "--out", out) == 0
+        assert read_audit(out / "record.csv")["zero_estimator"] == "srs"
+        assert run(*argv, "--zero-estimator", "srs", "--out", tmp_path) == 0
+        assert (tmp_path / "record.csv").read_bytes() == (out / "record.csv").read_bytes()
+
+    def test_unknown_zero_estimator_is_refused(self, frame_dir, tmp_path, capsys):
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", "--design", "stratified",
+            "--n", 40, "--allocation", "proportional", "--seed", 6, "--out", frame_dir,
+        ) == 0
+        out = tmp_path / "out"
+        out.mkdir()
+        strata = [
+            "--sample-one", frame_dir / "sample_one.csv",
+            "--sample-zero", frame_dir / "sample_zero.csv", "--out", out,
+        ]
+        for bad in ("bogus", "hh"):
+            assert run("estimate", *strata, "--zero-estimator", bad) == 2
+            assert "zero_estimator must be 'srs' or 'diff'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_allocation_needs_the_stratified_design(self, frame_dir, tmp_path, capsys):
         frame, out = frame_dir / "frame.csv", tmp_path / "out"
         out.mkdir()
@@ -372,6 +406,16 @@ class TestSimulate:
         assert run("simulate", "--config", cfg, "--out", rerun) == 0
         for name in ("report.json", "replicates.csv", "histogram.csv"):
             assert (rerun / name).read_bytes() == (frame_dir / name).read_bytes()
+
+    def test_design_refuses_an_estimator_it_does_not_pair_with(self, frame_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(
+            "simulate", "--frame", frame_dir / "frame.csv", "--design", "pps",
+            "--estimator", "diff", "--n", 20, "--R", 5, "--seed", 1, "--out", out,
+        ) == 2
+        assert "valid here: ('hh',)" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_report_payload(self, frame_dir):
         assert run(

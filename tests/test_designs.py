@@ -91,7 +91,7 @@ class TestSrsWor:
 
 
 def reference_srs_indices(rng, N, n):
-    """The sequential partial Fisher-Yates loop that _srs_indices must
+    """The sequential partial Fisher-Yates loop that srs_wor's draws must
     reproduce exactly, one draw per Python iteration."""
     u = rng.random(n)
     displaced: dict[int, int] = {}
@@ -114,6 +114,12 @@ def _srs_shapes(draw):
     return N, n
 
 
+def srs_indices(rng, N, n):
+    """The units srs_wor draws from rng: one row of n uniforms, then its shuffle."""
+    _, u = designs._draws([rng], 1, n)
+    return designs._srs_slots(u, N)[0]
+
+
 class TestSrsIndices:
     @settings(max_examples=300, deadline=None)
     @given(_srs_shapes(), st.integers(0, 2**63))
@@ -125,7 +131,7 @@ class TestSrsIndices:
     @example((10**6, 600), 4)
     def test_same_draws_as_the_sequential_loop(self, shape, seed):
         N, n = shape
-        got = designs._srs_indices(np.random.default_rng(seed), N, n)
+        got = srs_indices(np.random.default_rng(seed), N, n)
         want = reference_srs_indices(np.random.default_rng(seed), N, n)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -136,11 +142,13 @@ class TestSrsIndices:
     @pytest.mark.parametrize("N, n", [(1, 1), (7, 3), (7, 7), (190_944, 500)])
     def test_top_edge_of_the_uniforms(self, top, N, n):
         class Stub:
-            def random(self, size):
-                return np.full(size, top)
+            def random(self, size=None, out=None):
+                if out is None:
+                    return np.full(size, top)
+                out[:] = top
 
         # every step targets the last slot, which passes each draw on
-        got = designs._srs_indices(Stub(), N, n)
+        got = srs_indices(Stub(), N, n)
         assert np.array_equal(got, reference_srs_indices(Stub(), N, n))
         assert got.tolist() == [N - 1, *range(n - 1)]
 
@@ -325,11 +333,11 @@ class TestAliasTable:
             def integers(self, high, size):
                 return np.full(size, high - 1)
 
-            def random(self, size):
-                return np.full(size, np.nextafter(1.0, 0.0))
+            def random(self, out):
+                out[:] = np.nextafter(1.0, 0.0)
 
         table = AliasTable(weights)
-        got = table.draw(Stub(), 5)
+        got = table.lookup(*designs._draws([Stub()], 1, 5, table.size))
         assert np.all((0 <= got) & (got < table.size))
 
 

@@ -168,6 +168,11 @@ class TestHistogram:
 
 
 class TestRunValidation:
+    def test_pairings_are_the_library_table(self):
+        # a pairing added to the table must reach every test parametrized by PAIRINGS
+        table = [(d, e) for d, names in montecarlo._VALID_PAIRS.items() for e in names]
+        assert PAIRINGS == table
+
     def test_design_estimator_pairing(self):
         fr = _small_pps_frame()
         with pytest.raises(ConfigError, match="does not apply"):
