@@ -485,15 +485,18 @@ def cmd_report(args) -> int:
     return 0
 
 
+_PPS_LABELS = {p.label for p in estimators.PAIRINGS.values() if p.design == designs.DESIGN_PPS}
+
+
 def _read_record_rows(path) -> list[dict]:
     try:
-        _, header, fields, rows, ragged = read_table(path)
+        _, header, fields, ragged = read_table(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
     if "total" not in header or ragged is not None:
         raise ConfigError(f"{path}: not an estimate record file")
     width = len(header)
-    records = [dict(zip(header, fields[i : i + width])) for i in range(0, rows * width, width)]
+    records = [dict(zip(header, fields[i : i + width])) for i in range(0, len(fields), width)]
     for row, record in enumerate(records, start=2):  # the header is row 1
         for key in ("total", "se", "ci_lo", "ci_hi", "deff"):
             text = record.get(key, "")  # blank is a value left out
@@ -503,6 +506,14 @@ def _read_record_rows(path) -> list[dict]:
                 raise ConfigError(f"{path}: row {row}: {key} {text!r} is not {kind}")
             if np.isinf(value) and key != "deff":  # a tiny baseline SE overflows deff
                 raise ConfigError(f"{path}: row {row}: {key} {text!r} is not finite")
+        for key in ("n", "N"):
+            text = record.get(key, "")
+            if not (text.strip().isdecimal() and int(text) > 0):
+                raise ConfigError(f"{path}: row {row}: {key} {text!r} is not a positive integer")
+        n, N = (int(record[key]) for key in ("n", "N"))
+        # PPS draws, with replacement, may outnumber the units they are drawn from
+        if n > N and record.get("estimator") not in _PPS_LABELS:
+            raise ConfigError(f"{path}: row {row}: n {n} exceeds N {N}")
     return records
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,22 +159,28 @@ class AliasTable:
             raise ValueError("weights must be finite and positive")
         size = w.size
         scaled = w * (size / float(np.sum(w)))
-        small = np.flatnonzero(scaled < 1.0).tolist()
-        large = np.flatnonzero(scaled >= 1.0).tolist()
-        scaled = scaled.tolist()
-        alias = [0] * size
-        # Vose's pops, with the large slot g held while it stays large
+        # machine arrays, not lists of Python numbers: 8 bytes a number, not about 40
+        small = array("q", np.flatnonzero(scaled < 1.0).astype(np.int64).tobytes())
+        large = array("q", np.flatnonzero(scaled >= 1.0).astype(np.int64).tobytes())
+        scaled = array("d", scaled.tobytes())
+        alias = array("q", bytes(8 * size))
+        # Vose's pops, with the large slot g, and its scaled weight x, held
+        # while it stays large
         if small and large:
             s, g = small.pop(), large.pop()
+            x = scaled[g]
             while True:
                 alias[s] = g  # scaled[s], now final, is s's prob
-                x = scaled[g] = (scaled[g] + scaled[s]) - 1.0
+                x = (x + scaled[s]) - 1.0
                 if x >= 1.0 and small:
                     s = small.pop()
                 elif x < 1.0 and large:
+                    scaled[g] = x
                     s, g = g, large.pop()
+                    x = scaled[g]
                 else:
                     break
+            scaled[g] = x
             small.append(g)
         slots = np.empty(size, dtype=[("prob", np.float64), ("alias", np.intp)])
         slots["prob"] = scaled
@@ -361,15 +368,14 @@ def load_sample(path) -> Sample:
         than 0..n-1 in order, draws :class:`Sample` refuses, or a ``pi``
         other than the one the design gives; messages name a bad row.
     """
-    facts, header, fields, rows, ragged = read_table(path)
+    facts, header, fields, ragged = read_table(path)
     for key in ("sample_design", "parent_N", "parent_aux_total"):
         if key not in facts:
             raise IngestionError(f"{path}: missing '# {key} = ...' header line")
     if header != list(_SAMPLE_COLUMNS):
         raise IngestionError(f"{path}: expected columns {','.join(_SAMPLE_COLUMNS)}")
     width = len(_SAMPLE_COLUMNS)
-    stop = (rows if ragged is None else ragged) * width
-    raw_draw, ids, raw_pi, raw_y, raw_p = (fields[j:stop:width] for j in range(width))
+    raw_draw, ids, raw_pi, raw_y, raw_p = (fields[j::width] for j in range(width))
     misplaced = next((i for i, text in enumerate(raw_draw) if text.strip() != str(i)), None)
     pi, bad_pi = parse_floats(raw_pi)
     p_hat, bad_p = parse_floats(raw_p)
@@ -390,7 +396,7 @@ def load_sample(path) -> Sample:
     if problems:
         row, _, message = min(problems)
         raise IngestionError(f"{path}: draw {row + 1}: {message}")
-    if not rows:
+    if not fields:
         raise IngestionError(f"{path}: no draws")
     try:
         sample = Sample(

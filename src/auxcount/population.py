@@ -26,6 +26,11 @@ STRATUM_ZERO = "zero"
 
 _FRAME_COLUMNS = ("id", "label", "p_hat")
 _LABEL_VALUES = {"": np.nan, "0": 0.0, "1": 1.0}
+# a table is read and written a chunk at a time, so that memory holds the
+# text of one chunk, never that of a whole file: CHUNK_ROWS rows, or, read
+# from unquoted text, CHUNK_CHARS characters and the rest of their last line
+CHUNK_ROWS = 4096
+CHUNK_CHARS = 1 << 17
 # bytes.translate deletes these, leaving a text's commas and newlines
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
 
@@ -60,7 +65,7 @@ class Frame:
         if not all(texts) or list(map(str.strip, texts)) != texts:
             raise ValueError("unit ids must be nonempty and unpadded")
         self._set(np.asarray(texts, dtype=object), aux_probs, labels, stratum)
-        if len(set(texts)) != self.N:
+        if first_repeat(texts) is not None:
             raise ValueError("duplicate unit ids")
 
     def _set(self, ids, aux_probs, labels, stratum) -> "Frame":
@@ -182,51 +187,55 @@ def stratify_by_prediction(frame: Frame, tau: float) -> dict[str, Frame]:
     }
 
 
-def _read_head(fh) -> tuple[dict[str, str], str]:
-    """The ``# key = value`` facts of the leading ``#`` lines, and the line after them."""
-    facts = {}
-    line = fh.readline()
-    while line.startswith("#"):
-        key, sep, value = line[1:].partition("=")
-        if sep:
-            facts[key.strip()] = value.strip()
-        line = fh.readline()
-    return facts, line
-
-
 def read_header_fields(path) -> dict[str, str]:
     """Collect the leading ``# key = value`` lines of a CSV artifact."""
-    with open(path) as fh:
-        return _read_head(fh)[0]
+    return next(read_chunks(path))[0]
 
 
-def read_table(path):
-    """Split a CSV file into (facts, header, fields, rows, ragged).
+def read_chunks(path):
+    """Yield a CSV file's (facts, header), then (fields, rows, ragged) for
+    each chunk of its body, in order.
 
     ``facts`` come from the leading ``# key = value`` lines: below the
     column header a ``#`` is data.  Blank lines are skipped.  ``fields``
-    holds every data field, row after row; ``ragged`` is the index of the
-    first row whose width differs from the header's (None if none), from
-    which on the fields no longer line up with the columns.
+    holds a chunk's data fields, row after row; ``ragged`` is the index of
+    the chunk's first row whose width differs from the header's (None if
+    none), from which on the fields no longer line up with the columns.
     """
     with open(path, newline="") as fh:
-        facts, line = _read_head(fh)
+        facts, line = {}, fh.readline()
+        while line.startswith("#"):
+            key, sep, value = line[1:].partition("=")
+            if sep:
+                facts[key.strip()] = value.strip()
+            line = fh.readline()
         header = next(csv.reader([line]), [])
-        body = fh.read()
-    width = len(header)
-    if '"' in body or "\r" in body:
+        yield facts, header
+        width = len(header)
+        while text := fh.read(CHUNK_CHARS):
+            text += fh.readline()
+            if '"' in text or "\r" in text:
+                break
+            yield _split_chunk(text, width)
+        # csv.reader takes the rest, where a quoted field may span lines
+        reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
         try:
-            table = [row for row in csv.reader(io.StringIO(body, newline="")) if row]
+            while records := list(itertools.islice(reader, CHUNK_ROWS)):
+                table = [row for row in records if row]
+                widths = np.fromiter(map(len, table), np.intp, len(table))
+                fields = list(itertools.chain.from_iterable(table))
+                yield fields, len(table), _first(widths != width)
         except csv.Error as exc:
             raise IngestionError(f"{path}: {exc}") from None
-        widths = np.fromiter(map(len, table), np.intp, len(table))
-        fields = list(itertools.chain.from_iterable(table))
-        return facts, header, fields, len(table), _first(widths != width)
-    body = (re.sub("\n\n+", "\n", body) if "\n\n" in body else body).strip("\n")
+
+
+def _split_chunk(text, width):
+    """(fields, rows, ragged) of lines with no quote or carriage return."""
+    body = (re.sub("\n\n+", "\n", text) if "\n\n" in text else text).strip("\n")
     if not body:
-        return facts, header, [], 0, None
+        return [], 0, None
     # with no quotes, a row's width is its comma count plus one: compare
-    # the file's separators, in order, with those of rows that fit
+    # the chunk's separators, in order, with those of rows that fit
     seps = body.encode().translate(None, _NOT_SEPARATOR) + b"\n"
     rows = seps.count(b"\n")
     fits = (b"," * (width - 1) + b"\n") * rows
@@ -235,7 +244,23 @@ def read_table(path):
         size = min(len(seps), len(fits))
         pos = _first(np.frombuffer(seps, np.uint8, size) != np.frombuffer(fits, np.uint8, size))
         ragged = seps.count(b"\n", 0, pos)
-    return facts, header, body.replace("\n", ",").split(","), rows, ragged
+    return body.replace("\n", ",").split(","), rows, ragged
+
+
+def read_table(path):
+    """(facts, header, fields, ragged) of a whole CSV file, its
+    :func:`read_chunks` joined: ``ragged`` is the index of the first row
+    whose width differs from the header's (None if none), and ``fields``
+    holds the data fields of the rows before it."""
+    chunks = read_chunks(path)
+    facts, header = next(chunks)
+    fields, rows = [], 0
+    for part, count, ragged in chunks:
+        if ragged is not None:
+            return facts, header, fields + part[: ragged * len(header)], rows + ragged
+        fields += part
+        rows += count
+    return facts, header, fields, None
 
 
 def _first(mask) -> int | None:
@@ -299,20 +324,27 @@ def write_table(path, comments, header, rows, ids=()) -> None:
     a lone carriage return, which QUOTE_MINIMAL leaves bare and a reader
     takes for a line break, makes every field quoted, as QUOTE_ALL does.
     """
-    text = "".join(ids)
+    marks = set()  # which of , " \n \r the ids hold, joined a chunk at a time
+    for start in range(0, len(ids), CHUNK_ROWS):
+        text = "".join(ids[start : start + CHUNK_ROWS])
+        marks.update(c for c in ',"\n\r' if c in text)
     lines = itertools.chain([header], rows)
-    if any(c in text for c in ',"\n\r'):
-        always = "\r" in text
+    if marks:
+        always = "\r" in marks
         lines = ([_quoted(field, always) for field in row] for row in lines)
     with open(path, "w", newline="") as fh:
         fh.writelines(f"# {line}\n" for line in comments)
-        # bounded chunks: one join per chunk, without a table-sized string
-        while chunk := list(itertools.islice(lines, 4096)):
+        while chunk := list(itertools.islice(lines, CHUNK_ROWS)):
             fh.write("\n".join(map(",".join, chunk)) + "\n")
 
 
 def first_repeat(ids) -> int | None:
-    """Index of the first id equal to an earlier one, or None."""
+    """Index of the first id equal to an earlier one, or None; ids are
+    compared one by one only where their sorted hashes hold a repeat."""
+    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+    hashes.sort()
+    if not np.any(hashes[1:] == hashes[:-1]):
+        return None
     first = {}  # each id's first index
     return next((i for i, uid in enumerate(ids) if first.setdefault(uid, i) != i), None)
 
@@ -336,46 +368,52 @@ def load_frame(path) -> Frame:
         labels outside {0, 1}, or probabilities outside [0, 1]; the
         message names the first offending row.
     """
-    _, header, fields, rows, ragged = read_table(path)
+    chunks = read_chunks(path)
+    _, header = next(chunks)
     where = {name: j for j, name in enumerate(header)}
     missing = [c for c in _FRAME_COLUMNS if c not in where]
     if missing:
         raise IngestionError(f"{path}: missing columns {missing}")
-    if not rows:
-        raise IngestionError(f"{path}: no data rows")
     width = len(header)
-    stop = (rows if ragged is None else ragged) * width
-    ids, raw_y, raw_p = (fields[where[c] : stop : width] for c in _FRAME_COLUMNS)
-    del fields
-    ids = list(map(str.strip, ids))
-    probs, unparsed = parse_floats(raw_p)
-    labels, bad_label = parse_labels(raw_y)
-    outside = _first(~((probs >= 0.0) & (probs <= 1.0)))
-
+    ids, probs, labels = [], [], []
     # (row, rank, message): rank orders the checks made on one row
     problems = []
-    if ragged is not None:
-        problems.append((ragged, 0, f"expected {width} fields"))
-    if "" in ids:
-        problems.append((ids.index(""), 1, "empty id"))
-    if unparsed is not None:
-        problems.append((unparsed, 3, f"bad probability {raw_p[unparsed].strip()!r}"))
-    if outside is not None:
-        problems.append((outside, 4, f"probability {float(probs[outside])} outside [0, 1]"))
-    if bad_label is not None:
-        problems.append(
-            (bad_label, 5, f"label {raw_y[bad_label].strip()!r} not in {{0, 1, blank}}")
-        )
-    if not problems:
-        del raw_p, raw_y  # freed before the ids are hashed
-        # the ids are stripped and nonempty: only their uniqueness is left to check
-        if len(set(ids)) == len(ids):
-            return Frame.__new__(Frame)._set(np.asarray(ids, dtype=object), probs, labels, None)
+    for fields, rows, ragged in chunks:
+        start = len(ids)  # the rows before this chunk
+        stop = (rows if ragged is None else ragged) * width
+        raw_id, raw_y, raw_p = (fields[where[c] : stop : width] for c in _FRAME_COLUMNS)
+        chunk_ids = list(map(str.strip, raw_id))
+        p, unparsed = parse_floats(raw_p)
+        y, bad_label = parse_labels(raw_y)
+        outside = _first(~((p >= 0.0) & (p <= 1.0)))
+        if ragged is not None:
+            problems.append((start + ragged, 0, f"expected {width} fields"))
+        if "" in chunk_ids:
+            problems.append((start + chunk_ids.index(""), 1, "empty id"))
+        if unparsed is not None:
+            text = raw_p[unparsed].strip()
+            problems.append((start + unparsed, 3, f"bad probability {text!r}"))
+        if outside is not None:
+            problems.append((start + outside, 4, f"probability {float(p[outside])} outside [0, 1]"))
+        if bad_label is not None:
+            text = raw_y[bad_label].strip()
+            problems.append((start + bad_label, 5, f"label {text!r} not in {{0, 1, blank}}"))
+        ids += chunk_ids
+        if problems:  # later rows cannot hold an earlier problem
+            break
+        probs.append(p)
+        labels.append(y)
+    # the ids are stripped and nonempty: only their uniqueness is left to check
     repeat = first_repeat(ids)
     if repeat is not None:
         problems.append((repeat, 2, f"duplicate id {ids[repeat]!r}"))
-    row, _, message = min(problems)
-    raise IngestionError(f"{path}: row {row + 2}: {message}")
+    if problems:
+        row, _, message = min(problems)
+        raise IngestionError(f"{path}: row {row + 2}: {message}")
+    if not ids:
+        raise IngestionError(f"{path}: no data rows")
+    columns = np.asarray(ids, dtype=object), np.concatenate(probs), np.concatenate(labels)
+    return Frame.__new__(Frame)._set(*columns, None)
 
 
 def write_frame(frame: Frame, path, header_lines=()) -> None:
@@ -385,6 +423,11 @@ def write_frame(frame: Frame, path, header_lines=()) -> None:
     every value exactly; ids that need it are CSV-quoted.  Optional
     ``header_lines`` are emitted first, each prefixed with ``# ``.
     """
-    ids = frame.ids.tolist()
-    rows = zip(ids, label_texts(frame.labels), float_texts(frame.aux_probs))
-    write_table(path, header_lines, _FRAME_COLUMNS, rows, ids)
+
+    def chunk(start):  # a chunk's texts, made as it is written
+        part = slice(start, start + CHUNK_ROWS)
+        ids, labels, probs = frame.ids[part], frame.labels[part], frame.aux_probs[part]
+        return zip(ids.tolist(), label_texts(labels), float_texts(probs))
+
+    rows = itertools.chain.from_iterable(map(chunk, range(0, frame.N, CHUNK_ROWS)))
+    write_table(path, header_lines, _FRAME_COLUMNS, rows, frame.ids)

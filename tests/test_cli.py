@@ -606,6 +606,58 @@ class TestReport:
         assert capsys.readouterr().err == f"auxcount: error: {bad}: row 3: {message}\n"
         assert not (frame_dir / "table.txt").exists()
 
+    @pytest.mark.parametrize(
+        "design, n, N, message",
+        [
+            ("pps", "abc", "-1", "n 'abc' is not a positive integer"),
+            ("srs", "999999", "3", "n 999999 exceeds N 3"),
+            ("srs", "25", "-1", "N '-1' is not a positive integer"),
+            ("srs", "0", "300", "n '0' is not a positive integer"),
+            ("pps", "2.5", "300", "n '2.5' is not a positive integer"),
+            ("pps", "25", "", "N '' is not a positive integer"),
+            ("pps", "999999", "3", None),  # PPS draws, with replacement, may outnumber units
+        ],
+    )
+    def test_record_sizes_are_checked(self, frame_dir, capsys, design, n, N, message):
+        estimator = {"pps": "hh", "srs": "srs"}[design]
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", "--design", design,
+            "--n", 25, "--seed", 14, "--out", frame_dir,
+        ) == 0
+        assert run(
+            "estimate", "--sample", frame_dir / "sample.csv", "--estimator", estimator,
+            "--out", frame_dir,
+        ) == 0
+        path = frame_dir / "record.csv"
+        assert run("report", "--inputs", path, "--out", frame_dir) == 0
+        want = (frame_dir / "table.txt").read_bytes()
+        lines = path.read_text().splitlines()
+        header, cells = lines[-2].split(","), lines[-1].split(",")
+        cells[header.index("n")], cells[header.index("N")] = n, N
+        path.write_text("\n".join(lines[:-1] + [",".join(cells)]) + "\n")
+        (frame_dir / "table.txt").unlink()
+        capsys.readouterr()
+        if message is None:
+            assert run("report", "--inputs", path, "--out", frame_dir) == 0
+            assert (frame_dir / "table.txt").read_bytes() == want
+            return
+        assert run("report", "--inputs", path, "--out", frame_dir) == 2
+        assert capsys.readouterr().err == f"auxcount: error: {path}: row 2: {message}\n"
+        assert not (frame_dir / "table.txt").exists()
+
+    def test_pps_record_with_more_draws_than_units_is_reported(self, frame_dir, capsys):
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", "--design", "pps",
+            "--n", 400, "--seed", 14, "--out", frame_dir,
+        ) == 0
+        assert run(
+            "estimate", "--sample", frame_dir / "sample.csv", "--estimator", "hh",
+            "--out", frame_dir,
+        ) == 0
+        record = _read_record_rows(frame_dir / "record.csv")[0]
+        assert (record["n"], record["N"]) == ("400", "300")
+        assert run("report", "--inputs", frame_dir / "record.csv", "--out", frame_dir) == 0
+
     def test_infinite_deff_is_accepted(self, frame_dir, capsys):
         # a valid, tiny baseline SE overflows the squared SE ratio to inf:
         # at 1e-320 the ratio itself, at 1e-160 (ratio about 1e161) its square

@@ -428,3 +428,86 @@ def test_calibrated_generate_bytes_are_pinned(tmp_path, target, digest):
     assert main(["generate", "--N", "5000", "--positives", "25", *target,
                  "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "frame.csv").read_bytes()).hexdigest() == digest
+
+
+# Bodies are read and written a chunk at a time: CHUNK_ROWS rows, or
+# CHUNK_CHARS characters of unquoted text and the rest of their last line.
+# With both at one, two or three, every awkward id, fault and byte above
+# falls on or across a chunk boundary somewhere.
+CHUNKS = [1, 2, 3]
+
+
+def _chunks(size):
+    return mock.patch.multiple(population, CHUNK_ROWS=size, CHUNK_CHARS=size)
+
+
+@pytest.mark.parametrize("size", CHUNKS)
+@pytest.mark.parametrize(
+    "test",
+    [test_malformed_body_fails_at_the_reference_row, test_write_then_load_is_exact,
+     test_frame_and_sample_bytes_match_the_csv_module],
+    ids=lambda test: test.__name__,
+)
+def test_chunk_size_changes_no_result(size, test):
+    with _chunks(size):
+        test()
+
+
+def _load_error(path):
+    with pytest.raises(IngestionError) as info:
+        load_frame(path)
+    return str(info.value).removeprefix(f"{path}: ")
+
+
+@pytest.mark.parametrize("size", CHUNKS)
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        # a quoted id holding a line break, its lines split between chunks
+        ('a,1,0.5\n"b\nc",0,0.25\nd,,0.75\n"e\n\nf",x,0.1\n',
+         "row 5: label 'x' not in {0, 1, blank}"),
+        ('a,1,0.5\nb,0,0.2\n"c\nd",0,0.25\ne,,0.75\nf,x,0.1\n',
+         "row 6: label 'x' not in {0, 1, blank}"),
+        # blank lines between chunks, before and after a switch to quoted rows
+        ("a,1,0.5\n\n\nb,0,0.2\n\n\nc,2,0.1\n", "row 4: label '2' not in {0, 1, blank}"),
+        ('a,1,0.5\n\n\n"b",0,0.2\n\n\nc,2,0.1\n', "row 4: label '2' not in {0, 1, blank}"),
+        # a ragged seventh row, which opens a chunk at every size
+        ("a,1,0.5\nb,0,0.2\nc,0,0.3\nd,1,0.4\ne,0,0.5\nf,,0.6\ng,0\nh,1\n",
+         "row 8: expected 3 fields"),
+        ('a,1,0.5\nb,0,0.2\nc,0,0.3\nd,1,0.4\ne,0,0.5\nf,,0.6\n"g",0\nh,1\n',
+         "row 8: expected 3 fields"),
+        # a duplicate of an id first used in an earlier chunk
+        ("a,1,0.5\nb,0,0.2\nc,0,0.3\nd,0,0.4\nb,1,0.9\n", "row 6: duplicate id 'b'"),
+        # that duplicate before a fault later in its own chunk
+        ("a,1,0.5\nb,0,0.2\nc,0,0.3\nb,1,0.9\ne,0,1.5\n", "row 5: duplicate id 'b'"),
+        # a late fault on the row of a duplicate: the duplicate's lower rank wins
+        ("a,1,0.5\nb,0,0.2\nc,0,0.3\nd,0,0.4\nb,7,x\n", "row 6: duplicate id 'b'"),
+        # an empty id outranks a bad probability on its row
+        ("a,1,0.5\nb,0,0.2\nc,0,0.3\n ,0,x\n", "row 5: empty id"),
+    ],
+)
+def test_faults_at_chunk_boundaries(tmp_path, size, body, message):
+    path = tmp_path / "frame.csv"
+    path.write_text("# seed = 1\nid,label,p_hat\n" + body, newline="")
+    assert reference_problem(path) == (int(message.split()[1][:-1]), message.split(": ", 1)[1])
+    with _chunks(size):
+        assert _load_error(path) == message
+    assert _load_error(path) == message
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0,a,0.5,1,0.4\n\n1,b,0.5,0,0.3\n2,c,0.5\n3,d,0.5,,0.2\n",
+        '0,"a\nb",0.5,1,0.4\n\n1,b,0.5,0,0.3\n2,c,0.5,1,0.1,x\n',
+        "0,a,0.5,1,0.4\r\n1,b,0.5,0,0.3\r\n\r\n2,c,0.5,1,0.1\r\n",
+    ],
+)
+def test_whole_table_is_the_same_at_every_chunk_size(tmp_path, body):
+    # load_sample and report read a table whole, its chunks joined
+    path = tmp_path / "table.csv"
+    path.write_text("# parent_N = 9\ndraw_index,unit_id,pi,y,p_hat\n" + body, newline="")
+    want = population.read_table(path)
+    for size in CHUNKS:
+        with _chunks(size):
+            assert population.read_table(path) == want, size
