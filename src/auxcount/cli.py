@@ -38,13 +38,13 @@ from .population import (
 
 PAPER_Z = 2.0
 
-# keys that steer where output lands but not what it contains; they stay
-# out of audit headers
-_NON_RESULT_KEYS = ("out", "config")
+# the default of a spec row whose setting every run must give
+REQUIRED = ...
 
 
 def _is_result_key(key: str) -> bool:
-    return key not in _NON_RESULT_KEYS and not key.startswith("out_")
+    """Output paths stay out of audit headers: they steer where an artifact lands."""
+    return not key.startswith("out_")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -82,8 +82,9 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def _resolve(args, spec: dict) -> dict:
-    """Merge defaults, config file and flags for one command."""
-    resolved = {key: default for key, (_, default) in spec.items()}
+    """Merge defaults, config file and flags for one command, refusing a
+    REQUIRED setting left out and a value outside its spec row's choices."""
+    resolved = {key: default for key, (_, default, *_) in spec.items()}
     if args.config:
         file_values = read_config_file(args.config)
         unknown = set(file_values) - set(spec)
@@ -101,11 +102,15 @@ def _resolve(args, spec: dict) -> dict:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             resolved[key] = flag_value
+    _require(resolved, *(key for key, value in resolved.items() if value is REQUIRED))
+    for key, (_, _, *choices) in spec.items():
+        if choices and resolved[key] not in (None, *choices[0]):
+            raise ConfigError(f"unknown {key} {resolved[key]!r}; choose from {choices[0]}")
     return resolved
 
 
 def _require(resolved: dict, *keys: str):
-    missing = [k for k in keys if resolved.get(k) is None]
+    missing = [k for k in keys if resolved[k] in (None, REQUIRED)]
     if missing:
         raise ConfigError(f"missing required settings: {missing}")
 
@@ -193,8 +198,8 @@ def _stratum_estimates(resolved: dict, names) -> list:
 # command implementations
 
 GENERATE_SPEC = {
-    "N": (int, None),
-    "positives": (int, None),
+    "N": (int, REQUIRED),
+    "positives": (int, REQUIRED),
     "a1": (float, None),
     "b1": (float, None),
     "a0": (float, None),
@@ -202,14 +207,12 @@ GENERATE_SPEC = {
     "target_loss": (float, None),
     "target_f1": (float, None),
     "tau": (float, 0.5),
-    "seed": (int, None),
+    "seed": (int, REQUIRED),
     "out_frame": (str, "frame.csv"),
 }
 
 
-def cmd_generate(args) -> int:
-    resolved = _resolve(args, GENERATE_SPEC)
-    _require(resolved, "N", "positives", "seed")
+def cmd_generate(args, resolved: dict) -> int:
     N, positives = resolved["N"], resolved["positives"]
     if N < 1:
         raise ConfigError("N must be at least 1")
@@ -243,15 +246,13 @@ def cmd_generate(args) -> int:
 
 
 METRICS_SPEC = {
-    "frame": (str, None),
+    "frame": (str, REQUIRED),
     "tau": (float, 0.5),
     "out_metrics": (str, "metrics.json"),
 }
 
 
-def cmd_metrics(args) -> int:
-    resolved = _resolve(args, METRICS_SPEC)
-    _require(resolved, "frame")
+def cmd_metrics(args, resolved: dict) -> int:
     frame = load_frame(resolved["frame"])
     if not frame.fully_labeled:
         raise ConfigError("metrics needs a fully labeled frame")
@@ -276,22 +277,18 @@ def cmd_metrics(args) -> int:
 
 
 SAMPLE_SPEC = {
-    "frame": (str, None),
-    "design": (str, None),
-    "n": (int, None),
+    "frame": (str, REQUIRED),
+    "design": (str, REQUIRED, montecarlo.DESIGN_CHOICES),
+    "n": (int, REQUIRED),
     "tau": (float, 0.5),
     "allocation": (str, None),
-    "seed": (int, None),
+    "seed": (int, REQUIRED),
     "out_sample": (str, "sample.csv"),
 }
 
 
-def cmd_sample(args) -> int:
-    resolved = _resolve(args, SAMPLE_SPEC)
-    _require(resolved, "frame", "design", "n", "seed")
+def cmd_sample(args, resolved: dict) -> int:
     design = resolved["design"]
-    if design not in montecarlo.DESIGN_CHOICES:
-        raise ConfigError(f"unknown design {design!r}; choose from {montecarlo.DESIGN_CHOICES}")
     if (design == "stratified") != (resolved["allocation"] is not None):
         raise ConfigError("stratified sampling needs an allocation rule, and only it takes one")
     frame = load_frame(resolved["frame"])
@@ -310,7 +307,7 @@ ESTIMATE_SPEC = {
     "sample": (str, None),
     "sample_one": (str, None),
     "sample_zero": (str, None),
-    "estimator": (str, None),
+    "estimator": (str, None, tuple(estimators.PAIRINGS)),
     "zero_estimator": (str, "srs"),
     "z": (float, None),
     "paper_mode": (bool, None),
@@ -318,8 +315,7 @@ ESTIMATE_SPEC = {
     "out_record": (str, "record.csv"),
 }
 
-def cmd_estimate(args) -> int:
-    resolved = _resolve(args, ESTIMATE_SPEC)
+def cmd_estimate(args, resolved: dict) -> int:
     stratified = resolved["sample_one"] is not None or resolved["sample_zero"] is not None
     if stratified and resolved["sample"] is not None:
         raise ConfigError("give either sample or sample_one/sample_zero, not both")
@@ -339,10 +335,6 @@ def cmd_estimate(args) -> int:
         _require(resolved, "sample", "estimator")
         if resolved["zero_estimator"] != ESTIMATE_SPEC["zero_estimator"][1]:
             raise ConfigError("zero_estimator applies only to sample_one/sample_zero estimates")
-        if resolved["estimator"] not in estimators.PAIRINGS:
-            raise ConfigError(
-                f"estimator must be one of {', '.join(map(repr, estimators.PAIRINGS))}"
-            )
         estimate = _estimate(designs.load_sample(resolved["sample"]), resolved["estimator"])
     record = estimators.estimate_record(estimate, z=z, baseline_se=resolved["baseline_se"])
     resolved["z"] = z
@@ -353,14 +345,14 @@ def cmd_estimate(args) -> int:
 
 
 SIMULATE_SPEC = {
-    "frame": (str, None),
-    "design": (str, None),
-    "estimator": (str, None),
-    "n": (int, None),
-    "R": (int, None),
+    "frame": (str, REQUIRED),
+    "design": (str, REQUIRED),
+    "estimator": (str, REQUIRED),
+    "n": (int, REQUIRED),
+    "R": (int, REQUIRED),
     "tau": (float, 0.5),
     "allocation": (str, None),
-    "seed": (int, None),
+    "seed": (int, REQUIRED),
     "baseline_se": (float, None),
     "out_report": (str, "report.json"),
     "out_replicates": (str, "replicates.csv"),
@@ -368,9 +360,7 @@ SIMULATE_SPEC = {
 }
 
 
-def cmd_simulate(args) -> int:
-    resolved = _resolve(args, SIMULATE_SPEC)
-    _require(resolved, "frame", "design", "estimator", "n", "R", "seed")
+def cmd_simulate(args, resolved: dict) -> int:
     frame = load_frame(resolved["frame"])
     report = montecarlo.run_replications(
         frame,
@@ -405,18 +395,16 @@ def cmd_simulate(args) -> int:
 
 
 F1_SPEC = {
-    "sample_one": (str, None),
-    "sample_zero": (str, None),
-    "flagged_tp": (int, None),
-    "flagged_fn": (int, None),
-    "c": (int, None),
+    "sample_one": (str, REQUIRED),
+    "sample_zero": (str, REQUIRED),
+    "flagged_tp": (int, REQUIRED),
+    "flagged_fn": (int, REQUIRED),
+    "c": (int, REQUIRED),
     "out_f1": (str, "f1.json"),
 }
 
 
-def cmd_f1(args) -> int:
-    resolved = _resolve(args, F1_SPEC)
-    _require(resolved, "sample_one", "sample_zero", "flagged_tp", "flagged_fn", "c")
+def cmd_f1(args, resolved: dict) -> int:
     (_, one), (_, zero) = _stratum_estimates(resolved, estimators.F1_STRATA)
     flagged = classifier_sim.ConfusionCounts(
         tp=resolved["flagged_tp"], fp=0, fn=resolved["flagged_fn"], tn=0
@@ -436,7 +424,7 @@ def cmd_f1(args) -> int:
 
 
 REPORT_SPEC = {
-    "inputs": (list, None),
+    "inputs": (list, REQUIRED),
     "paper_mode": (bool, None),
     "out_table": (str, "table.txt"),
 }
@@ -468,9 +456,7 @@ def _format_table(rows: list[dict], paper_mode: bool) -> str:
     return "\n".join(out) + "\n"
 
 
-def cmd_report(args) -> int:
-    resolved = _resolve(args, REPORT_SPEC)
-    _require(resolved, "inputs")
+def cmd_report(args, resolved: dict) -> int:
     rows = []
     for path in resolved["inputs"]:
         rows.extend(_read_record_rows(path))
@@ -486,6 +472,7 @@ def cmd_report(args) -> int:
 
 
 _PPS_LABELS = {p.label for p in estimators.PAIRINGS.values() if p.design == designs.DESIGN_PPS}
+_RECORD_LABELS = {p.label for p in estimators.PAIRINGS.values()} | {estimators.ESTIMATOR_STRAT}
 
 
 def _read_record_rows(path) -> list[dict]:
@@ -493,27 +480,37 @@ def _read_record_rows(path) -> list[dict]:
         _, header, fields, ragged = read_table(path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    if "total" not in header or ragged is not None:
-        raise ConfigError(f"{path}: not an estimate record file")
-    width = len(header)
+    width = len(estimators.RECORD_FIELDS)
+    if header != list(estimators.RECORD_FIELDS):
+        raise ConfigError(f"{path}: row 1: expected columns {','.join(estimators.RECORD_FIELDS)}")
+    if ragged is not None:
+        raise ConfigError(f"{path}: row {ragged + 2}: expected {width} fields")
     records = [dict(zip(header, fields[i : i + width])) for i in range(0, len(fields), width)]
     for row, record in enumerate(records, start=2):  # the header is row 1
-        for key in ("total", "se", "ci_lo", "ci_hi", "deff"):
-            text = record.get(key, "")  # blank is a value left out
-            value = _float_or_none(text) if text else 0.0
-            if value is None or np.isnan(value) or (key == "se" and value < 0.0):
-                kind = "a nonnegative number" if key == "se" else "a number"
+        if record["estimator"] not in _RECORD_LABELS:
+            raise ConfigError(f"{path}: row {row}: unknown estimator {record['estimator']!r}")
+        values = {}
+        for key in ("total", "se", "z", "ci_lo", "ci_hi", "deff"):
+            text = record[key]  # only deff may be blank: no baseline SE was given
+            value = values[key] = _float_or_none(text) if text or key != "deff" else 0.0
+            if value is None or np.isnan(value) or (key in ("se", "z") and value < 0.0):
+                kind = "a nonnegative number" if key in ("se", "z") else "a number"
                 raise ConfigError(f"{path}: row {row}: {key} {text!r} is not {kind}")
             if np.isinf(value) and key != "deff":  # a tiny baseline SE overflows deff
                 raise ConfigError(f"{path}: row {row}: {key} {text!r} is not finite")
         for key in ("n", "N"):
-            text = record.get(key, "")
+            text = record[key]
             if not (text.strip().isdecimal() and int(text) > 0):
                 raise ConfigError(f"{path}: row {row}: {key} {text!r} is not a positive integer")
         n, N = (int(record[key]) for key in ("n", "N"))
         # PPS draws, with replacement, may outnumber the units they are drawn from
-        if n > N and record.get("estimator") not in _PPS_LABELS:
+        if n > N and record["estimator"] not in _PPS_LABELS:
             raise ConfigError(f"{path}: row {row}: n {n} exceeds N {N}")
+        # as confidence_interval computes them, bit for bit: by repr, as -0.0 == 0.0
+        total, margin = values["total"], values["z"] * values["se"]
+        for key, want in (("ci_lo", total - margin), ("ci_hi", total + margin)):
+            if repr(values[key]) != repr(want):
+                raise ConfigError(f"{path}: row {row}: {key} {record[key]!r}, expected {want!r}")
     return records
 
 
@@ -544,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", help="key = value settings file")
         p.add_argument("--out", help="output directory (default: current)")
-        for key, (typ, _) in spec.items():
+        for key, (typ, *_) in spec.items():
             flag = "--" + key.replace("_", "-")
             if typ is list:
                 p.add_argument(flag, dest=key, nargs="+")
@@ -557,9 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = _COMMANDS[args.command][0]
+    command, spec, _ = _COMMANDS[args.command]
     try:
-        return command(args)
+        return command(args, _resolve(args, spec))
     except (VarianceUndefinedError, UndefinedMetricError, CalibrationError, SweepError) as exc:
         print(f"auxcount: error: {exc}", file=sys.stderr)
         return 3

@@ -51,9 +51,9 @@ _SAMPLE_COLUMNS = ("draw_index", "unit_id", "pi", "y", "p_hat")
 class Sample:
     """Ordered draws from one frame under one design.
 
-    ``y`` is NaN where the drawn unit is unlabeled.  SRS draws are
-    distinct units; a PPS unit drawn again repeats its first draw's y and
-    p_hat.
+    ``y`` is 0, 1, or NaN where unlabeled.  SRS draws are distinct units;
+    a PPS unit drawn again repeats its first draw's y and p_hat.  The
+    columns are read-only copies, as a Frame's are.
     """
 
     design: str
@@ -67,16 +67,22 @@ class Sample:
     def __post_init__(self):
         if self.design not in (DESIGN_SRS, DESIGN_PPS):
             raise ValueError(f"unknown design {self.design!r}")
+        for name, dtype in (("unit_ids", object), ("y", np.float64), ("p_hat", np.float64)):
+            column = np.array(getattr(self, name), dtype=dtype)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
         if len({len(self.unit_ids), len(self.y), len(self.p_hat)}) != 1:
             raise ValueError("sample columns must have equal length")
         if self.n < 1:
             raise ValueError("a sample needs at least one draw")
         if self.parent_N < 1:
             raise ValueError("parent_N must be at least 1")
-        p_hat = np.asarray(self.p_hat, dtype=np.float64)
-        row = _first((p_hat < 0.0) | (p_hat > 1.0))
+        row = _first((self.p_hat < 0.0) | (self.p_hat > 1.0))
         if row is not None:
-            raise ValueError(f"draw {row + 1}: score {p_hat[row]} not in [0, 1]")
+            raise ValueError(f"draw {row + 1}: score {self.p_hat[row]} not in [0, 1]")
+        row = _first(~(np.isin(self.y, (0.0, 1.0)) | np.isnan(self.y)))
+        if row is not None:
+            raise ValueError(f"draw {row + 1}: label {self.y[row]} not in {{0, 1, NaN}}")
         if not 0.0 <= self.parent_aux_total < math.inf:
             raise ValueError("parent_aux_total must be finite and nonnegative")
         # refuses a PPS draw with no score, p_hat > parent_aux_total and n > parent_N
@@ -85,13 +91,13 @@ class Sample:
         row = _first(~((pi > 0.0) & (pi <= 1.0)))  # NaN compares false
         if row is not None:
             raise ValueError(f"draw {row + 1}: selection probability {pi[row]} not in (0, 1]")
-        ids, first = np.asarray(self.unit_ids).tolist(), {}
+        ids, first = self.unit_ids.tolist(), {}
         seen = np.array([first.setdefault(uid, i) for i, uid in enumerate(ids)])
         if self.design == DESIGN_SRS:
             clash, what = seen != np.arange(self.n), "drawn before; SRS draws are distinct units"
         else:
-            codes = np.nan_to_num(np.asarray(self.y, dtype=np.float64), nan=2.0)
-            clash = (codes != codes[seen]) | (p_hat != p_hat[seen])
+            codes = np.nan_to_num(self.y, nan=2.0)
+            clash = (codes != codes[seen]) | (self.p_hat != self.p_hat[seen])
             what = "drawn before with another y or p_hat"
         row = _first(clash)
         if row is not None:
@@ -105,12 +111,12 @@ class Sample:
     def pi(self) -> np.ndarray:
         """Selection probability per draw: p_hat / parent_aux_total (PPS) or n / parent_N."""
         if self.design == DESIGN_PPS:
-            return np.asarray(self.p_hat, dtype=np.float64) / self.parent_aux_total
+            return self.p_hat / self.parent_aux_total
         return np.full(self.n, self.n / self.parent_N)
 
     @property
     def labeled(self) -> bool:
-        return not np.isnan(np.asarray(self.y, dtype=np.float64)).any()
+        return not np.isnan(self.y).any()
 
 
 def _srs_slots(u: np.ndarray, N: int) -> np.ndarray:
@@ -347,7 +353,7 @@ def write_sample(sample: Sample, path, header_lines=()) -> None:
     ]
     if sample.stratum is not None:
         facts.append(f"stratum = {sample.stratum}")
-    ids = np.asarray(sample.unit_ids).tolist()
+    ids = sample.unit_ids.tolist()
     rows = zip(
         map(str, range(sample.n)),
         ids,
@@ -401,7 +407,7 @@ def load_sample(path) -> Sample:
     try:
         sample = Sample(
             design=facts["sample_design"],
-            unit_ids=np.asarray(ids, dtype=object),
+            unit_ids=ids,
             y=y,
             p_hat=p_hat,
             parent_N=int(facts["parent_N"]),

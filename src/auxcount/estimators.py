@@ -117,8 +117,7 @@ def _estimate(sample: Sample, name: str) -> Estimate:
         raise ValueError(f"{pairing.function} needs a {pairing.design} sample")
     if not sample.labeled:
         raise ValueError("every draw must carry a label; annotate the sample first")
-    y, p_hat = (np.asarray(v, dtype=np.float64) for v in (sample.y, sample.p_hat))
-    x, base = pairing.units(y, p_hat, sample.parent_aux_total)
+    x, base = pairing.units(sample.y, sample.p_hat, sample.parent_aux_total)
     if np.isnan(x).any():
         raise ValueError("every draw must carry a score")
     total, variance = pairing.kernel(x, sample.parent_N, base)

@@ -298,10 +298,8 @@ def parse_labels(texts):
 
 
 def label_texts(labels):
-    """CSV text of labels: "0", "1", or "" where NaN."""
-    codes = np.nan_to_num(np.asarray(labels, dtype=np.float64), nan=2.0)
-    if not np.isin(codes, (0.0, 1.0, 2.0)).all():
-        raise ValueError("labels must be 0, 1, or missing")
+    """CSV text of labels that a Frame or Sample holds: "0", "1", or "" where NaN."""
+    codes = np.nan_to_num(labels, nan=2.0)
     return map(("0", "1", "").__getitem__, codes.astype(np.intp).tolist())
 
 

@@ -22,8 +22,10 @@ from auxcount import (
     stratify_by_prediction,
     write_sample,
 )
+from auxcount import estimators, montecarlo
+from auxcount.estimators import RECORD_FIELDS
 from auxcount.cli import (
-    _COMMANDS, _read_record_rows, audit_to_config_lines, build_parser, main, read_audit,
+    _COMMANDS, REQUIRED, _read_record_rows, audit_to_config_lines, build_parser, main, read_audit,
 )
 
 from conftest import _ids
@@ -34,8 +36,8 @@ def run(*argv) -> int:
 
 
 def _cell_edits(text, column) -> list[str]:
-    """Texts to put in place of one cell of a sample file: junk, numbers
-    near and far from its value, and other cells of its column."""
+    """Texts to put in place of one cell of a sample or record file: junk,
+    numbers near and far from its value, and other cells of its column."""
     edits = {"", "x", "nan", "inf", "-1", "0", "1", "1.5", f" {text} ", text + "0",
              column[0], column[-1]}
     try:
@@ -46,6 +48,15 @@ def _cell_edits(text, column) -> list[str]:
         edits.update(repr(v) for v in (np.nextafter(value, 2.0), value * 2, value / 2))
     edits.discard(text)
     return sorted(edits)
+
+
+def _settings(tmp_path, source, given) -> list:
+    """Arguments that give the settings ``given`` as flags or in a config file."""
+    if source == "flags":
+        return [a for k, v in given.items() for a in ("--" + k.replace("_", "-"), v)]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in given.items()))
+    return ["--config", cfg]
 
 
 @pytest.fixture()
@@ -378,6 +389,35 @@ class TestParser:
         spec_flags = {"--" + key.replace("_", "-") for key in _COMMANDS[command][1]}
         assert flags == {"-h", "--help", "--config", "--out"} | spec_flags
 
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, (_, spec, _) in _COMMANDS.items()
+        for key, row in spec.items() if row[1] is REQUIRED
+    ])
+    def test_a_missing_required_setting_is_named(self, tmp_path, capsys, source, command, key):
+        spec = _COMMANDS[command][1]
+        given = {k: row[2][0] if len(row) > 2 else {int: "1", float: "1.0"}.get(row[0], "x")
+                 for k, row in spec.items() if row[1] is REQUIRED and k != key}
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(command, *_settings(tmp_path, source, given), "--out", out) == 2
+        assert capsys.readouterr().err == f"auxcount: error: missing required settings: {[key]}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("command, key, choices, given", [
+        ("sample", "design", montecarlo.DESIGN_CHOICES, {"frame": "none.csv", "n": 5, "seed": 1}),
+        ("estimate", "estimator", tuple(estimators.PAIRINGS), {"sample": "none.csv"}),
+    ])
+    def test_a_value_outside_its_choices_is_refused_before_input_is_read(
+        self, tmp_path, capsys, source, command, key, choices, given
+    ):
+        given = {**given, key: "bogus"}  # the input files do not exist
+        assert run(command, *_settings(tmp_path, source, given), "--out", tmp_path) == 2
+        want = f"auxcount: error: unknown {key} 'bogus'; choose from {choices}\n"
+        assert capsys.readouterr().err == want
+        assert _COMMANDS[command][1][key][2] == choices
+
     def test_flags_a_command_does_not_read_are_refused(self, frame_dir, tmp_path):
         frame = frame_dir / "frame.csv"
         for argv in (["metrics", "--frame", frame, "--seed", 1], ["simulate", "--workers", 2]):
@@ -583,6 +623,26 @@ class TestReport:
             ("se", "inf", "se 'inf' is not finite"),
             ("ci_lo", "-inf", "ci_lo '-inf' is not finite"),
             ("ci_hi", "Infinity", "ci_hi 'Infinity' is not finite"),
+            # only deff may be blank
+            ("total", "", "total '' is not a number"),
+            ("se", "", "se '' is not a nonnegative number"),
+            ("ci_lo,ci_hi", "", "ci_lo '' is not a number"),
+            ("z", "", "z '' is not a nonnegative number"),
+            ("z", "abc", "z 'abc' is not a nonnegative number"),
+            ("z", "-1", "z '-1' is not a nonnegative number"),
+            ("z", "nan", "z 'nan' is not a nonnegative number"),
+            ("z", "inf", "z 'inf' is not finite"),
+            # the interval is total -/+ z*se of the row's own doubles
+            ("ci_lo", "-1000", "ci_lo '-1000', expected -10.518685574429071"),
+            ("ci_hi", "34.52", "ci_hi '34.52', expected 34.51868557442907"),
+            ("total", "13.0", "ci_lo '-10.518685574429071', expected -9.518685574429071"),
+            ("se", "0", "ci_lo '-10.518685574429071', expected 12.0"),
+            ("z", "2.0", "ci_lo '-10.518685574429071', expected -10.978250586152114"),
+            ("ci_lo,ci_hi", "12.0", "ci_lo '12.0', expected -10.518685574429071"),
+            # labels that estimate writes, as it writes them
+            ("estimator", "srs", "unknown estimator 'srs'"),
+            ("estimator", " SRS", "unknown estimator ' SRS'"),
+            ("estimator", "", "unknown estimator ''"),
         ],
     )
     def test_bad_record_names_file_and_row(self, frame_dir, capsys, field, text, message):
@@ -598,7 +658,8 @@ class TestReport:
         lines = good.read_text().splitlines()
         header = lines[-2].split(",")
         cells = lines[-1].split(",")
-        cells[header.index(field)] = text
+        for name in field.split(","):
+            cells[header.index(name)] = text
         bad = frame_dir / "bad.csv"
         bad.write_text("\n".join(lines[:-1] + [lines[-1], ",".join(cells)]) + "\n")
         capsys.readouterr()
@@ -674,6 +735,67 @@ class TestReport:
             capsys.readouterr()
             assert run("report", "--inputs", frame_dir / "record.csv", "--out", frame_dir) == 0
             assert capsys.readouterr().out.splitlines()[1].split()[-1] == "inf"
+
+    @pytest.mark.parametrize("rows, message", [
+        (["estimator,total,n,N", "HH,5,3,10"],
+         f"row 1: expected columns {','.join(RECORD_FIELDS)}"),
+        ([",".join(RECORD_FIELDS), "SRS,12.0,11.489125293076057,25,300,1.96,"
+          "-10.518685574429071,34.51868557442907,", "SRS,12.0"], "row 3: expected 9 fields"),
+        # -0.0 == 0.0, but the table would print it as -0
+        ([",".join(RECORD_FIELDS), "SRS,0.0,0.0,25,300,1.96,0.0,0.0,",
+          "SRS,0.0,0.0,25,300,1.96,-0.0,0.0,"], "row 3: ci_lo '-0.0', expected 0.0"),
+    ])
+    def test_hand_written_record_names_file_and_row(self, tmp_path, capsys, rows, message):
+        path = tmp_path / "other.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert run("report", "--inputs", path, "--out", tmp_path) == 2
+        assert capsys.readouterr().err == f"auxcount: error: {path}: {message}\n"
+        assert not (tmp_path / "table.txt").exists()
+
+    @pytest.mark.parametrize("estimator", ["hh", "srs", "diff", "strat"])
+    def test_one_edited_cell_is_refused_or_changes_nothing(
+        self, frame_dir, tmp_path, capsys, estimator
+    ):
+        sample = ["--design", {"hh": "pps", "strat": "stratified"}.get(estimator, "srs")]
+        argv = ["--sample", tmp_path / "sample.csv", "--estimator", estimator]
+        if estimator == "strat":
+            sample += ["--allocation", "proportional"]
+            argv = ["--sample-one", tmp_path / "sample_one.csv",
+                    "--sample-zero", tmp_path / "sample_zero.csv", "--zero-estimator", "diff"]
+        # seed 6 draws positives under every design, so no record has se 0 and a free z
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", *sample, "--n", 40, "--seed", 6,
+            "--out", tmp_path,
+        ) == 0
+        assert run("estimate", *argv, "--baseline-se", 3.0, "--out", tmp_path) == 0
+        path, out = tmp_path / "record.csv", tmp_path / "out"
+        out.mkdir()
+        lines = path.read_text().splitlines(keepends=True)
+        top = lines.index(",".join(RECORD_FIELDS) + "\n") + 1
+        rows = [line.rstrip("\n").split(",") for line in lines[top:]]
+
+        def report():
+            (out / "table.txt").unlink(missing_ok=True)
+            code = run("report", "--inputs", path, "--out", out)
+            return code, capsys.readouterr().err
+
+        assert report() == (0, "")
+        want = (out / "table.txt").read_bytes()
+        refused = re.compile(rf"auxcount: error: {re.escape(str(path))}: row 2: ")
+        # deff is free: the baseline SE it divides by is audited, not stored per row
+        columns = [j for j, name in enumerate(RECORD_FIELDS) if name != "deff"]
+        for i, j in itertools.product(range(len(rows)), columns):
+            text = rows[i][j]
+            for edit in _cell_edits(text, [row[j] for row in rows]):
+                edited = [row[:j] + [edit] + row[j + 1:] if k == i else row
+                          for k, row in enumerate(rows)]
+                path.write_text("".join(lines[:top] + [",".join(row) + "\n" for row in edited]))
+                code, err = report()
+                what = f"row {i + 2}, {RECORD_FIELDS[j]}: {text!r} -> {edit!r}: exit {code} {err}"
+                if code == 2:
+                    assert refused.match(err), what
+                else:
+                    assert code == 0 and (out / "table.txt").read_bytes() == want, what
 
     def test_empty_inputs_fail(self, tmp_path):
         empty = tmp_path / "empty.csv"

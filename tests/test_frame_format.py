@@ -188,6 +188,32 @@ def test_hand_built_sample_write_then_load_is_exact(fields):
     assert np.array_equal(back.p_hat, sample.p_hat, equal_nan=True)
 
 
+# 2.0 is the code label_texts gives NaN, so it was once written as a blank label
+@pytest.mark.parametrize("design", [DESIGN_SRS, DESIGN_PPS])
+@pytest.mark.parametrize(
+    "y, row", [([2.0, 0.0], 1), ([0.5, 1.0], 1), ([1.0, -1.0], 2), ([0.0, np.inf], 2)]
+)
+def test_hand_built_sample_refuses_a_label_outside_0_1_nan(design, y, row):
+    with pytest.raises(ValueError, match=rf"^draw {row}: label {y[row - 1]} not in "):
+        Sample(design=design, unit_ids=np.array(["a", "b"], dtype=object), y=np.array(y),
+               p_hat=np.array([0.4, 0.3]), parent_N=10, parent_aux_total=2.0)
+
+
+def test_hand_built_sample_holds_read_only_copies():
+    ids, y, p_hat = np.array(["a", "b"], dtype=object), np.array([1.0, 0.0]), np.array([0.4, 0.3])
+    sample = Sample(design=DESIGN_SRS, unit_ids=ids, y=y, p_hat=p_hat, parent_N=10,
+                    parent_aux_total=2.0)
+    ids[0], y[0], p_hat[1] = "b", 7.0, -4.0  # the caller's arrays, not the sample's
+    assert (sample.unit_ids.tolist(), sample.y.tolist(), sample.p_hat.tolist()) == (
+        ["a", "b"], [1.0, 0.0], [0.4, 0.3])
+    for column, value in ((sample.unit_ids, "b"), (sample.y, 7.0), (sample.p_hat, -4.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = value
+    with _scratch("sample.csv") as path:
+        write_sample(sample, path)
+        assert load_sample(path).y.tolist() == [1.0, 0.0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(sample_fields(DESIGN_PPS), st.data())
 def test_pps_sample_without_a_score_or_repeating_another_y_is_refused(fields, data):
