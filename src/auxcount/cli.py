@@ -493,7 +493,8 @@ def _read_record_rows(path) -> list[dict]:
         for key in ("total", "se", "z", "ci_lo", "ci_hi", "deff"):
             text = record[key]  # only deff may be blank: no baseline SE was given
             value = values[key] = _float_or_none(text) if text or key != "deff" else 0.0
-            if value is None or np.isnan(value) or (key in ("se", "z") and value < 0.0):
+            # a sign bit refuses -0.0 too, which the table would print as -0
+            if value is None or np.isnan(value) or (key in ("se", "z") and np.signbit(value)):
                 kind = "a nonnegative number" if key in ("se", "z") else "a number"
                 raise ConfigError(f"{path}: row {row}: {key} {text!r} is not {kind}")
             if np.isinf(value) and key != "deff":  # a tiny baseline SE overflows deff

@@ -225,8 +225,8 @@ def stratified_estimate(components) -> Estimate:
 
 def confidence_interval(estimate: Estimate, z: float = DEFAULT_Z) -> tuple[float, float]:
     """Normal interval total +/- z * se; needs a defined variance."""
-    if z < 0:
-        raise ValueError("z must be nonnegative")
+    if np.signbit(z):  # -0.0 too, which the record would carry
+        raise ValueError(f"z must be nonnegative with no minus sign, got {z!r}")
     se = math.sqrt(estimate._require_variance())
     return estimate.total - z * se, estimate.total + z * se
 

@@ -5,8 +5,8 @@ Each replicate r of a run draws its randomness from the generator that
 be reproduced alone.  A run takes its replicates a block at a time: one
 vectorised pass of SeedSequence's hash gives the block's PCG64 seed words
 (the same words, so the same streams, as seeding one by one), each
-generator fills its replicate's row of uniforms, and the rest runs once
-per block.
+replicate fills its row of the block's draws, and the rest runs once per
+block.
 """
 
 from __future__ import annotations
@@ -125,7 +125,9 @@ def replicate_rng(seed, r: int) -> np.random.Generator:
     """The generator replicate r draws from: ``default_rng((seed..., r))``.
 
     Its state and stream are those of numpy's generator; it does not
-    ``spawn``, as its seed words come precomputed.
+    ``spawn``, as its seed words come precomputed.  Replicate r of a run
+    draws what this generator's ``integers`` (PPS alias slots) then
+    ``random`` give, by the rule ``run_replications`` states.
     """
     r = int(r)
     return _generator(_replicate_states(seed, r, r + 1)[0])
@@ -133,6 +135,49 @@ def replicate_rng(seed, r: int) -> np.random.Generator:
 
 # draws per block of replicates evaluated together: 512 KiB per float64 matrix
 _BLOCK_DRAWS = 2**16
+
+
+def _block_buffers(rows: int, n: int, slots: int):
+    """The arrays a raw PPS block fills, made once per run at its row cap:
+    alias slots, uniforms and raw words, stored little-endian so that a
+    uint32 view reads each word's low half first.  None where blocks draw
+    through numpy, each into arrays of its own: an SRS run holding its
+    uniforms across blocks measured slower, its kernels' per-block
+    temporaries then shrinking and regrowing the heap."""
+    if not 1 < slots < 2**32:
+        return None
+    u = np.empty((rows, n))
+    return np.empty(u.shape, dtype=np.int64), u, np.empty((rows, -(-n // 2) + n), dtype="<u8")
+
+
+def _block_draws(states, n: int, slots: int, buffers):
+    """(j, u): row b holds the draws of the generator seeded by ``states[b]``,
+    ``integers(slots, size=n)`` then ``random(n)``.
+
+    With ``buffers``, each row is computed from its raw words as numpy
+    draws: ceil(n/2) words give n 32-bit halves, low half first as PCG64's
+    ``next_uint32``; Lemire's rule maps half w to slot (w * slots) >> 32,
+    rejecting w when (w * slots) mod 2**32 < (2**32 - slots) % slots; the
+    next n words give uniforms (word >> 11) * 2**-53, ``next_double``.  A
+    row with a rejected half draws more halves, so it draws through numpy.
+    """
+    if buffers is None:
+        return designs._draws(map(_generator, states), len(states), n, slots)
+    j, u, raw = (a[: len(states)] for a in buffers)
+    half = -(-n // 2)
+    for b, words in enumerate(states):
+        raw[b] = np.random.PCG64(_State(words)).random_raw(half + n)
+    m = j.view(np.uint64)  # half * slots < 2**64, so nothing wraps
+    np.multiply(raw[:, :half].view("<u4")[:, :n], slots, dtype=np.uint64, out=m)
+    low = np.bitwise_and(m, _MASK32, out=u.view(np.uint64))
+    redo = np.flatnonzero(low.min(axis=1) < (2**32 - slots) % slots)
+    np.right_shift(m, 32, out=m)
+    np.multiply(np.right_shift(raw[:, half:], 11, out=raw[:, half:]), 2.0**-53, out=u)
+    for b in redo:
+        rj, ru = designs._draws([_generator(states[b])], 1, n, slots)
+        j[b], u[b] = rj[0], ru[0]
+    return j, u
+
 
 # Freedman-Diaconis asks for one bin per IQR-scaled width, so a single
 # far outlier can ask for millions; past this many, bins are equal-width
@@ -260,6 +305,13 @@ def run_replications(
     the pairing table ``estimators.PAIRINGS`` and ``estimators.STRATIFIED``.
     Only "stratified" takes ``tau`` and ``allocation``, and needs them.
 
+    Replicate r draws what ``replicate_rng(seed, r)`` gives: n alias slots
+    by ``integers`` (PPS only), then n uniforms by ``random``.  A PPS block
+    computes those draws from each replicate's raw PCG64 words by numpy's
+    rules, and redraws through numpy any row that hits Lemire's rejection
+    (``_block_draws``); other runs, and frames of 1 or 2**32 and more
+    units, call numpy's ``integers`` and ``random`` themselves.
+
     Parameters
     ----------
     frame : Frame
@@ -292,11 +344,11 @@ def run_replications(
     totals = np.zeros(R)
     variances = np.zeros(R)
     zero_totals = np.full(R, np.nan) if any(zero for _, _, zero, *_ in parts) else None
-    block_rows = max(1, _BLOCK_DRAWS // n)
-    for start in range(0, R, block_rows):
-        block = slice(start, min(start + block_rows, R))
-        states = _replicate_states(seed, block.start, block.stop)
-        j, u = designs._draws(map(_generator, states), len(states), n, slots)
+    rows = min(max(1, _BLOCK_DRAWS // n), R)
+    buffers = _block_buffers(rows, n, slots)
+    for start in range(0, R, rows):
+        block = slice(start, min(start + rows, R))
+        j, u = _block_draws(_replicate_states(seed, block.start, block.stop), n, slots, buffers)
         col = 0  # the strata's uniforms lie side by side, stratum one first
         for sub, n_h, zero, pairing, x, base in parts:
             drawn = x[designs._units(sub, pairing.design, j, u[:, col : col + n_h])]

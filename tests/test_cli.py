@@ -217,6 +217,20 @@ class TestSampleAndEstimate:
             "--sample-zero", tmp_path / "tiny.csv", "--out", tmp_path,
         ) == 2
 
+    @pytest.mark.parametrize("z", ["-0.0", "-1"])
+    def test_negative_or_signed_zero_z_is_refused(self, frame_dir, tmp_path, capsys, z):
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", "--design", "srs",
+            "--n", 40, "--seed", 6, "--out", tmp_path,
+        ) == 0
+        capsys.readouterr()
+        argv = ["--sample", tmp_path / "sample.csv", "--estimator", "srs", "--out", tmp_path]
+        assert run("estimate", *argv, "--z", z) == 2
+        err = capsys.readouterr().err
+        assert f"z must be nonnegative with no minus sign, got {float(z)!r}" in err
+        assert not (tmp_path / "record.csv").exists()
+        assert run("estimate", *argv, "--z", "0.0") == 0
+
     @pytest.mark.parametrize(
         "design,pi,aux_total,estimator",
         [
@@ -744,6 +758,13 @@ class TestReport:
         # -0.0 == 0.0, but the table would print it as -0
         ([",".join(RECORD_FIELDS), "SRS,0.0,0.0,25,300,1.96,0.0,0.0,",
           "SRS,0.0,0.0,25,300,1.96,-0.0,0.0,"], "row 3: ci_lo '-0.0', expected 0.0"),
+        # a signed zero se or z gives the same interval, but is refused by its sign bit
+        ([",".join(RECORD_FIELDS), "SRS,0.0,0.0,25,300,1.96,0.0,0.0,",
+          "SRS,0.0,-0.0,25,300,1.96,0.0,0.0,"], "row 3: se '-0.0' is not a nonnegative number"),
+        ([",".join(RECORD_FIELDS), "SRS,0.0,-0.0,25,300,1.96,0.0,0.0,"],
+         "row 2: se '-0.0' is not a nonnegative number"),
+        ([",".join(RECORD_FIELDS), "SRS,0.0,0.0,25,300,-0.0,0.0,0.0,"],
+         "row 2: z '-0.0' is not a nonnegative number"),
     ])
     def test_hand_written_record_names_file_and_row(self, tmp_path, capsys, rows, message):
         path = tmp_path / "other.csv"

@@ -350,6 +350,9 @@ class TestIntervalsAndEffects:
         e = Estimate("SRS", 1.0, 1.0, n=2, N=4)
         with pytest.raises(ValueError):
             confidence_interval(e, z=-1.0)
+        with pytest.raises(ValueError, match=r"no minus sign, got -0\.0"):
+            confidence_interval(e, z=-0.0)
+        assert confidence_interval(e, z=0.0) == (1.0, 1.0)
 
     def test_design_effect_values(self):
         assert design_effect(Estimate("HH", 0.0, 102.0**2, n=5, N=10), 600.0) == pytest.approx(

@@ -127,6 +127,55 @@ class TestReplicateRng:
             replicate_rng(5, 2**32)
 
 
+class TestBlockDraws:
+    """A run's block draws are numpy's, bit for bit: row r holds what
+    ``replicate_rng(seed, r)`` gives by ``integers(slots, size=n)`` then
+    ``random(n)``, whether the block computes them from raw words or
+    redraws a row through numpy."""
+
+    def _block(self, slots, n, R, monkeypatch):
+        redraws = []  # generators built, which a raw block does only to redraw a row
+        generator = montecarlo._generator
+        monkeypatch.setattr(
+            montecarlo, "_generator", lambda words: redraws.append(1) or generator(words)
+        )
+        buffers = montecarlo._block_buffers(R, n, slots)
+        states = montecarlo._replicate_states(29, 0, R)
+        j, u = montecarlo._block_draws(states, n, slots, buffers)
+        monkeypatch.undo()
+        for r in range(R):
+            rng = replicate_rng(29, r)
+            assert np.array_equal(j[r], rng.integers(slots, size=n)), r
+            assert np.array_equal(u[r].view(np.uint64), rng.random(n).view(np.uint64)), r
+        return buffers, len(redraws)
+
+    # the acceptance and 2022 frame sizes, 32-bit ranges whose Lemire
+    # rejection zone is empty (2), one half in 2**32 (3, 2**32 - 1) or about
+    # half (2**31 + 1) or 30% (3e9 + 1) of all halves; odd n leaves a
+    # word's high half unused
+    @pytest.mark.parametrize(
+        "slots", [2, 3, 190_944, 1_463_762, 2**31 + 1, 3_000_000_001, 2**32 - 1]
+    )
+    @pytest.mark.parametrize("n", [2, 3, 299, 500])
+    def test_raw_block_draws_are_numpys(self, slots, n, monkeypatch):
+        R = 40
+        buffers, redraws = self._block(slots, n, R, monkeypatch)
+        assert buffers is not None  # the words were drawn raw
+        if slots == 2:
+            assert redraws == 0
+        if slots in (2**31 + 1, 3_000_000_001):
+            assert redraws > 0
+            if n == 2:  # rows with no rejected half were computed from raw words
+                assert redraws < R
+
+    # numpy's integers(1) draws no words, and 2**32 slots or more need
+    # 64-bit halves: those blocks call numpy
+    @pytest.mark.parametrize("slots", [1, 2**32, 2**33 + 5])
+    def test_numpy_draws_other_slot_counts(self, slots, monkeypatch):
+        buffers, redraws = self._block(slots, 3, 10, monkeypatch)
+        assert buffers is None and redraws == 10
+
+
 class TestHistogram:
     def test_zeros_get_their_own_bin(self):
         values = [0.0, 0.0, 0.0, 5.0, 6.0, 7.0, 8.0, 9.0]
@@ -393,6 +442,16 @@ class TestRunReplications:
         assert estimate_histogram(rep.zero_stratum_estimates) == (HistogramBin(0.0, 0.0, 200),)
         # stratum one (the two positives) is a census, so every total is 2
         assert rep.bins == (HistogramBin(2.0, 2.0, 200),)
+
+    def test_one_unit_pps_frame_matches_replicates_alone(self):
+        # numpy's integers(1) consumes no words, so each replicate's
+        # uniforms are its stream's first doubles
+        fr = Frame(["only"], [0.3], [1.0])
+        rep = run_replications(fr, design="pps", estimator="hh", n=5, R=12, seed=8)
+        for r in range(12):
+            alone, _ = _replicate_alone(fr, "pps", "hh", 5, replicate_rng(8, r))
+            assert (alone.total, alone.variance) == (rep.estimates[r], rep.estimated_variances[r])
+        assert rep.estimates.tolist() == [1.0] * 12
 
     def test_summary_dict_is_json_shaped(self):
         rep = run_replications(
