@@ -4,8 +4,10 @@ and sample-size allocation between the two predicted-class strata.
 PPS draws use a Vose alias table of (prob, alias) records built once per
 frame; uniform draws use a sparse partial Fisher-Yates shuffle that
 replays in Python only the steps whose slots another step also touches,
-so cost scales with the sample, not the frame.  Both turn uniforms into
-draws a block of rows at a time; a single sample is the one-row case.
+so cost scales with the sample, not the frame.  Repeated slots are found
+by one in-place sort of packed int64 (slot, step) keys, which needs
+N < 2**63 >> (n - 1).bit_length().  Both turn uniforms into draws a block
+of rows at a time; a single sample is the one-row case.
 """
 
 from __future__ import annotations
@@ -127,17 +129,28 @@ def _srs_slots(u: np.ndarray, N: int) -> np.ndarray:
     k_j held.  A step whose k_j is n or more and unique in its row touches
     no slot any other step reads, so it draws k_j itself; the other steps
     are replayed in order, tracking each row's displaced slots in a dict.
-    Repeated slots are found by sorting each row and comparing neighbours,
-    so memory is O(B n) and time O(B n log n).
+    Repeated slots are found by sorting, in place, one int64 key per step,
+    k_j << bits | j with bits = (n - 1).bit_length(): keys are unique, and
+    neighbours with equal high parts are the repeats, their low parts the
+    steps.  Memory is O(B n) and time O(B n log n).  The keys must fit in
+    int64, so N << bits >= 2**63 raises ValueError.
     """
     n = u.shape[-1]
+    bits = (n - 1).bit_length()
+    if N << bits >= 2**63:
+        raise ValueError(f"N={N} and n={n} overflow the int64 keys of an SRS draw")
     j = np.arange(n)
-    k = np.minimum(j + (u * (N - j)).astype(np.intp), N - 1)  # u = 1.0 gives N
-    order = np.argsort(k, axis=-1)
-    tie = np.diff(np.take_along_axis(k, order, axis=-1), axis=-1) == 0
+    k = np.multiply(u, N - j).astype(np.intp)
+    k += j
+    np.minimum(k, N - 1, out=k)  # u = 1.0 gives N
+    key = k << bits
+    key |= j
+    key.sort()
+    tie = (key[:, 1:] ^ key[:, :-1]) < 1 << bits  # equal high parts
     rows, ranks = np.divmod(np.flatnonzero(tie), n - 1)  # rare unless n ~ N
+    low = (1 << bits) - 1
     shared = k < n
-    shared[rows, order[rows, ranks]] = shared[rows, order[rows, ranks + 1]] = True
+    shared[rows, key[rows, ranks] & low] = shared[rows, key[rows, ranks + 1] & low] = True
     at = np.flatnonzero(shared)  # into k's flat view, row by row, steps in order
     flat = k.reshape(-1)
     rows, steps = np.divmod(at, n)

@@ -201,6 +201,8 @@ def read_chunks(path):
     holds a chunk's data fields, row after row; ``ragged`` is the index of
     the chunk's first row whose width differs from the header's (None if
     none), from which on the fields no longer line up with the columns.
+    A field longer than ``csv.field_size_limit()`` is refused wherever it
+    lies, as csv.reader refuses it.
     """
     with open(path, newline="") as fh:
         facts, line = {}, fh.readline()
@@ -209,17 +211,21 @@ def read_chunks(path):
             if sep:
                 facts[key.strip()] = value.strip()
             line = fh.readline()
-        header = next(csv.reader([line]), [])
-        yield facts, header
-        width = len(header)
-        while text := fh.read(CHUNK_CHARS):
-            text += fh.readline()
-            if '"' in text or "\r" in text:
-                break
-            yield _split_chunk(text, width)
-        # csv.reader takes the rest, where a quoted field may span lines
-        reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
         try:
+            header = next(csv.reader([line]), [])
+            yield facts, header
+            width, limit = len(header), csv.field_size_limit()
+            while text := fh.read(min(CHUNK_CHARS, limit)):
+                text += fh.readline()
+                if '"' in text or "\r" in text:
+                    break
+                # every line but the last ends within the read, so within the limit
+                last = text[text.rfind("\n", 0, -1) + 1 :].rstrip("\n")
+                if max(map(len, last.split(","))) > limit:
+                    raise csv.Error(f"field larger than field limit ({limit})")
+                yield _split_chunk(text, width)
+            # csv.reader takes the rest, where a quoted field may span lines
+            reader = csv.reader(itertools.chain(io.StringIO(text, newline=""), fh))
             while records := list(itertools.islice(reader, CHUNK_ROWS)):
                 table = [row for row in records if row]
                 widths = np.fromiter(map(len, table), np.intp, len(table))

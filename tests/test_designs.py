@@ -206,6 +206,45 @@ class TestSrsSlots:
         assert time.perf_counter() - start < 2.0
         assert len(set(s.unit_ids.tolist())) == N
 
+    @staticmethod
+    def _uniforms(N, targets):
+        """A row of uniforms whose step j targets slot targets[j] of range(N)."""
+        j = np.arange(len(targets))
+        u = (np.asarray(targets) - j + 0.5) / (N - j)
+        assert np.array_equal(j + (u * (N - j)).astype(np.intp), targets)
+        return u
+
+    @pytest.mark.parametrize(
+        "N, rows",
+        [
+            # slot 15 targeted three times in one row, at steps 0, 2 and 4
+            (20, [[15, 3, 15, 7, 15, 9]]),
+            # a repeat at step 0 and at step n - 1
+            (30, [[20, 4, 12, 8, 20]]),
+            # slot 3, below n, targeted at steps 0, 1 and 3, the last its own step
+            (12, [[3, 3, 4, 3, 9, 5]]),
+            # slot 1, below n, targeted once: step 1 passes on unit 0, which step 2 draws
+            (10, [[1, 5, 5]]),
+            # ties in the second and fourth rows only
+            (50, [[10, 20, 30, 40], [10, 20, 10, 40], [5, 6, 7, 8], [49, 49, 49, 49]]),
+        ],
+    )
+    def test_repeated_slots_are_the_sequential_loop(self, N, rows):
+        u = np.array([self._uniforms(N, row) for row in rows])
+        got = designs._srs_slots(u, N)
+        for b in range(len(rows)):
+            assert np.array_equal(got[b], reference_srs_indices(_Row(u[b]), N, u.shape[1]))
+
+    def test_sort_keys_past_int64_are_refused(self):
+        # a key packs slot and step: k << (n - 1).bit_length() | j
+        u = np.full((1, 500), 0.5)
+        assert np.array_equal(
+            designs._srs_slots(u, 2**54 - 1)[0], reference_srs_indices(_Row(u[0]), 2**54 - 1, 500)
+        )
+        for N, n in [(2**54, 500), (2**62, 2), (2**63, 1)]:
+            with pytest.raises(ValueError, match="overflow the int64 keys"):
+                designs._srs_slots(np.full((1, n), 0.5), N)
+
 
 class TestPpsWr:
     def test_two_equal_units(self):

@@ -537,3 +537,45 @@ def test_whole_table_is_the_same_at_every_chunk_size(tmp_path, body):
     for size in CHUNKS:
         with _chunks(size):
             assert population.read_table(path) == want, size
+
+
+LIMIT = csv.field_size_limit()
+
+
+def _long_id_tables(tmp_path, length, long_first):
+    """{path: (loader, id column)} of a frame and a sample file, each holding
+    one unquoted id of ``length`` characters and one quoted id, the long id
+    before or after the quote."""
+    ids = ["x" * length, "q,1"] if long_first else ["q,1", "x" * length]
+    write_frame(Frame(ids, [0.5, 0.25], [1, 0]), tmp_path / "frame.csv")
+    sample = Sample(design=DESIGN_SRS, unit_ids=ids, y=[1, 0], p_hat=[0.5, 0.25],
+                    parent_N=2, parent_aux_total=0.75)
+    write_sample(sample, tmp_path / "sample.csv")
+    return {tmp_path / "frame.csv": (load_frame, "ids"),
+            tmp_path / "sample.csv": (load_sample, "unit_ids")}
+
+
+@pytest.mark.parametrize("size", [None, *CHUNKS])
+@pytest.mark.parametrize("long_first", [True, False], ids=["before_quote", "after_quote"])
+def test_a_field_at_the_csv_limit_loads_and_one_past_it_is_refused(tmp_path, size, long_first):
+    # csv.reader refuses a field past its limit; unquoted chunks refuse it too
+    sizes = contextlib.nullcontext() if size is None else _chunks(size)
+    tables = _long_id_tables(tmp_path, LIMIT, long_first)
+    with sizes:
+        for path, (load, column) in tables.items():
+            ids = getattr(load(path), column).tolist()
+            assert ids.index("x" * LIMIT) == (0 if long_first else 1)
+    tables = _long_id_tables(tmp_path, LIMIT + 1, long_first)
+    with sizes:
+        for path, (load, _) in tables.items():
+            with pytest.raises(IngestionError) as info:
+                load(path)
+            assert str(info.value) == f"{path}: field larger than field limit ({LIMIT})"
+
+
+def test_a_header_field_past_the_csv_limit_is_refused(tmp_path):
+    path = tmp_path / "frame.csv"
+    path.write_text("id,label,p_hat," + "x" * (LIMIT + 1) + "\na,1,0.5,\n", newline="")
+    with pytest.raises(IngestionError) as info:
+        load_frame(path)
+    assert str(info.value) == f"{path}: field larger than field limit ({LIMIT})"
