@@ -180,18 +180,32 @@ def _estimate(sample, name: str):
     return getattr(estimators, estimators.PAIRINGS[name].function)(sample)
 
 
+# a sample file's own facts, which differ between the strata of one run
+_STRATUM_FACTS = ("sample_design", "parent_N", "parent_aux_total", "stratum")
+
+
 def _stratum_estimates(resolved: dict, names) -> list:
     """(stratum, estimate) from the sample_one and sample_zero files, by the
-    estimators ``names``; a file that does not name its stratum is refused."""
-    estimates = []
-    for stratum, name in zip((STRATUM_ONE, STRATUM_ZERO), names):
+    estimators ``names``; a file that does not name its stratum is refused,
+    and so is a pair whose audit lines show two different sample runs (a
+    key both files carry with two values)."""
+    samples, audits = [], []
+    for stratum in (STRATUM_ONE, STRATUM_ZERO):
         path = resolved[f"sample_{stratum}"]
         sample = designs.load_sample(path)
         if sample.stratum != stratum:
             found = "no stratum" if sample.stratum is None else f"stratum {sample.stratum!r}"
             raise ConfigError(f"{path}: a sample of {found}, given as {stratum!r}")
-        estimates.append((stratum, _estimate(sample, name)))
-    return estimates
+        samples.append(sample)
+        audits.append({k: v for k, v in read_audit(path).items() if k not in _STRATUM_FACTS})
+    one, zero = audits
+    key = next((k for k in one if k in zero and one[k] != zero[k]), None)
+    if key is not None:
+        raise ConfigError(
+            f"{resolved['sample_one']} and {resolved['sample_zero']} come from two sample runs: "
+            f"{key} {one[key]!r} against {zero[key]!r}"
+        )
+    return [(s.stratum, _estimate(s, name)) for s, name in zip(samples, names)]
 
 
 # ---------------------------------------------------------------------------

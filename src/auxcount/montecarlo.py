@@ -2,9 +2,10 @@
 
 Each replicate r of a run draws its randomness from the generator that
 ``np.random.default_rng((seed..., r))`` gives, so any single replicate can
-be reproduced alone.  A run takes its replicates a block at a time: one
-vectorised pass of SeedSequence's hash gives the block's PCG64 seed words
-(the same words, so the same streams, as seeding one by one), each
+be reproduced alone.  A run hashes its replicates' PCG64 seed words many
+blocks at a time, in vectorised passes of SeedSequence's hash of up to
+``_BLOCK_DRAWS`` replicates (the same words, so the same streams, as
+seeding one by one).  It then takes its replicates a block at a time: each
 replicate fills its row of the block's draws, and the rest runs once per
 block.
 """
@@ -141,9 +142,7 @@ def _block_buffers(rows: int, n: int, slots: int):
     """The arrays a raw PPS block fills, made once per run at its row cap:
     alias slots, uniforms and raw words, stored little-endian so that a
     uint32 view reads each word's low half first.  None where blocks draw
-    through numpy, each into arrays of its own: an SRS run holding its
-    uniforms across blocks measured no faster, with over twice the minor
-    page faults, as its kernels' per-block temporaries regrow the heap."""
+    through numpy, each into arrays of its own."""
     if not 1 < slots < 2**32:
         return None
     u = np.empty((rows, n))
@@ -306,7 +305,9 @@ def run_replications(
     Only "stratified" takes ``tau`` and ``allocation``, and needs them.
 
     Replicate r draws what ``replicate_rng(seed, r)`` gives: n alias slots
-    by ``integers`` (PPS only), then n uniforms by ``random``.  A PPS block
+    by ``integers`` (PPS only), then n uniforms by ``random``.  Its seed
+    words come from a hash pass over whole blocks, at most ``_BLOCK_DRAWS``
+    replicates, so memory stays flat in R.  A PPS block
     computes those draws from each replicate's raw PCG64 words by numpy's
     rules, and redraws through numpy any row that hits Lemire's rejection
     (``_block_draws``); other runs, and frames of 1 or 2**32 and more
@@ -345,10 +346,13 @@ def run_replications(
     variances = np.zeros(R)
     zero_totals = np.full(R, np.nan) if any(zero for _, _, zero, *_ in parts) else None
     rows = min(max(1, _BLOCK_DRAWS // n), R)
+    span = rows * (_BLOCK_DRAWS // rows)  # replicates per hash pass, whole blocks
     buffers = _block_buffers(rows, n, slots)
     for start in range(0, R, rows):
+        if start % span == 0:
+            states = _replicate_states(seed, start, min(start + span, R))
         block = slice(start, min(start + rows, R))
-        j, u = _block_draws(_replicate_states(seed, block.start, block.stop), n, slots, buffers)
+        j, u = _block_draws(states[start % span :][:rows], n, slots, buffers)
         col = 0  # the strata's uniforms lie side by side, stratum one first
         for sub, n_h, zero, pairing, x, base in parts:
             drawn = x[designs._units(sub, pairing.design, j, u[:, col : col + n_h])]

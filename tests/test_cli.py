@@ -555,6 +555,77 @@ class TestF1Command:
         assert not (tmp_path / "record.csv").exists()
 
 
+class TestStratumPairs:
+    """The two stratum files of one estimate must come from one sample run."""
+
+    STRATIFIED = ["--design", "stratified", "--allocation", "proportional", "--n", 200]
+
+    @pytest.fixture()
+    def runs(self, tmp_path, monkeypatch):
+        # relative paths, so that audits and records hold the same text anywhere
+        monkeypatch.chdir(tmp_path)
+        shapes = ["--a1", 4, "--b1", 1.5, "--a0", 0.2, "--b0", 8]
+        for seed, out in ((3, "frame.csv"), (4, "other.csv")):
+            assert run(
+                "generate", "--N", 2000, "--positives", 60, *shapes, "--seed", seed,
+                "--out-frame", out,
+            ) == 0
+        for stem, frame, seed, tau in (
+            ("a", "frame.csv", 5, 0.5), ("b", "frame.csv", 5, 0.9),
+            ("c", "frame.csv", 6, 0.5), ("d", "other.csv", 5, 0.5),
+        ):
+            assert run(
+                "sample", "--frame", frame, *self.STRATIFIED, "--seed", seed, "--tau", tau,
+                "--out-sample", f"{stem}.csv",
+            ) == 0
+        return tmp_path
+
+    # b: the same run at tau 0.9, whose strata overlap a's, so the pair's
+    # N was 2,046 for this 2,000-unit frame and its total 144.5 (truth 60);
+    # c: another seed; d: another frame
+    @pytest.mark.parametrize("zero,key", [("b", "tau"), ("c", "seed"), ("d", "frame")])
+    def test_a_pair_from_two_runs_is_refused(self, runs, capsys, zero, key):
+        pair = ["--sample-one", "a_one.csv", "--sample-zero", f"{zero}_zero.csv"]
+        flagged = ["--flagged-tp", 10, "--flagged-fn", 2, "--c", 30]
+        for argv in (["estimate", *pair], ["f1", *pair, *flagged]):
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert f"a_one.csv and {zero}_zero.csv come from two sample runs: {key} " in err
+        assert not (runs / "record.csv").exists() and not (runs / "f1.json").exists()
+
+    def test_a_pair_from_one_run_keeps_its_record_bytes(self, runs):
+        assert run(
+            "estimate", "--sample-one", "a_one.csv", "--sample-zero", "a_zero.csv",
+            "--zero-estimator", "diff",
+        ) == 0
+        assert (runs / "record.csv").read_text() == (
+            "# command = estimate\n"
+            "# sample_one = a_one.csv\n"
+            "# sample_zero = a_zero.csv\n"
+            "# z = 1.96\n"
+            "# zero_estimator = diff\n"
+            "estimator,total,se,n,N,z,ci_lo,ci_hi,deff\n"
+            "STRAT,54.55188091671503,6.153112395410319,200,2000,1.96,"
+            "42.4917806217108,66.61198121171925,\n"
+        )
+
+    def test_files_without_audit_lines_pair(self, runs):
+        # the library writes files with no audit lines, as the README's PPS
+        # zero-stratum sample for f1: nothing in them shows another run
+        strata = stratify_by_prediction(load_frame("frame.csv"), 0.5)
+        rng = np.random.default_rng(1)
+        write_sample(srs_wor(strata["one"], 20, rng), "hand_one.csv")
+        write_sample(srs_wor(strata["zero"], 20, rng), "hand_zero.csv")
+        write_sample(pps_wr(strata["zero"], 20, rng), "hand_zero_pps.csv")
+        hand_zero = ["--sample-zero", "hand_zero.csv"]
+        assert run("estimate", "--sample-one", "hand_one.csv", *hand_zero) == 0
+        assert run("estimate", "--sample-one", "a_one.csv", *hand_zero) == 0
+        assert run(
+            "f1", "--sample-one", "a_one.csv", "--sample-zero", "hand_zero_pps.csv",
+            "--flagged-tp", 0, "--flagged-fn", 0, "--c", 54,
+        ) == 0
+
+
 class TestReport:
     def test_table_merges_records(self, frame_dir, capsys):
         for est, out_name in (("hh", "r_hh.csv"), ("srs", "r_srs.csv")):

@@ -82,6 +82,18 @@ def _replicate_alone(frame, design, estimator, n, rng):
     return stratified_estimate(components), dict(components).get("zero")
 
 
+def _assert_block_ends_alone(rep, frame, rows):
+    """The first and last replicate of each block of ``rows`` in a run equal
+    the same replicates drawn alone."""
+    for start in range(0, rep.R, rows):
+        for r in (start, min(start + rows, rep.R) - 1):
+            rng = replicate_rng(rep.seed, r)
+            alone, zero = _replicate_alone(frame, rep.design, rep.estimator, rep.n, rng)
+            assert (alone.total, alone.variance) == (rep.estimates[r], rep.estimated_variances[r])
+            if zero is not None:
+                assert zero.total == rep.zero_stratum_estimates[r]
+
+
 class TestReplicateRng:
     def test_streams_keyed_by_replicate(self):
         a = replicate_rng(5, 3).random(4)
@@ -119,6 +131,13 @@ class TestReplicateRng:
             first = expected.random(4)
             assert np.array_equal(bulk.random(4), first)
             assert np.array_equal(alone.random(4), first)
+
+    @pytest.mark.parametrize("seed", [7, (5, 1, 2, 3, 4), 2**70], ids=repr)
+    @pytest.mark.parametrize("a,b,c", [(1, 2, 3), (5, 6, 300), (17, 290, 291), (99, 4000, 9000)])
+    def test_bulk_seeding_splits_anywhere(self, seed, a, b, c):
+        whole = montecarlo._replicate_states(seed, a, c)
+        parts = [montecarlo._replicate_states(seed, lo, hi) for lo, hi in ((a, b), (b, c))]
+        assert np.array_equal(whole, np.concatenate(parts))
 
     def test_replicate_index_is_one_seed_word(self):
         with pytest.raises(ValueError, match=re.escape("[0, 2**32)")):
@@ -327,14 +346,48 @@ class TestRunReplications:
         rep = run_replications(
             fr, design=design, estimator=estimator, n=n, R=R, seed=seed, **_run_kw(design)
         )
-        for start in range(0, R, rows):
-            for r in (start, min(start + rows, R) - 1):
-                alone, zero = _replicate_alone(fr, design, estimator, n, replicate_rng(seed, r))
-                assert (alone.total, alone.variance) == (
-                    rep.estimates[r], rep.estimated_variances[r]
-                )
-                if zero is not None:
-                    assert zero.total == rep.zero_stratum_estimates[r]
+        _assert_block_ends_alone(rep, fr, rows)
+
+    def _hash_passes(self, monkeypatch):
+        """Record run_replications' (start, stop) calls of _replicate_states."""
+        calls, states = [], montecarlo._replicate_states
+
+        def recording(seed, start, stop):
+            calls.append((start, stop))
+            return states(seed, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_replicate_states", recording)
+        return calls
+
+    @pytest.mark.parametrize("design,estimator", PAIRINGS)
+    def test_runs_across_hash_passes_match_replicates_alone(
+        self, design, estimator, monkeypatch
+    ):
+        # blocks of 7 replicates, hashed 21 blocks (147 replicates) at a
+        # time: three passes, the last one and the last block partial
+        monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", 150)
+        calls = self._hash_passes(monkeypatch)
+        fr, n, R, seed = _stratified_frame(), 20, 400, 31
+        rep = run_replications(
+            fr, design=design, estimator=estimator, n=n, R=R, seed=seed, **_run_kw(design)
+        )
+        assert calls == [(0, 147), (147, 294), (294, 400)]
+        _assert_block_ends_alone(rep, fr, 7)
+
+    @pytest.mark.parametrize(
+        "block_draws,n,R",
+        [(None, 3, 70_000), (None, 400, 20), (None, 20, 2), (150, 20, 400), (64, 7, 300),
+         (64, 2, 33), (64, 64, 5), (64, 100, 130)],
+    )
+    def test_hash_passes_tile_the_run(self, block_draws, n, R, monkeypatch):
+        if block_draws is not None:
+            monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", block_draws)
+        calls = self._hash_passes(monkeypatch)
+        run_replications(_stratified_frame(), design="srs", estimator="srs", n=n, R=R, seed=2)
+        # in order, without gap or overlap, each pass at most _BLOCK_DRAWS replicates
+        assert [start for start, _ in calls] == [0] + [stop for _, stop in calls[:-1]]
+        assert calls[-1][1] == R
+        assert all(0 < stop - start <= montecarlo._BLOCK_DRAWS for start, stop in calls)
 
     # sha256 of (estimates, estimated_variances, zero_stratum_estimates) on
     # _stratified_frame() at n=20, R=50, seed=11, recorded while each
