@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,36 +176,40 @@ class AliasTable:
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise ValueError("weights must be finite and positive")
         size = w.size
-        scaled = w * (size / float(np.sum(w)))
-        # machine arrays, not lists of Python numbers: 8 bytes a number, not about 40
-        small = array("q", np.flatnonzero(scaled < 1.0).astype(np.int64).tobytes())
-        large = array("q", np.flatnonzero(scaled >= 1.0).astype(np.int64).tobytes())
-        scaled = array("d", scaled.tobytes())
-        alias = array("q", bytes(8 * size))
-        # Vose's pops, with the large slot g, and its scaled weight x, held
-        # while it stays large
-        if small and large:
-            s, g = small.pop(), large.pop()
-            x = scaled[g]
+        with np.errstate(over="ignore"):
+            total = float(np.sum(w))
+        scale = size / total
+        if not 0.0 < scale < math.inf:  # so total is finite and positive too
+            raise ValueError(f"weights total {total!r}, scale {scale!r}: not finite and positive")
+        self.slots = slots = np.zeros(size, dtype=[("prob", np.float64), ("alias", np.intp)])
+        np.multiply(w, scale, out=slots["prob"])
+        small = memoryview(np.flatnonzero(slots["prob"] < 1.0))
+        large = memoryview(np.flatnonzero(slots["prob"] >= 1.0))
+        prob, alias = memoryview(slots["prob"]), memoryview(slots["alias"])
+        # Vose's pops from the ends of small and large, ns and nl slots left,
+        # with the large slot g = large[nl], and its scaled weight x, held while it stays large
+        ns, nl = len(small), len(large)
+        if ns and nl:
+            ns, nl = ns - 1, nl - 1
+            s, g = small[ns], large[nl]
+            x = prob[g]
             while True:
-                alias[s] = g  # scaled[s], now final, is s's prob
-                x = (x + scaled[s]) - 1.0
-                if x >= 1.0 and small:
-                    s = small.pop()
-                elif x < 1.0 and large:
-                    scaled[g] = x
-                    s, g = g, large.pop()
-                    x = scaled[g]
+                alias[s] = g  # prob[s], now final, is s's prob
+                x = (x + prob[s]) - 1.0
+                if x >= 1.0 and ns:
+                    ns -= 1
+                    s = small[ns]
+                elif x < 1.0 and nl:
+                    prob[g] = x
+                    nl -= 1
+                    s, g = g, large[nl]
+                    x = prob[g]
                 else:
                     break
-            scaled[g] = x
-            small.append(g)
-        slots = np.empty(size, dtype=[("prob", np.float64), ("alias", np.intp)])
-        slots["prob"] = scaled
-        slots["alias"] = alias
+            nl += 1  # g is left over too
         # leftovers are 1 up to rounding: prob 1, so alias is never read
-        slots["prob"][small + large] = 1.0
-        self.slots = slots
+        slots["prob"][small[:ns]] = 1.0
+        slots["prob"][large[:nl]] = 1.0
         self.size = size
 
     def lookup(self, j: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -100,12 +100,12 @@ def _replicate_states(seed, start: int, stop: int) -> np.ndarray:
         for i_dst in range(_POOL_SIZE):
             pool[i_dst] = _mix(pool[i_dst], hashmix(word))
     # generate_state(4, np.uint64): 8 uint32 words cycling over the pool,
-    # paired low word first
+    # paired low word first, so a little-endian view pairs them
     out = _hasher(_INIT_B, _MULT_B)
-    halves = [out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    return np.stack(
-        [halves[2 * k] | halves[2 * k + 1] << np.uint64(32) for k in range(4)], axis=1
-    )
+    halves = np.empty((r.size, 8), dtype="<u4")
+    for i in range(8):
+        halves[:, i] = out(pool[i % _POOL_SIZE])
+    return halves.view("<u8").astype(np.uint64, copy=False)
 
 
 class _State(ISeedSequence):

@@ -82,15 +82,15 @@ class Frame:
             lab = np.asarray(labels, dtype=np.float64)
             if lab.shape != probs.shape:
                 raise ValueError("labels must match aux_probs in length")
-            observed = lab[~np.isnan(lab)]
-            if observed.size and not np.isin(observed, (0.0, 1.0)).all():
+            if not (np.isnan(lab) | (lab == 0.0) | (lab == 1.0)).all():
                 raise ValueError("labels must be 0, 1, or missing")
-        self._ids = ids
-        self._probs = clamp_probs(probs)
-        self._labels = lab
-        self.stratum = stratum
-        self._aux_total = float(np.sum(self._probs))
-        for arr in (self._ids, self._probs, self._labels):
+        return self._store(ids, clamp_probs(probs), lab, stratum)
+
+    def _store(self, ids, probs, labels, stratum) -> "Frame":
+        """Store checked columns, read-only."""
+        self._ids, self._probs, self._labels, self.stratum = ids, probs, labels, stratum
+        self._aux_total = float(np.sum(probs))
+        for arr in (ids, probs, labels):
             arr.setflags(write=False)
         return self
 
@@ -147,8 +147,8 @@ class Frame:
         hit[idx] = True
         if np.count_nonzero(hit) != idx.size:
             raise ValueError("take indices must be distinct")
-        new = Frame.__new__(Frame)
-        return new._set(self._ids[idx], self._probs[idx], self._labels[idx], stratum)
+        new = Frame.__new__(Frame)  # the columns of a checked frame need no new checks
+        return new._store(self._ids[idx], self._probs[idx], self._labels[idx], stratum)
 
     def __repr__(self):
         return f"Frame(N={self.N}, aux_total={self._aux_total:.6g})"
@@ -416,8 +416,10 @@ def load_frame(path) -> Frame:
         raise IngestionError(f"{path}: row {row + 2}: {message}")
     if not ids:
         raise IngestionError(f"{path}: no data rows")
-    columns = np.asarray(ids, dtype=object), np.concatenate(probs), np.concatenate(labels)
-    return Frame.__new__(Frame)._set(*columns, None)
+    probs = np.concatenate(probs)  # a column at a time, each one's parts dropped as it is joined
+    labels = np.concatenate(labels)
+    ids = np.asarray(ids, dtype=object)
+    return Frame.__new__(Frame)._set(ids, probs, labels, None)
 
 
 def write_frame(frame: Frame, path, header_lines=()) -> None:

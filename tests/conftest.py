@@ -6,6 +6,8 @@ tolerances all sit well inside what the tests assert.  Treat them as
 frozen; several tests reproduce known arithmetic exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,17 @@ BIMODAL_SEED = 43
 
 def _ids(prefix: str, n: int) -> list:
     return [f"{prefix}{i}" for i in range(n)]
+
+
+def traced(build):
+    """build()'s result, the bytes it left traced and its traced peak."""
+    tracemalloc.start()
+    try:
+        result = build()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
 
 
 def build_acceptance_frame() -> Frame:

@@ -33,7 +33,7 @@ from auxcount import (
 from auxcount import designs
 from auxcount.designs import MIN_PER_STRATUM
 
-from conftest import _ids
+from conftest import _ids, traced
 
 
 def _frame(probs, labels=None):
@@ -363,6 +363,33 @@ class TestAliasTable:
     def test_same_slots_as_the_reference_build_on_a_heavy_tail(self):
         rng = np.random.default_rng(1991)
         _assert_reference_slots(rng.pareto(0.7, 100_000) + PROB_FLOOR)
+
+    # a total past the largest float, or one so small that size / total
+    # overflows, would draw every unit alike: 1/3 each, or 1/2 each
+    @pytest.mark.parametrize(
+        "weights,cause",
+        [([1e308, 1e307, 1e308], "total inf, scale 0.0"),
+         ([5e-324, 1e-323], "total 1.5e-323, scale inf")],
+    )
+    def test_refuses_weights_whose_total_or_scale_is_not_finite(self, weights, cause):
+        with pytest.raises(ValueError, match=f"^weights {cause}: not finite and positive$"):
+            AliasTable(weights)
+
+    @pytest.mark.parametrize("weights", [[1e308, 1e307, 5e307], [4e-308, 1e-308, 2e-308]])
+    def test_weights_near_the_float_limits_build_exact_masses(self, weights):
+        _assert_exact_masses(weights)
+        _assert_reference_slots(weights)
+
+    # Traced bytes of a build, as a multiple of its records' bytes: copying
+    # every column through machine arrays peaked at 2.6 times them, building
+    # in the records with index arrays at 1.6.  Tracing slows allocation,
+    # so the frame is kept small.
+    ALIAS_PEAK = 2.0
+
+    def test_build_holds_little_beyond_its_records(self):
+        w = clamp_probs(np.random.default_rng(16).beta(0.05, 2.0, 50_000))
+        table, _, peak = traced(lambda: AliasTable(w))
+        assert peak <= self.ALIAS_PEAK * table.slots.nbytes
 
     # Generator.random's largest value is nextafter(1, 0): a slot with
     # prob 1 keeps its own unit, and every draw stays inside the frame

@@ -29,7 +29,7 @@ from auxcount import (
 from auxcount import montecarlo
 from auxcount.montecarlo import HISTOGRAM_MAX_BINS, HistogramBin
 
-from conftest import _ids
+from conftest import _ids, traced
 
 
 def _small_pps_frame():
@@ -138,6 +138,16 @@ class TestReplicateRng:
         whole = montecarlo._replicate_states(seed, a, c)
         parts = [montecarlo._replicate_states(seed, lo, hi) for lo, hi in ((a, b), (b, c))]
         assert np.array_equal(whole, np.concatenate(parts))
+
+    # Traced bytes of one hash pass at its largest, as a multiple of the
+    # seed words it returns: eight uint64 half-word arrays and their stack
+    # peaked at 4.9 times them, half-words written into the words' own
+    # bytes at 2.1.
+    def test_bulk_seeding_holds_few_temporaries(self):
+        rows = montecarlo._BLOCK_DRAWS
+        states, _, peak = traced(lambda: montecarlo._replicate_states(7, 0, rows))
+        assert states.shape == (rows, 4)
+        assert peak <= 3.0 * states.nbytes
 
     def test_replicate_index_is_one_seed_word(self):
         with pytest.raises(ValueError, match=re.escape("[0, 2**32)")):

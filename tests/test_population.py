@@ -16,6 +16,8 @@ from auxcount import (
 )
 from auxcount.population import first_repeat
 
+from conftest import traced
+
 
 def test_frame_aggregates():
     fr = Frame(["a", "b", "c"], [0.9, 0.2, 0.1], [1, 0, 0])
@@ -268,11 +270,15 @@ def test_colliding_hashes_still_find_the_first_repeat(tmp_path):
 # loaded frame of this many rows keeps.  Reading the whole body and its
 # fields at once peaked at 2.64 times them, and converting whole columns
 # to text took 0.90 times them more while writing; read and written a
-# chunk at a time, 1.62 and 0.26.  Tracing slows allocation about
+# chunk at a time, 1.62 and 0.26, and 1.27 to read once each column's
+# chunks are dropped as it is joined.  Tracing slows allocation about
 # sevenfold, so the frame is kept small.
 MEMORY_ROWS = 60_000
-LOAD_PEAK = 2.0
+LOAD_PEAK = 1.4
 WRITE_TRANSIENT = 0.5
+# Stratifying peaked at 1.71 times the strata's bytes while each stratum's
+# columns were clamped and their labels checked again, 1.38 stored as taken.
+STRATIFY_PEAK = 1.5
 
 
 def test_frame_io_holds_one_chunk_of_text(tmp_path):
@@ -292,3 +298,23 @@ def test_frame_io_holds_one_chunk_of_text(tmp_path):
     assert peak <= LOAD_PEAK * kept
     assert write_peak - after <= WRITE_TRANSIENT * kept
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "frame.csv").read_bytes()
+
+
+def test_stratify_holds_little_beyond_its_strata():
+    rng = np.random.default_rng(3)
+    ids = [f"u{i}" for i in range(MEMORY_ROWS)]
+    frame = Frame(ids, rng.random(MEMORY_ROWS), rng.random(MEMORY_ROWS) < 0.01)
+    strata, kept, peak = traced(lambda: stratify_by_prediction(frame, 0.5))
+    assert peak <= STRATIFY_PEAK * kept
+    assert sum(f.N for f in strata.values()) == MEMORY_ROWS
+
+
+@pytest.mark.parametrize("labels", [[0.0, np.inf], [-1.0, 1.0], [0.5, np.nan], [np.nan, 2.0]])
+def test_refuses_labels_other_than_0_1_or_missing(labels):
+    with pytest.raises(ValueError, match="^labels must be 0, 1, or missing$"):
+        Frame(["a", "b"], [0.5, 0.5], labels)
+
+
+def test_accepts_negative_zero_and_missing_labels():
+    fr = Frame(["a", "b", "c"], [0.5, 0.5, 0.5], [-0.0, np.nan, 1.0])
+    assert np.array_equal(fr.labels, [0.0, np.nan, 1.0], equal_nan=True)
