@@ -121,21 +121,19 @@ def population_loss(frame: Frame) -> float:
     finite and positive thanks to the ingestion clamp.
     """
     _require_labels(frame, "population_loss")
-    y = frame.labels
     p = frame.aux_probs
-    return float(-np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+    terms = np.negative(p)  # log(1 - p), or log p where y = 1, made in place
+    np.log1p(terms, out=terms)
+    return float(-np.sum(np.log(p, out=terms, where=frame.labels == 1.0)))
 
 
 def confusion_counts(frame: Frame, tau: float = DEFAULT_THRESHOLD) -> ConfusionCounts:
     """Confusion table of thresholded scores against the labels."""
     _require_labels(frame, "confusion_counts")
     pred = frame.predicted_classes(tau)
-    y = frame.labels.astype(np.int64)
-    tp = int(np.sum((y == 1) & (pred == 1)))
-    fp = int(np.sum((y == 0) & (pred == 1)))
-    fn = int(np.sum((y == 1) & (pred == 0)))
-    tn = int(np.sum((y == 0) & (pred == 0)))
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    pos = frame.labels == 1.0
+    tp, ones, positives = (int(np.count_nonzero(m)) for m in (pred & pos, pred, pos))
+    return ConfusionCounts(tp, ones - tp, positives - tp, frame.N - ones - positives + tp)
 
 
 def f1_from_counts(counts: ConfusionCounts) -> float:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from os.path import normpath
 
 import numpy as np
 
@@ -198,7 +199,8 @@ def _stratum_estimates(resolved: dict, names) -> list:
             raise ConfigError(f"{path}: a sample of {found}, given as {stratum!r}")
         samples.append(sample)
         audits.append({k: v for k, v in read_audit(path).items() if k not in _STRATUM_FACTS})
-    one, zero = audits
+    # a frame path compares in normal form: ./frame.csv and frame.csv name one file
+    one, zero = ({k: normpath(v) if k == "frame" else v for k, v in a.items()} for a in audits)
     key = next((k for k in one if k in zero and one[k] != zero[k]), None)
     if key is not None:
         raise ConfigError(

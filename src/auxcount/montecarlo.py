@@ -207,19 +207,16 @@ def estimate_histogram(values) -> tuple[HistogramBin, ...]:
         bins.append(HistogramBin(0.0, 0.0, zero_count))
     nz = v[v != 0.0]
     if nz.size:
-        if np.ptp(nz) == 0.0:
+        spread = np.ptp(nz)
+        if spread == 0.0:
             bins.append(HistogramBin(float(nz[0]), float(nz[0]), int(nz.size)))
         else:
             # numpy's "fd" rule, with the bin count capped before any edge exists
             iqr = float(np.subtract(*np.percentile(nz, [75, 25])))
             width = 2.0 * iqr * nz.size ** (-1.0 / 3.0)
-            n_bins = min(np.ceil(np.ptp(nz) / width), HISTOGRAM_MAX_BINS) if width else 1
-            edges = np.histogram_bin_edges(nz, bins=int(n_bins))
-            counts, edges = np.histogram(nz, bins=edges)
-            bins.extend(
-                HistogramBin(float(edges[i]), float(edges[i + 1]), int(c))
-                for i, c in enumerate(counts)
-            )
+            n_bins = min(np.ceil(spread / width), HISTOGRAM_MAX_BINS) if width else 1
+            counts, edges = np.histogram(nz, bins=int(n_bins))
+            bins.extend(map(HistogramBin, edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
     bins.sort(key=lambda b: (b.lo, b.hi))
     return tuple(bins)
 

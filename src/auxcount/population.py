@@ -64,6 +64,7 @@ class Frame:
         # what load_frame would refuse or strip could not be read back
         if not all(texts) or list(map(str.strip, texts)) != texts:
             raise ValueError("unit ids must be nonempty and unpadded")
+        labels = None if labels is None else np.array(labels, np.float64)  # not the caller's array
         self._set(np.asarray(texts, dtype=object), aux_probs, labels, stratum)
         if first_repeat(texts) is not None:
             raise ValueError("duplicate unit ids")
@@ -132,9 +133,9 @@ class Frame:
         return self.N
 
     def predicted_classes(self, tau: float):
-        """Hard 0/1 predictions at threshold tau (prob >= tau reads as 1)."""
+        """Hard predictions at threshold tau: a boolean mask, True where prob >= tau."""
         _check_tau(tau)
-        return (self._probs >= tau).astype(np.int64)
+        return self._probs >= tau
 
     def replace_probs(self, aux_probs) -> "Frame":
         """New frame with the same ids/labels and fresh probabilities."""
@@ -176,11 +177,11 @@ def stratify_by_prediction(frame: Frame, tau: float) -> dict[str, Frame]:
     -------
     dict of str to Frame
     """
-    _check_tau(tau)
+    one = frame.predicted_classes(tau)
     if frame.N < 1:
         raise ValueError("cannot stratify an empty frame")
-    ones = np.flatnonzero(frame.aux_probs >= tau)
-    zeros = np.flatnonzero(frame.aux_probs < tau)
+    ones, zeros = np.flatnonzero(one), np.flatnonzero(np.logical_not(one, out=one))
+    del one  # kept across the takes, the mask would raise their peak
     return {
         STRATUM_ONE: frame.take(ones, stratum=STRATUM_ONE),
         STRATUM_ZERO: frame.take(zeros, stratum=STRATUM_ZERO),

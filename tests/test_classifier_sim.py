@@ -140,6 +140,24 @@ class TestConfusionCounts:
             ConfusionCounts(tp=-1, fp=0, fn=0, tn=0)
 
 
+def test_loss_and_counts_match_their_product_forms():
+    # the sum of y log p + (1 - y) log(1 - p) and the four two-mask counts,
+    # bit for bit, with scores at the clamp and labels of -0.0
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        n = int(rng.integers(1, 500))
+        fr = Frame(_ids("r", n), rng.choice([0.0, 1.0, 0.5, *rng.random(8)], n),
+                   rng.choice([0.0, -0.0, 1.0], n))
+        tau = float(rng.choice([0.5, rng.uniform(0.01, 0.99)]))
+        y, p = fr.labels, fr.aux_probs
+        loss = float(-np.sum(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
+        assert population_loss(fr).hex() == loss.hex()
+        pred, pos = p >= tau, y == 1.0
+        assert confusion_counts(fr, tau) == ConfusionCounts(
+            np.sum(pred & pos), np.sum(pred & ~pos), np.sum(~pred & pos), np.sum(~pred & ~pos)
+        )
+
+
 class TestF1FromCounts:
     def test_perfect(self):
         assert f1_from_counts(ConfusionCounts(10, 0, 0, 0)) == 1.0
@@ -236,6 +254,14 @@ class TestCalibrateProfile:
         with pytest.raises(CalibrationError) as exc:
             calibrate_profile(fr, target_loss=2.0, seed=3)
         assert exc.value.best_sharpness is not None
+
+    def test_a_search_out_of_steps_raises_with_best_point(self, monkeypatch):
+        # this target is met at the bisection's fifth step (sharpness 3.3125)
+        monkeypatch.setattr(classifier_sim, "CALIBRATION_MAX_STEPS", 1)
+        with pytest.raises(CalibrationError, match="^calibration to loss 0.1 did not converge "
+                           "in 1 steps; best realized ") as exc:
+            calibrate_profile(_label_frame(5000, 250), target_loss=0.1, seed=3)
+        assert exc.value.best_sharpness in (2.0, 3.0, 4.0)
 
     def test_exactly_one_target_required(self):
         fr = _label_frame(100, 10)

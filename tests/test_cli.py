@@ -445,6 +445,62 @@ class TestParser:
         assert run("simulate", "--config", cfg, "--out", tmp_path) == 2
 
 
+class TestRefusals:
+    """Settings and inputs that every command refuses with exit 2 and a message."""
+
+    RECORD = "SRS,54.5,6.25,200,2000,2.0,42.0,67.0,\n"
+
+    def test_a_config_line_without_an_equals_sign(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# a comment\nn = 5\nseed 4\n")
+        assert run("sample", "--config", cfg, "--out", tmp_path) == 2
+        assert f"{cfg}:3: expected 'key = value'" in capsys.readouterr().err
+
+    def test_an_unreadable_config(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert run("sample", "--config", missing, "--out", tmp_path) == 2
+        assert f"cannot read config {missing}: " in capsys.readouterr().err
+
+    def test_a_config_value_that_does_not_parse(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n = abc\n")
+        assert run("sample", "--config", cfg, "--out", tmp_path) == 2
+        assert f"{cfg}: key n: invalid literal for int()" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, code", [("no", 0), ("maybe", 2)])
+    def test_paper_mode_reads_only_a_boolean(self, tmp_path, capsys, text, code):
+        (tmp_path / "record.csv").write_text(",".join(RECORD_FIELDS) + "\n" + self.RECORD)
+        cfg = tmp_path / "report.cfg"
+        cfg.write_text(f"inputs = {tmp_path / 'record.csv'}\npaper_mode = {text}\n")
+        assert run("report", "--config", cfg, "--out", tmp_path) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert f"{cfg}: key paper_mode: not a boolean: 'maybe'" in err
+        else:  # not rounded to integers, as --paper-mode would
+            assert out.splitlines()[1].split()[:3] == ["SRS", "54.5", "6.25"]
+
+    def test_generate_with_more_positives_than_units(self, tmp_path, capsys):
+        assert run(
+            "generate", "--N", 10, "--positives", 11, "--a1", 4, "--b1", 1, "--a0", 0.5,
+            "--b0", 3, "--seed", 1, "--out", tmp_path,
+        ) == 2
+        assert "positives=11 must lie in [0, N=10]" in capsys.readouterr().err
+        assert not (tmp_path / "frame.csv").exists()
+
+    def test_metrics_on_a_frame_with_blank_labels(self, tmp_path, capsys):
+        frame = tmp_path / "frame.csv"
+        frame.write_text("id,label,p_hat\na,,0.5\nb,1,0.5\n")
+        assert run("metrics", "--frame", frame, "--out", tmp_path) == 2
+        assert "metrics needs a fully labeled frame" in capsys.readouterr().err
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_report_on_a_record_file_with_only_a_header(self, tmp_path, capsys):
+        (tmp_path / "record.csv").write_text(",".join(RECORD_FIELDS) + "\n")
+        assert run("report", "--inputs", tmp_path / "record.csv", "--out", tmp_path) == 2
+        assert "no estimate records found in the inputs" in capsys.readouterr().err
+        assert not (tmp_path / "table.txt").exists()
+
+
 class TestSimulate:
     def test_rerun_from_audit_is_byte_identical(self, frame_dir, tmp_path):
         kw = [
@@ -573,6 +629,7 @@ class TestStratumPairs:
         for stem, frame, seed, tau in (
             ("a", "frame.csv", 5, 0.5), ("b", "frame.csv", 5, 0.9),
             ("c", "frame.csv", 6, 0.5), ("d", "other.csv", 5, 0.5),
+            ("e", "./frame.csv", 5, 0.5),
         ):
             assert run(
                 "sample", "--frame", frame, *self.STRATIFIED, "--seed", seed, "--tau", tau,
@@ -608,6 +665,17 @@ class TestStratumPairs:
             "STRAT,54.55188091671503,6.153112395410319,200,2000,1.96,"
             "42.4917806217108,66.61198121171925,\n"
         )
+
+    def test_a_frame_path_spelled_another_way_pairs(self, runs):
+        # e is a's run with the frame given as ./frame.csv: the same file
+        for zero in ("a", "e"):
+            assert run(
+                "estimate", "--sample-one", "a_one.csv", "--sample-zero", f"{zero}_zero.csv",
+                "--out-record", f"record_{zero}.csv",
+            ) == 0
+        rows = [(runs / f"record_{zero}.csv").read_text().split("estimator,")[1]
+                for zero in ("a", "e")]
+        assert rows[0] == rows[1]
 
     def test_files_without_audit_lines_pair(self, runs):
         # the library writes files with no audit lines, as the README's PPS

@@ -695,6 +695,20 @@ class TestSampleIO:
             load_sample(path)
 
     @pytest.mark.parametrize(
+        "header", ["draw_index,unit_id,pi,y,p_hat,note", "draw_index,unit_id,y,pi,p_hat"],
+        ids=["extra", "reordered"],
+    )
+    def test_load_refuses_other_columns(self, tmp_path, header):
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "# sample_design = SRS_WOR\n# parent_N = 10\n# parent_aux_total = 2.0\n"
+            f"{header}\n0,a,0.1,1,0.4\n"
+        )
+        with pytest.raises(IngestionError) as info:
+            load_sample(path)
+        assert str(info.value) == f"{path}: expected columns draw_index,unit_id,pi,y,p_hat"
+
+    @pytest.mark.parametrize(
         "indices, message",
         [(("7", "1"), "draw 1: draw_index '7', expected 0"),
          (("0", "abc"), "draw 2: draw_index 'abc', expected 1"),

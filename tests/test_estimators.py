@@ -403,6 +403,11 @@ class TestSrsPlanning:
             if n > 1:
                 assert srs_se_for_total(N, p, n - 1) > target
 
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_a_frame_of_one_class_needs_one_draw(self, p):
+        # every unit alike: one draw gives the total with SE 0
+        assert equivalent_srs_n(1000, p, 1e-12) == 1
+
     def test_tiny_target_needs_census(self):
         assert equivalent_srs_n(1000, 0.25, 1e-12) == 1000
 

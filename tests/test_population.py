@@ -14,6 +14,7 @@ from auxcount import (
     stratify_by_prediction,
     write_frame,
 )
+from auxcount.classifier_sim import confusion_counts, population_loss
 from auxcount.population import first_repeat
 
 from conftest import traced
@@ -86,6 +87,17 @@ def test_arrays_are_read_only():
         fr.labels[0] = 0.0
 
 
+def test_frame_holds_a_copy_of_the_callers_labels():
+    y = np.array([0.0, 1.0, 0.0])
+    view = y[:]
+    fr = Frame(["a", "b", "c"], [0.1, 0.2, 0.3], y)
+    assert y.flags.writeable
+    view[0] = 7.0  # the caller's array, not the frame's
+    assert (fr.labels.tolist(), fr.true_total) == ([0.0, 1.0, 0.0], 1)
+    # derived frames share the columns the package owns
+    assert fr.replace_probs([0.4, 0.5, 0.6]).labels is fr.labels
+
+
 def test_take_refuses_a_repeated_index():
     fr = Frame(["a", "b", "c"], [0.5, 0.5, 0.5], [1, 0, 0])
     with pytest.raises(ValueError, match="distinct"):
@@ -113,6 +125,11 @@ def test_predicted_classes_threshold_is_inclusive():
     assert fr.predicted_classes(0.5).tolist() == [1, 0, 1]
     with pytest.raises(ValueError):
         fr.predicted_classes(1.0)
+
+
+def test_stratify_refuses_an_empty_frame():
+    with pytest.raises(ValueError, match="^cannot stratify an empty frame$"):
+        stratify_by_prediction(Frame([], []), 0.5)
 
 
 def test_stratify_threshold_rule():
@@ -279,12 +296,22 @@ WRITE_TRANSIENT = 0.5
 # Stratifying peaked at 1.71 times the strata's bytes while each stratum's
 # columns were clamped and their labels checked again, 1.38 stored as taken.
 STRATIFY_PEAK = 1.5
+# Counting the confusion table and summing the loss peaked at 2.25 and 4.0
+# times one float64 column of the frame with int64 copies and y * log p
+# products; from boolean masks and one log column filled in place, 0.375
+# and 1.125.
+COUNTS_PEAK = 0.5
+LOSS_PEAK = 1.5
+
+
+def _memory_frame():
+    rng = np.random.default_rng(3)
+    ids = [f"u{i}" for i in range(MEMORY_ROWS)]
+    return Frame(ids, rng.random(MEMORY_ROWS), rng.random(MEMORY_ROWS) < 0.01)
 
 
 def test_frame_io_holds_one_chunk_of_text(tmp_path):
-    rng = np.random.default_rng(3)
-    ids = [f"u{i}" for i in range(MEMORY_ROWS)]
-    frame = Frame(ids, rng.random(MEMORY_ROWS), rng.random(MEMORY_ROWS) < 0.01)
+    frame = _memory_frame()
     write_frame(frame, tmp_path / "frame.csv")
     tracemalloc.start()
     try:
@@ -301,12 +328,21 @@ def test_frame_io_holds_one_chunk_of_text(tmp_path):
 
 
 def test_stratify_holds_little_beyond_its_strata():
-    rng = np.random.default_rng(3)
-    ids = [f"u{i}" for i in range(MEMORY_ROWS)]
-    frame = Frame(ids, rng.random(MEMORY_ROWS), rng.random(MEMORY_ROWS) < 0.01)
+    frame = _memory_frame()
     strata, kept, peak = traced(lambda: stratify_by_prediction(frame, 0.5))
     assert peak <= STRATIFY_PEAK * kept
     assert sum(f.N for f in strata.values()) == MEMORY_ROWS
+
+
+@pytest.mark.parametrize(
+    "metric, bound",
+    [(lambda frame: confusion_counts(frame, 0.5), COUNTS_PEAK), (population_loss, LOSS_PEAK)],
+    ids=["confusion_counts", "population_loss"],
+)
+def test_counts_and_loss_hold_less_than_two_columns(metric, bound):
+    frame = _memory_frame()
+    _, _, peak = traced(lambda: metric(frame))
+    assert peak <= bound * frame.aux_probs.nbytes
 
 
 @pytest.mark.parametrize("labels", [[0.0, np.inf], [-1.0, 1.0], [0.5, np.nan], [np.nan, 2.0]])
