@@ -70,7 +70,6 @@ from .montecarlo import (
     SweepPoint,
     estimate_histogram,
     proposition1_sweep,
-    replicate_rng,
     run_replications,
 )
 

@@ -28,7 +28,6 @@ from .errors import (
     CalibrationError,
     ConfigError,
     IngestionError,
-    SweepError,
     UndefinedMetricError,
     VarianceUndefinedError,
 )
@@ -222,7 +221,7 @@ GENERATE_SPEC = {
     "b0": (float, None),
     "target_loss": (float, None),
     "target_f1": (float, None),
-    "tau": (float, 0.5),
+    "tau": (float, classifier_sim.DEFAULT_THRESHOLD),
     "seed": (int, REQUIRED),
     "out_frame": (str, "frame.csv"),
 }
@@ -263,7 +262,7 @@ def cmd_generate(args, resolved: dict) -> int:
 
 METRICS_SPEC = {
     "frame": (str, REQUIRED),
-    "tau": (float, 0.5),
+    "tau": (float, classifier_sim.DEFAULT_THRESHOLD),
     "out_metrics": (str, "metrics.json"),
 }
 
@@ -296,17 +295,23 @@ SAMPLE_SPEC = {
     "frame": (str, REQUIRED),
     "design": (str, REQUIRED, montecarlo.DESIGN_CHOICES),
     "n": (int, REQUIRED),
-    "tau": (float, 0.5),
-    "allocation": (str, None),
+    "tau": (float, classifier_sim.DEFAULT_THRESHOLD),
+    "allocation": (str, None, designs.ALLOCATION_RULES),
     "seed": (int, REQUIRED),
     "out_sample": (str, "sample.csv"),
 }
 
 
-def cmd_sample(args, resolved: dict) -> int:
-    design = resolved["design"]
-    if (design == "stratified") != (resolved["allocation"] is not None):
+def _check_allocation(resolved: dict):
+    """Refuse, before the frame is read, a stratified draw with no allocation
+    rule and any other draw with one."""
+    if (resolved["design"] == "stratified") != (resolved["allocation"] is not None):
         raise ConfigError("stratified sampling needs an allocation rule, and only it takes one")
+
+
+def cmd_sample(args, resolved: dict) -> int:
+    _check_allocation(resolved)
+    design = resolved["design"]
     frame = load_frame(resolved["frame"])
     lines = _audit_lines(_audit("sample", resolved))
     plan = designs.sampling_plan(frame, resolved["n"], resolved["tau"], resolved["allocation"])
@@ -319,12 +324,15 @@ def cmd_sample(args, resolved: dict) -> int:
     return 0
 
 
+# each two-stratum pairing, by the estimator of its zero stratum
+_BY_ZERO = {names[1]: names for names in estimators.STRATIFIED.values()}
+
 ESTIMATE_SPEC = {
     "sample": (str, None),
     "sample_one": (str, None),
     "sample_zero": (str, None),
     "estimator": (str, None, tuple(estimators.PAIRINGS)),
-    "zero_estimator": (str, "srs"),
+    "zero_estimator": (str, "srs", tuple(_BY_ZERO)),
     "z": (float, None),
     "paper_mode": (bool, None),
     "baseline_se": (float, None),
@@ -342,10 +350,7 @@ def cmd_estimate(args, resolved: dict) -> int:
         _require(resolved, "sample_one", "sample_zero")
         if resolved["estimator"] is not None:
             raise ConfigError("stratified estimates take zero_estimator, not estimator")
-        by_zero = {names[1]: names for names in estimators.STRATIFIED.values()}
-        if resolved["zero_estimator"] not in by_zero:
-            raise ConfigError(f"zero_estimator must be {' or '.join(map(repr, by_zero))}")
-        names = by_zero[resolved["zero_estimator"]]
+        names = _BY_ZERO[resolved["zero_estimator"]]
         estimate = estimators.stratified_estimate(_stratum_estimates(resolved, names))
     else:
         _require(resolved, "sample", "estimator")
@@ -362,12 +367,12 @@ def cmd_estimate(args, resolved: dict) -> int:
 
 SIMULATE_SPEC = {
     "frame": (str, REQUIRED),
-    "design": (str, REQUIRED),
-    "estimator": (str, REQUIRED),
+    "design": (str, REQUIRED, montecarlo.DESIGN_CHOICES),
+    "estimator": (str, REQUIRED, montecarlo.ESTIMATOR_CHOICES),
     "n": (int, REQUIRED),
     "R": (int, REQUIRED),
-    "tau": (float, 0.5),
-    "allocation": (str, None),
+    "tau": (float, classifier_sim.DEFAULT_THRESHOLD),
+    "allocation": (str, None, designs.ALLOCATION_RULES),
     "seed": (int, REQUIRED),
     "baseline_se": (float, None),
     "out_report": (str, "report.json"),
@@ -377,6 +382,7 @@ SIMULATE_SPEC = {
 
 
 def cmd_simulate(args, resolved: dict) -> int:
+    _check_allocation(resolved)
     frame = load_frame(resolved["frame"])
     report = montecarlo.run_replications(
         frame,
@@ -574,7 +580,7 @@ def main(argv=None) -> int:
     command, spec, _ = _COMMANDS[args.command]
     try:
         return command(args, _resolve(args, spec))
-    except (VarianceUndefinedError, UndefinedMetricError, CalibrationError, SweepError) as exc:
+    except (VarianceUndefinedError, UndefinedMetricError, CalibrationError) as exc:
         print(f"auxcount: error: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, IngestionError, AllocationError, ValueError, OSError) as exc:

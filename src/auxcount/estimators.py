@@ -224,11 +224,15 @@ def stratified_estimate(components) -> Estimate:
 
 
 def confidence_interval(estimate: Estimate, z: float = DEFAULT_Z) -> tuple[float, float]:
-    """Normal interval total +/- z * se; needs a defined variance."""
+    """Normal interval total +/- z * se; needs a defined variance, and a z
+    (NaN, infinite, or too large for se) that gives no finite interval is refused."""
     if np.signbit(z):  # -0.0 too, which the record would carry
         raise ValueError(f"z must be nonnegative with no minus sign, got {z!r}")
     se = math.sqrt(estimate._require_variance())
-    return estimate.total - z * se, estimate.total + z * se
+    lo, hi = estimate.total - z * se, estimate.total + z * se
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"z {z!r} and se {se!r} give no finite interval")
+    return lo, hi
 
 
 def design_effect(estimate, baseline_se_srs: float) -> float:

@@ -122,18 +122,6 @@ def _generator(words: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_State(words)))
 
 
-def replicate_rng(seed, r: int) -> np.random.Generator:
-    """The generator replicate r draws from: ``default_rng((seed..., r))``.
-
-    Its state and stream are those of numpy's generator; it does not
-    ``spawn``, as its seed words come precomputed.  Replicate r of a run
-    draws what this generator's ``integers`` (PPS alias slots) then
-    ``random`` give, by the rule ``run_replications`` states.
-    """
-    r = int(r)
-    return _generator(_replicate_states(seed, r, r + 1)[0])
-
-
 # draws per block of replicates evaluated together: 512 KiB per float64 matrix
 _BLOCK_DRAWS = 2**16
 
@@ -257,15 +245,11 @@ class SimReport:
         return summary
 
 
-def _check_run_args(frame, design, estimator, n, R, tau, allocation):
-    if design not in DESIGN_CHOICES:
-        raise ConfigError(f"unknown design {design!r}; choose from {DESIGN_CHOICES}")
-    if estimator not in ESTIMATOR_CHOICES:
-        raise ConfigError(f"unknown estimator {estimator!r}; choose from {ESTIMATOR_CHOICES}")
-    if estimator not in _VALID_PAIRS[design]:
+def _check_run_args(frame, design, estimator, n, R, tau, allocation, srs_baseline_se):
+    if estimator not in _VALID_PAIRS.get(design, ()):
         raise ConfigError(
-            f"estimator {estimator!r} does not apply to design {design!r}; "
-            f"valid here: {_VALID_PAIRS[design]}"
+            f"no run pairs design {design!r} with estimator {estimator!r}; "
+            f"valid runs: {_VALID_PAIRS}"
         )
     if design == "stratified" and (tau is None or allocation is None):
         raise ConfigError("stratified runs need tau and allocation")
@@ -281,6 +265,8 @@ def _check_run_args(frame, design, estimator, n, R, tau, allocation):
         raise ValueError("R must be at least 1")
     if R >= 2**32:
         raise ValueError("R must be below 2**32, so each replicate index is one seed word")
+    if srs_baseline_se is not None and not srs_baseline_se > 0:  # design_effect's rule
+        raise ValueError("baseline SE must be positive")
 
 
 def run_replications(
@@ -301,14 +287,14 @@ def run_replications(
     the pairing table ``estimators.PAIRINGS`` and ``estimators.STRATIFIED``.
     Only "stratified" takes ``tau`` and ``allocation``, and needs them.
 
-    Replicate r draws what ``replicate_rng(seed, r)`` gives: n alias slots
-    by ``integers`` (PPS only), then n uniforms by ``random``.  Its seed
-    words come from a hash pass over whole blocks, at most ``_BLOCK_DRAWS``
-    replicates, so memory stays flat in R.  A PPS block
-    computes those draws from each replicate's raw PCG64 words by numpy's
-    rules, and redraws through numpy any row that hits Lemire's rejection
-    (``_block_draws``); other runs, and frames of 1 or 2**32 and more
-    units, call numpy's ``integers`` and ``random`` themselves.
+    Replicate r draws what ``np.random.default_rng((*seed, r))`` gives,
+    an int seed as ``(seed,)``: n alias slots by ``integers`` (PPS only),
+    then n uniforms by ``random``.  Its seed words come from a hash pass
+    over whole blocks, at most ``_BLOCK_DRAWS`` replicates, so memory stays
+    flat in R.  A PPS block computes those draws from each replicate's raw
+    PCG64 words by numpy's rules, and redraws through numpy any row that
+    hits Lemire's rejection (``_block_draws``); other runs, and frames of 1
+    or 2**32 and more units, call numpy's ``integers`` and ``random`` alone.
 
     Parameters
     ----------
@@ -322,12 +308,12 @@ def run_replications(
     -------
     SimReport
     """
-    _check_run_args(frame, design, estimator, n, R, tau, allocation)
+    _check_run_args(frame, design, estimator, n, R, tau, allocation, srs_baseline_se)
     if R == 1:
         warnings.warn("R=1 gives a degenerate empirical SE of 0", stacklevel=2)
 
     # a PPS run draws alias slots of the whole frame; its table is built
-    # here, so that the build's scratch lists never coexist with a block
+    # here, so that the build's index arrays never coexist with a block
     slots = designs._alias_for(frame).size if design == "pps" else 0
     # each stratum's estimator from the table, and its unit values x, computed
     # once so that a draw is one gather

@@ -22,7 +22,7 @@ from auxcount import (
     stratify_by_prediction,
     write_sample,
 )
-from auxcount import estimators, montecarlo
+from auxcount import designs, estimators, montecarlo
 from auxcount.estimators import RECORD_FIELDS
 from auxcount.cli import (
     _COMMANDS, REQUIRED, _read_record_rows, audit_to_config_lines, build_parser, main, read_audit,
@@ -48,6 +48,10 @@ def _cell_edits(text, column) -> list[str]:
         edits.update(repr(v) for v in (np.nextafter(value, 2.0), value * 2, value / 2))
     edits.discard(text)
     return sorted(edits)
+
+
+# a simulate run's settings but its design and estimator; the frame does not exist
+_SIMULATE = {"frame": "none.csv", "n": 5, "R": 2, "seed": 1}
 
 
 def _settings(tmp_path, source, given) -> list:
@@ -231,6 +235,21 @@ class TestSampleAndEstimate:
         assert not (tmp_path / "record.csv").exists()
         assert run("estimate", *argv, "--z", "0.0") == 0
 
+    @pytest.mark.parametrize("z", ["nan", "inf", "1e308"])
+    def test_z_without_a_finite_interval_is_refused(self, frame_dir, tmp_path, capsys, z):
+        # report would refuse the record: a NaN or infinite z or interval end
+        assert run(
+            "sample", "--frame", frame_dir / "frame.csv", "--design", "srs",
+            "--n", 40, "--seed", 6, "--out", tmp_path,
+        ) == 0
+        assert load_sample(tmp_path / "sample.csv").y.sum() > 0  # so se > 0
+        capsys.readouterr()
+        argv = ["--sample", tmp_path / "sample.csv", "--estimator", "srs", "--out", tmp_path]
+        assert run("estimate", *argv, "--z", z) == 2
+        want = rf"z {re.escape(repr(float(z)))} and se \S+ give no finite interval\n$"
+        assert re.search(want, capsys.readouterr().err)
+        assert not (tmp_path / "record.csv").exists()
+
     @pytest.mark.parametrize(
         "design,pi,aux_total,estimator",
         [
@@ -342,9 +361,11 @@ class TestSampleAndEstimate:
         out.mkdir()
         argv = ["estimate", "--sample", frame_dir / "sample.csv", "--estimator", "hh"]
         # nothing reads it here, so the audit would record a setting that did nothing
-        for bad in ("bogus", "diff"):
+        for bad, message in (
+            ("bogus", "unknown zero_estimator 'bogus'"), ("diff", "zero_estimator applies only to")
+        ):
             assert run(*argv, "--zero-estimator", bad, "--out", out) == 2
-            assert "zero_estimator applies only to" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
         assert run(*argv, "--out", out) == 0
         assert read_audit(out / "record.csv")["zero_estimator"] == "srs"
@@ -364,7 +385,8 @@ class TestSampleAndEstimate:
         ]
         for bad in ("bogus", "hh"):
             assert run("estimate", *strata, "--zero-estimator", bad) == 2
-            assert "zero_estimator must be 'srs' or 'diff'" in capsys.readouterr().err
+            want = f"unknown zero_estimator {bad!r}; choose from ('srs', 'diff')"
+            assert want in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_allocation_needs_the_stratified_design(self, frame_dir, tmp_path, capsys):
@@ -421,7 +443,15 @@ class TestParser:
     @pytest.mark.parametrize("source", ["flags", "config"])
     @pytest.mark.parametrize("command, key, choices, given", [
         ("sample", "design", montecarlo.DESIGN_CHOICES, {"frame": "none.csv", "n": 5, "seed": 1}),
+        ("sample", "allocation", designs.ALLOCATION_RULES,
+         {"frame": "none.csv", "design": "stratified", "n": 5, "seed": 1}),
         ("estimate", "estimator", tuple(estimators.PAIRINGS), {"sample": "none.csv"}),
+        ("estimate", "zero_estimator", tuple(n[1] for n in estimators.STRATIFIED.values()),
+         {"sample_one": "none.csv", "sample_zero": "none.csv"}),
+        ("simulate", "design", montecarlo.DESIGN_CHOICES, {**_SIMULATE, "estimator": "hh"}),
+        ("simulate", "estimator", montecarlo.ESTIMATOR_CHOICES, {**_SIMULATE, "design": "pps"}),
+        ("simulate", "allocation", designs.ALLOCATION_RULES,
+         {**_SIMULATE, "design": "stratified", "estimator": "strat_srs"}),
     ])
     def test_a_value_outside_its_choices_is_refused_before_input_is_read(
         self, tmp_path, capsys, source, command, key, choices, given
@@ -431,6 +461,20 @@ class TestParser:
         want = f"auxcount: error: unknown {key} 'bogus'; choose from {choices}\n"
         assert capsys.readouterr().err == want
         assert _COMMANDS[command][1][key][2] == choices
+
+    @pytest.mark.parametrize("command", ["sample", "simulate"])
+    @pytest.mark.parametrize("design, allocation", [("pps", "equal"), ("stratified", None)])
+    def test_the_allocation_rule_is_checked_before_input_is_read(
+        self, tmp_path, capsys, command, design, allocation
+    ):
+        given = {"frame": "none.csv", "design": design, "n": 5, "seed": 1}
+        if command == "simulate":
+            given.update(R=2, estimator="hh" if design == "pps" else "strat_srs")
+        if allocation is not None:
+            given["allocation"] = allocation
+        assert run(command, *_settings(tmp_path, "flags", given), "--out", tmp_path) == 2
+        want = "stratified sampling needs an allocation rule, and only it takes one"
+        assert capsys.readouterr().err == f"auxcount: error: {want}\n"
 
     def test_flags_a_command_does_not_read_are_refused(self, frame_dir, tmp_path):
         frame = frame_dir / "frame.csv"
@@ -524,7 +568,7 @@ class TestSimulate:
             "simulate", "--frame", frame_dir / "frame.csv", "--design", "pps",
             "--estimator", "diff", "--n", 20, "--R", 5, "--seed", 1, "--out", out,
         ) == 2
-        assert "valid here: ('hh',)" in capsys.readouterr().err
+        assert "no run pairs design 'pps' with estimator 'diff'" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_report_payload(self, frame_dir):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -353,6 +354,19 @@ class TestIntervalsAndEffects:
         with pytest.raises(ValueError, match=r"no minus sign, got -0\.0"):
             confidence_interval(e, z=-0.0)
         assert confidence_interval(e, z=0.0) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf, 1e308])
+    def test_z_without_a_finite_interval_is_refused(self, z):
+        e = Estimate("SRS", 1.0, 4.0, n=2, N=4)
+        with pytest.raises(ValueError, match=re.escape(f"z {z!r} and se 2.0 give no finite")):
+            confidence_interval(e, z=z)
+        # a zero se keeps a huge z's interval finite, but not an infinite z's
+        zero_se = Estimate("SRS", 1.0, 0.0, n=4, N=4)
+        if z == 1e308:
+            assert confidence_interval(zero_se, z=z) == (1.0, 1.0)
+        else:
+            with pytest.raises(ValueError, match="no finite interval"):
+                confidence_interval(zero_se, z=z)
 
     def test_design_effect_values(self):
         assert design_effect(Estimate("HH", 0.0, 102.0**2, n=5, N=10), 600.0) == pytest.approx(

@@ -19,7 +19,6 @@ from auxcount import (
     hh_estimate,
     pps_wr,
     proposition1_sweep,
-    replicate_rng,
     run_replications,
     srs_estimate,
     srs_wor,
@@ -87,7 +86,7 @@ def _assert_block_ends_alone(rep, frame, rows):
     the same replicates drawn alone."""
     for start in range(0, rep.R, rows):
         for r in (start, min(start + rows, rep.R) - 1):
-            rng = replicate_rng(rep.seed, r)
+            rng = np.random.default_rng((*rep.seed, r))
             alone, zero = _replicate_alone(frame, rep.design, rep.estimator, rep.n, rng)
             assert (alone.total, alone.variance) == (rep.estimates[r], rep.estimated_variances[r])
             if zero is not None:
@@ -96,15 +95,14 @@ def _assert_block_ends_alone(rep, frame, rows):
 
 class TestReplicateRng:
     def test_streams_keyed_by_replicate(self):
-        a = replicate_rng(5, 3).random(4)
-        b = replicate_rng(5, 3).random(4)
-        c = replicate_rng(5, 4).random(4)
+        a, c = montecarlo._replicate_states(5, 3, 5)
+        b = montecarlo._replicate_states(5, 3, 4)[0]
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_composite_seed(self):
-        a = replicate_rng((5, 1), 0).random(4)
-        b = replicate_rng((5, 2), 0).random(4)
+        a = montecarlo._replicate_states((5, 1), 0, 1)
+        b = montecarlo._replicate_states((5, 2), 0, 1)
         assert not np.array_equal(a, b)
 
     # one- to five-int seeds, and ints of one to three 32-bit words: with
@@ -125,12 +123,9 @@ class TestReplicateRng:
             words = np.random.SeedSequence(key + (r,)).generate_state(4, np.uint64)
             assert np.array_equal(states[r], words)
             expected = np.random.default_rng(key + (r,))
-            bulk, alone = montecarlo._generator(states[r]), replicate_rng(seed, r)
-            assert bulk.bit_generator.state == alone.bit_generator.state
+            bulk = montecarlo._generator(states[r])
             assert bulk.bit_generator.state == expected.bit_generator.state
-            first = expected.random(4)
-            assert np.array_equal(bulk.random(4), first)
-            assert np.array_equal(alone.random(4), first)
+            assert np.array_equal(bulk.random(4), expected.random(4))
 
     @pytest.mark.parametrize("seed", [7, (5, 1, 2, 3, 4), 2**70], ids=repr)
     @pytest.mark.parametrize("a,b,c", [(1, 2, 3), (5, 6, 300), (17, 290, 291), (99, 4000, 9000)])
@@ -151,16 +146,16 @@ class TestReplicateRng:
 
     def test_replicate_index_is_one_seed_word(self):
         with pytest.raises(ValueError, match=re.escape("[0, 2**32)")):
-            replicate_rng(5, -1)
+            montecarlo._replicate_states(5, -1, 0)
         with pytest.raises(ValueError, match=re.escape("[0, 2**32)")):
-            replicate_rng(5, 2**32)
+            montecarlo._replicate_states(5, 2**32, 2**32 + 1)
 
 
 class TestBlockDraws:
     """A run's block draws are numpy's, bit for bit: row r holds what
-    ``replicate_rng(seed, r)`` gives by ``integers(slots, size=n)`` then
-    ``random(n)``, whether the block computes them from raw words or
-    redraws a row through numpy."""
+    ``np.random.default_rng((seed, r))`` gives by ``integers(slots,
+    size=n)`` then ``random(n)``, whether the block computes them from raw
+    words or redraws a row through numpy."""
 
     def _block(self, slots, n, R, monkeypatch):
         redraws = []  # generators built, which a raw block does only to redraw a row
@@ -173,7 +168,7 @@ class TestBlockDraws:
         j, u = montecarlo._block_draws(states, n, slots, buffers)
         monkeypatch.undo()
         for r in range(R):
-            rng = replicate_rng(29, r)
+            rng = np.random.default_rng((29, r))
             assert np.array_equal(j[r], rng.integers(slots, size=n)), r
             assert np.array_equal(u[r].view(np.uint64), rng.random(n).view(np.uint64)), r
         return buffers, len(redraws)
@@ -252,13 +247,23 @@ class TestRunValidation:
         assert PAIRINGS == table
 
     def test_design_estimator_pairing(self):
-        fr = _small_pps_frame()
-        with pytest.raises(ConfigError, match="does not apply"):
-            run_replications(fr, design="pps", estimator="srs", n=5, R=2, seed=1)
-        with pytest.raises(ConfigError, match="unknown design"):
-            run_replications(fr, design="cluster", estimator="hh", n=5, R=2, seed=1)
-        with pytest.raises(ConfigError, match="unknown estimator"):
-            run_replications(fr, design="pps", estimator="ratio", n=5, R=2, seed=1)
+        # every design and estimator, and one unknown of each: a run is
+        # refused exactly when the pairing table lacks its pair
+        fr = _stratified_frame()
+        for design in (*montecarlo.DESIGN_CHOICES, "cluster"):
+            for estimator in (*montecarlo.ESTIMATOR_CHOICES, "ratio"):
+                kw = dict(design=design, estimator=estimator, n=20, R=2, seed=1)
+                if (design, estimator) in PAIRINGS:
+                    run_replications(fr, **kw, **_run_kw(design))
+                else:
+                    with pytest.raises(ConfigError):
+                        run_replications(fr, **kw, **_run_kw(design))
+        with pytest.raises(ConfigError) as refused:
+            run_replications(fr, design="pps", estimator="diff", n=20, R=2, seed=1)
+        assert str(refused.value) == (
+            "no run pairs design 'pps' with estimator 'diff'; valid runs: "
+            f"{montecarlo._VALID_PAIRS}"
+        )
 
     def test_stratified_needs_tau_and_allocation(self):
         with pytest.raises(ConfigError, match="tau"):
@@ -299,14 +304,28 @@ class TestRunValidation:
         monkeypatch.setattr(montecarlo, "_generator", None)  # a replicate would fail
         with pytest.raises(ValueError, match=re.escape(str(seed_sequence.value))):
             run_replications(_small_pps_frame(), design="pps", estimator="hh", n=5, R=2, seed=seed)
-        with pytest.raises(ValueError, match=re.escape(str(seed_sequence.value))):
-            replicate_rng(seed, 0)
 
     @pytest.mark.parametrize("R", [2**32, 2**40])
     def test_replicate_count_below_2_32(self, R, monkeypatch):
         monkeypatch.setattr(montecarlo, "_generator", None)
         with pytest.raises(ValueError, match=re.escape("below 2**32")):
             run_replications(_small_pps_frame(), design="pps", estimator="hh", n=5, R=R, seed=1)
+
+    @pytest.mark.parametrize("se", [0.0, -0.0, -1.0, np.nan])
+    def test_baseline_se_refused_before_any_replicate(self, se, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_block_draws", None)  # a block would fail
+        with pytest.raises(ValueError, match="baseline SE must be positive"):
+            run_replications(
+                _small_pps_frame(), design="pps", estimator="hh", n=5, R=2, seed=1,
+                srs_baseline_se=se,
+            )
+
+    def test_infinite_baseline_se_gives_deff_0(self):
+        rep = run_replications(
+            _small_pps_frame(), design="pps", estimator="hh", n=5, R=2, seed=1,
+            srs_baseline_se=np.inf,
+        )
+        assert rep.deff_vs_srs == 0.0
 
     def test_single_replicate_warns(self):
         with pytest.warns(UserWarning, match="R=1"):
@@ -330,9 +349,9 @@ class TestRunReplications:
 
     @pytest.mark.parametrize("design,estimator", PAIRINGS)
     def test_deterministic_and_worker_independent(self, design, estimator):
-        # any replicate reproduces alone from replicate_rng(seed, r), so
-        # whoever computes it gets the same value, bit for bit, as the
-        # public samplers and estimators
+        # any replicate reproduces alone from np.random.default_rng((seed,
+        # r)), so whoever computes it gets the same value, bit for bit, as
+        # the public samplers and estimators
         fr = _stratified_frame()
         kw = dict(design=design, estimator=estimator, n=20, R=40, seed=11, **_run_kw(design))
         a = run_replications(fr, **kw)
@@ -341,7 +360,8 @@ class TestRunReplications:
         assert np.array_equal(a.estimated_variances, b.estimated_variances)
         assert (a.zero_stratum_estimates is None) == (design != "stratified")
         for r in (0, 17, 39):
-            alone, zero = _replicate_alone(fr, design, estimator, 20, replicate_rng(11, r))
+            rng = np.random.default_rng((11, r))
+            alone, zero = _replicate_alone(fr, design, estimator, 20, rng)
             assert (alone.total, alone.variance) == (
                 a.estimates[r], a.estimated_variances[r]
             )
@@ -512,7 +532,7 @@ class TestRunReplications:
         fr = Frame(["only"], [0.3], [1.0])
         rep = run_replications(fr, design="pps", estimator="hh", n=5, R=12, seed=8)
         for r in range(12):
-            alone, _ = _replicate_alone(fr, "pps", "hh", 5, replicate_rng(8, r))
+            alone, _ = _replicate_alone(fr, "pps", "hh", 5, np.random.default_rng((8, r)))
             assert (alone.total, alone.variance) == (rep.estimates[r], rep.estimated_variances[r])
         assert rep.estimates.tolist() == [1.0] * 12
 
