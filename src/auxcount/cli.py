@@ -383,18 +383,18 @@ SIMULATE_SPEC = {
 
 def cmd_simulate(args, resolved: dict) -> int:
     _check_allocation(resolved)
-    frame = load_frame(resolved["frame"])
-    report = montecarlo.run_replications(
-        frame,
+    settings = dict(
         design=resolved["design"],
         estimator=resolved["estimator"],
         n=resolved["n"],
         R=resolved["R"],
-        seed=resolved["seed"],
         tau=resolved["tau"] if resolved["design"] == "stratified" else None,
         allocation=resolved["allocation"],
         srs_baseline_se=resolved["baseline_se"],
     )
+    montecarlo.check_run_settings(**settings)  # every refusal that needs no frame
+    frame = load_frame(resolved["frame"])
+    report = montecarlo.run_replications(frame, seed=resolved["seed"], **settings)
     audit = _audit("simulate", resolved)
     _write_json(_out_path(args, resolved["out_report"]), audit, report.summary_dict())
 

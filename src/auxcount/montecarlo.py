@@ -3,23 +3,27 @@
 Each replicate r of a run draws its randomness from the generator that
 ``np.random.default_rng((seed..., r))`` gives, so any single replicate can
 be reproduced alone.  A run hashes its replicates' PCG64 seed words many
-blocks at a time, in vectorised passes of SeedSequence's hash of up to
-``_BLOCK_DRAWS`` replicates (the same words, so the same streams, as
-seeding one by one).  It then takes its replicates a block at a time: each
-replicate fills its row of the block's draws, and the rest runs once per
-block.
+blocks at a time, in vectorised passes of SeedSequence's hash (the same
+words, so the same streams, as seeding one by one).  It then takes its
+replicates a block at a time: each replicate fills its row of the block's
+draws, and the rest runs once per block.  A PPS run whose blocks draw
+from raw PCG64 words splits its replicates into one contiguous range per
+usable CPU, each with its own smaller blocks; replicates read only their
+own seed words and write only their own results, so the bytes do not
+depend on the split.  SRS and stratified runs keep one range: much of
+their block time holds the interpreter lock, so threads slowed them.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from . import designs, estimators
-from .classifier_sim import calibrate_profile
+from . import classifier_sim, designs, estimators
 from .errors import CalibrationError, ConfigError, SweepError, VarianceUndefinedError
 from .population import STRATUM_ZERO, Frame
 
@@ -118,20 +122,35 @@ class _State(ISeedSequence):
         return self.words
 
 
-def _generator(words: np.ndarray) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_State(words)))
+def _numpy_seeds(seed, start: int, stop: int) -> list:
+    """numpy's own SeedSequence of replicates start..stop-1, for a numpy
+    whose seeding or draws ``_numpy_agrees`` found unlike the emulation."""
+    key = _seed_tuple(seed)
+    return [np.random.SeedSequence(key + (r,)) for r in range(start, stop)]
+
+
+def _generator(state) -> np.random.Generator:
+    """numpy's generator from ``_replicate_states`` words or a SeedSequence."""
+    if not isinstance(state, np.random.SeedSequence):
+        state = _State(state)
+    return np.random.Generator(np.random.PCG64(state))
 
 
 # draws per block of replicates evaluated together: 512 KiB per float64 matrix
 _BLOCK_DRAWS = 2**16
 
 
+def _draws_raw(slots: int) -> bool:
+    # numpy's integers(1) draws no words, and 2**32 slots or more take 64-bit halves
+    return 1 < slots < 2**32
+
+
 def _block_buffers(rows: int, n: int, slots: int):
-    """The arrays a raw PPS block fills, made once per run at its row cap:
+    """The arrays a raw PPS block fills, made once per range at its row cap:
     alias slots, uniforms and raw words, stored little-endian so that a
     uint32 view reads each word's low half first.  None where blocks draw
     through numpy, each into arrays of its own."""
-    if not 1 < slots < 2**32:
+    if not _draws_raw(slots):
         return None
     u = np.empty((rows, n))
     return np.empty(u.shape, dtype=np.int64), u, np.empty((rows, -(-n // 2) + n), dtype="<u8")
@@ -141,12 +160,11 @@ def _block_draws(states, n: int, slots: int, buffers):
     """(j, u): row b holds the draws of the generator seeded by ``states[b]``,
     ``integers(slots, size=n)`` then ``random(n)``.
 
-    With ``buffers``, each row is computed from its raw words as numpy
-    draws: ceil(n/2) words give n 32-bit halves, low half first as PCG64's
-    ``next_uint32``; Lemire's rule maps half w to slot (w * slots) >> 32,
-    rejecting w when (w * slots) mod 2**32 < (2**32 - slots) % slots; the
-    next n words give uniforms (word >> 11) * 2**-53, ``next_double``.  A
-    row with a rejected half draws more halves, so it draws through numpy.
+    With ``buffers``, each row is computed from its raw words by numpy's
+    rules, as ``_numpy_agrees`` checks against numpy itself: ceil(n/2)
+    words give the n 32-bit halves that Lemire's rule maps to slots, the
+    next n words the uniforms.  A row with a rejected half draws more
+    halves, so it draws through numpy.
     """
     if buffers is None:
         return designs._draws(map(_generator, states), len(states), n, slots)
@@ -164,6 +182,44 @@ def _block_draws(states, n: int, slots: int, buffers):
         rj, ru = designs._draws([_generator(states[b])], 1, n, slots)
         j[b], u[b] = rj[0], ru[0]
     return j, u
+
+
+# the probe's replicates: slot count 3 never rejects a half in practice,
+# and 2**31 + 1 rejects about half, so its rows both compute and redraw
+_PROBE_SEED, _PROBE_ROWS, _PROBE_N, _PROBE_SLOTS = 29, 8, 3, (3, 2**31 + 1)
+
+
+@functools.cache
+def _numpy_agrees() -> bool:
+    """Whether this numpy seeds and draws as the emulation computes, probed
+    once per process: ``_replicate_states`` rows against numpy's own
+    ``SeedSequence.generate_state(4, np.uint64)``, and raw ``_block_draws``
+    rows against ``default_rng``'s ``integers`` then ``random``.  On a
+    mismatch it warns once, and runs then seed and draw through numpy's
+    own generators, on one thread."""
+    key, rows, n = (_PROBE_SEED,), _PROBE_ROWS, _PROBE_N
+    states = _replicate_states(key, 0, rows)
+    agrees = all(
+        np.array_equal(words, seq.generate_state(4, np.uint64))
+        for words, seq in zip(states, _numpy_seeds(key, 0, rows))
+    )
+    for slots in _PROBE_SLOTS:
+        j, u = _block_draws(states, n, slots, _block_buffers(rows, n, slots))
+        for b in range(rows):
+            rng = np.random.default_rng(key + (b,))
+            agrees = (
+                agrees
+                and np.array_equal(j[b], rng.integers(slots, size=n))
+                and np.array_equal(u[b].view(np.uint64), rng.random(n).view(np.uint64))
+            )
+    if not agrees:
+        warnings.warn(
+            f"numpy {np.__version__} seeds or draws unlike auxcount's emulation of it; "
+            "replicates draw through numpy's own generators, on one thread",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return bool(agrees)
 
 
 # Freedman-Diaconis asks for one bin per IQR-scaled width, so a single
@@ -245,7 +301,13 @@ class SimReport:
         return summary
 
 
-def _check_run_args(frame, design, estimator, n, R, tau, allocation, srs_baseline_se):
+def check_run_settings(
+    *, design, estimator, n, R, tau=None, allocation=None, srs_baseline_se=None
+) -> None:
+    """Refuse the settings of a ``run_replications`` call that are wrong
+    whatever the frame: a design and estimator that do not pair, tau and
+    allocation off a stratified run or missing on one, n below 2, R outside
+    [1, 2**32) and a baseline SE that is not positive."""
     if estimator not in _VALID_PAIRS.get(design, ()):
         raise ConfigError(
             f"no run pairs design {design!r} with estimator {estimator!r}; "
@@ -255,12 +317,8 @@ def _check_run_args(frame, design, estimator, n, R, tau, allocation, srs_baselin
         raise ConfigError("stratified runs need tau and allocation")
     if design != "stratified" and (tau is not None or allocation is not None):
         raise ConfigError(f"tau and allocation apply only to stratified runs, not {design!r}")
-    if not frame.fully_labeled:
-        raise ValueError("replicated runs need a fully labeled frame")
     if n < 2:
         raise ValueError("n must be at least 2 so variances exist")
-    if design == "srs" and n > frame.N:
-        raise ValueError(f"n={n} exceeds N={frame.N}, and SRS draws are distinct units")
     if R < 1:
         raise ValueError("R must be at least 1")
     if R >= 2**32:
@@ -286,15 +344,26 @@ def run_replications(
     ``design`` and ``estimator`` pair as ``_VALID_PAIRS`` lists them, from
     the pairing table ``estimators.PAIRINGS`` and ``estimators.STRATIFIED``.
     Only "stratified" takes ``tau`` and ``allocation``, and needs them.
+    :func:`check_run_settings` states every rule that needs no frame.
 
     Replicate r draws what ``np.random.default_rng((*seed, r))`` gives,
     an int seed as ``(seed,)``: n alias slots by ``integers`` (PPS only),
     then n uniforms by ``random``.  Its seed words come from a hash pass
-    over whole blocks, at most ``_BLOCK_DRAWS`` replicates, so memory stays
-    flat in R.  A PPS block computes those draws from each replicate's raw
-    PCG64 words by numpy's rules, and redraws through numpy any row that
-    hits Lemire's rejection (``_block_draws``); other runs, and frames of 1
-    or 2**32 and more units, call numpy's ``integers`` and ``random`` alone.
+    over whole blocks, so memory stays flat in R.  A PPS block computes
+    those draws from each replicate's raw PCG64 words by numpy's rules,
+    and redraws through numpy any row that hits Lemire's rejection
+    (``_block_draws``); other runs, frames of 1 or 2**32 and more units,
+    and a numpy unlike the emulation (``_numpy_agrees``) call numpy alone.
+
+    A PPS run whose blocks draw raw words splits its replicates into k
+    contiguous ranges, k the usable CPUs (at most R), and runs them at
+    once: the calling thread takes the first, a pool the rest.  Blocks
+    and hash passes hold 1/k of the replicates they hold on one range, so
+    all of them together hold what one range's do.  Each replicate reads
+    its own seed words and writes its own results, so the bytes are the
+    same for every k.  Other runs keep one range: much of their block
+    time is Python that holds the interpreter lock (``designs._srs_slots``
+    over shared slots, one generator built per row).
 
     Parameters
     ----------
@@ -308,7 +377,14 @@ def run_replications(
     -------
     SimReport
     """
-    _check_run_args(frame, design, estimator, n, R, tau, allocation, srs_baseline_se)
+    check_run_settings(
+        design=design, estimator=estimator, n=n, R=R, tau=tau, allocation=allocation,
+        srs_baseline_se=srs_baseline_se,
+    )
+    if not frame.fully_labeled:
+        raise ValueError("replicated runs need a fully labeled frame")
+    if design == "srs" and n > frame.N:
+        raise ValueError(f"n={n} exceeds N={frame.N}, and SRS draws are distinct units")
     if R == 1:
         warnings.warn("R=1 gives a degenerate empirical SE of 0", stacklevel=2)
 
@@ -328,25 +404,43 @@ def run_replications(
     totals = np.zeros(R)
     variances = np.zeros(R)
     zero_totals = np.full(R, np.nan) if any(zero for _, _, zero, *_ in parts) else None
-    rows = min(max(1, _BLOCK_DRAWS // n), R)
-    span = rows * (_BLOCK_DRAWS // rows)  # replicates per hash pass, whole blocks
-    buffers = _block_buffers(rows, n, slots)
-    for start in range(0, R, rows):
-        if start % span == 0:
-            states = _replicate_states(seed, start, min(start + span, R))
-        block = slice(start, min(start + rows, R))
-        j, u = _block_draws(states[start % span :][:rows], n, slots, buffers)
-        col = 0  # the strata's uniforms lie side by side, stratum one first
-        for sub, n_h, zero, pairing, x, base in parts:
-            drawn = x[designs._units(sub, pairing.design, j, u[:, col : col + n_h])]
-            t, v = pairing.kernel(drawn, sub.N, base)
-            col += n_h
-            if v is None:
-                raise VarianceUndefinedError(f"a replicate of {n_h} draw(s) has no variance")
-            if zero:
-                zero_totals[block] = t
-            totals[block] += t
-            variances[block] += v
+    emulated = _numpy_agrees()
+    seed_words = _replicate_states if emulated else _numpy_seeds
+    raw = emulated and _draws_raw(slots)
+    k = min(classifier_sim._usable_cpus(), R) if raw else 1
+
+    def run_range(lo: int, hi: int):  # replicates lo..hi-1
+        rows = min(max(1, _BLOCK_DRAWS // (n * k)), hi - lo)
+        span = rows * max(1, _BLOCK_DRAWS // (rows * k))  # replicates per hash pass
+        buffers = _block_buffers(rows, n, slots) if raw else None
+        for start in range(lo, hi, rows):
+            if (start - lo) % span == 0:
+                states = seed_words(seed, start, min(start + span, hi))
+            block = slice(start, min(start + rows, hi))
+            j, u = _block_draws(states[(start - lo) % span :][:rows], n, slots, buffers)
+            col = 0  # the strata's uniforms lie side by side, stratum one first
+            for sub, n_h, zero, pairing, x, base in parts:
+                drawn = x[designs._units(sub, pairing.design, j, u[:, col : col + n_h])]
+                t, v = pairing.kernel(drawn, sub.N, base)
+                col += n_h
+                if v is None:
+                    raise VarianceUndefinedError(f"a replicate of {n_h} draw(s) has no variance")
+                if zero:
+                    zero_totals[block] = t
+                totals[block] += t
+                variances[block] += v
+
+    if k == 1:
+        run_range(0, R)
+    else:  # the calling thread runs the first range, a thread each the rest
+        from concurrent.futures import ThreadPoolExecutor
+
+        bounds = [R * i // k for i in range(k + 1)]
+        with ThreadPoolExecutor(k - 1) as pool:
+            futures = [pool.submit(run_range, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
+            run_range(0, bounds[1])
+            for future in futures:
+                future.result()
 
     mean = float(np.mean(totals))
     emp_se = float(np.std(totals, ddof=1)) if R >= 2 else 0.0
@@ -408,7 +502,7 @@ def proposition1_sweep(
     for k, target in enumerate(targets):
         cal_seed = base + (k, 0)
         try:
-            cal = calibrate_profile(frame, target_loss=target, seed=cal_seed)
+            cal = classifier_sim.calibrate_profile(frame, target_loss=target, seed=cal_seed)
         except CalibrationError as exc:
             raise SweepError(f"sweep point {k} (target {target:g}): {exc}") from exc
         exact = estimators.exact_hh_design_variance(cal.frame, n)

@@ -476,6 +476,28 @@ class TestParser:
         want = "stratified sampling needs an allocation rule, and only it takes one"
         assert capsys.readouterr().err == f"auxcount: error: {want}\n"
 
+    # a missing frame: each run setting is refused before the frame is read
+    @pytest.mark.parametrize("given, want", [
+        ({"design": "pps", "estimator": "diff"},
+         f"no run pairs design 'pps' with estimator 'diff'; valid runs: {montecarlo._VALID_PAIRS}"),
+        ({"design": "stratified", "estimator": "hh", "allocation": "equal"},
+         "no run pairs design 'stratified' with estimator 'hh'"),
+        ({"n": 1}, "n must be at least 2 so variances exist"),
+        ({"R": 0}, "R must be at least 1"),
+        ({"R": 2**32}, "R must be below 2**32, so each replicate index is one seed word"),
+        ({"baseline_se": 0.0}, "baseline SE must be positive"),
+    ])
+    def test_run_settings_are_checked_before_the_frame_is_read(
+        self, tmp_path, capsys, given, want
+    ):
+        missing = tmp_path / "missing.csv"
+        settings = {"frame": missing, "design": "pps", "estimator": "hh", "n": 5, "R": 2,
+                    "seed": 1, **given}
+        assert run("simulate", *_settings(tmp_path, "flags", settings), "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"auxcount: error: {want}") and str(missing) not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_flags_a_command_does_not_read_are_refused(self, frame_dir, tmp_path):
         frame = frame_dir / "frame.csv"
         for argv in (["metrics", "--frame", frame, "--seed", 1], ["simulate", "--workers", 2]):

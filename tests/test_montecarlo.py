@@ -1,8 +1,11 @@
+import functools
 import hashlib
 import os
 import re
 import subprocess
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -25,10 +28,17 @@ from auxcount import (
     stratified_estimate,
     stratify_by_prediction,
 )
-from auxcount import montecarlo
+from auxcount import classifier_sim, montecarlo
 from auxcount.montecarlo import HISTOGRAM_MAX_BINS, HistogramBin
 
 from conftest import _ids, traced
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _numpy_probed():
+    """A run probes numpy once per process, on its first call: probe here,
+    so that tests which patch the probe's parts find its verdict cached."""
+    assert montecarlo._numpy_agrees()
 
 
 def _small_pps_frame():
@@ -81,16 +91,28 @@ def _replicate_alone(frame, design, estimator, n, rng):
     return stratified_estimate(components), dict(components).get("zero")
 
 
-def _assert_block_ends_alone(rep, frame, rows):
-    """The first and last replicate of each block of ``rows`` in a run equal
-    the same replicates drawn alone."""
-    for start in range(0, rep.R, rows):
-        for r in (start, min(start + rows, rep.R) - 1):
-            rng = np.random.default_rng((*rep.seed, r))
-            alone, zero = _replicate_alone(frame, rep.design, rep.estimator, rep.n, rng)
-            assert (alone.total, alone.variance) == (rep.estimates[r], rep.estimated_variances[r])
-            if zero is not None:
-                assert zero.total == rep.zero_stratum_estimates[r]
+def _assert_alone(rep, frame, replicates):
+    """Each of these replicates of a run equals the same replicate drawn alone."""
+    for r in replicates:
+        rng = np.random.default_rng((*rep.seed, r))
+        alone, zero = _replicate_alone(frame, rep.design, rep.estimator, rep.n, rng)
+        assert (alone.total, alone.variance) == (rep.estimates[r], rep.estimated_variances[r]), r
+        if zero is not None:
+            assert zero.total == rep.zero_stratum_estimates[r], r
+
+
+def _assert_block_ends_alone(rep, frame, rows, lo=0, hi=None):
+    """The first and last replicate of each block of ``rows`` in replicates
+    lo..hi-1 of a run (all of them by default) equal the same replicates
+    drawn alone."""
+    hi = rep.R if hi is None else hi
+    starts = range(lo, hi, rows)
+    _assert_alone(rep, frame, sorted({*starts, *(min(s + rows, hi) - 1 for s in starts)}))
+
+
+def _digests(rep):
+    arrays = (rep.estimates, rep.estimated_variances, rep.zero_stratum_estimates)
+    return tuple(None if a is None else hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
 
 
 class TestReplicateRng:
@@ -394,8 +416,10 @@ class TestRunReplications:
         self, design, estimator, monkeypatch
     ):
         # blocks of 7 replicates, hashed 21 blocks (147 replicates) at a
-        # time: three passes, the last one and the last block partial
+        # time: three passes, the last one and the last block partial; one
+        # range, so the passes are one list
         monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", 150)
+        monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: 1)
         calls = self._hash_passes(monkeypatch)
         fr, n, R, seed = _stratified_frame(), 20, 400, 31
         rep = run_replications(
@@ -412,12 +436,27 @@ class TestRunReplications:
     def test_hash_passes_tile_the_run(self, block_draws, n, R, monkeypatch):
         if block_draws is not None:
             monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", block_draws)
+        monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: 1)
         calls = self._hash_passes(monkeypatch)
         run_replications(_stratified_frame(), design="srs", estimator="srs", n=n, R=R, seed=2)
         # in order, without gap or overlap, each pass at most _BLOCK_DRAWS replicates
         assert [start for start, _ in calls] == [0] + [stop for _, stop in calls[:-1]]
         assert calls[-1][1] == R
         assert all(0 < stop - start <= montecarlo._BLOCK_DRAWS for start, stop in calls)
+
+    def test_each_range_tiles_its_own_hash_passes(self, monkeypatch):
+        # two ranges of 200 replicates; each range's blocks hold 150 // (20 * 2)
+        # = 3 replicates and its passes 3 * (150 // 6) = 75, so that both
+        # ranges together hold about what one range's 7 and 147 hold
+        monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", 150)
+        monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: 2)
+        calls = self._hash_passes(monkeypatch)
+        fr = _stratified_frame()
+        rep = run_replications(fr, design="pps", estimator="hh", n=20, R=400, seed=31)
+        assert [c for c in calls if c[0] < 200] == [(0, 75), (75, 150), (150, 200)]
+        assert [c for c in calls if c[0] >= 200] == [(200, 275), (275, 350), (350, 400)]
+        for lo in (0, 200):
+            _assert_block_ends_alone(rep, fr, 3, lo, lo + 200)
 
     # sha256 of (estimates, estimated_variances, zero_stratum_estimates) on
     # _stratified_frame() at n=20, R=50, seed=11, recorded while each
@@ -456,11 +495,7 @@ class TestRunReplications:
             _stratified_frame(), design=design, estimator=estimator,
             n=20, R=50, seed=11, **_run_kw(design),
         )
-        arrays = (rep.estimates, rep.estimated_variances, rep.zero_stratum_estimates)
-        digests = tuple(
-            None if a is None else hashlib.sha256(a.tobytes()).hexdigest() for a in arrays
-        )
-        assert digests == self.GOLDEN[design, estimator]
+        assert _digests(rep) == self.GOLDEN[design, estimator]
 
     def test_census_srs_is_exact_every_time(self):
         N = 30
@@ -547,6 +582,137 @@ class TestRunReplications:
         assert "estimates" not in d
 
 
+class TestRangeSplit:
+    """A PPS run whose blocks draw raw words runs one contiguous range of
+    replicates per usable CPU; the bytes are the same for every count."""
+
+    @pytest.mark.parametrize("block_draws", [None, 150])
+    @pytest.mark.parametrize("design,estimator", PAIRINGS)
+    def test_bytes_do_not_depend_on_the_cpu_count(
+        self, design, estimator, block_draws, monkeypatch
+    ):
+        if block_draws is not None:  # several blocks and hash passes in every range
+            monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", block_draws)
+        runs = []  # (digests, ranges run, threads that drew blocks)
+        buffers, draws = montecarlo._block_buffers, montecarlo._block_draws
+        ranges, threads = [], set()
+        monkeypatch.setattr(
+            montecarlo, "_block_buffers", lambda *a: ranges.append(a) or buffers(*a)
+        )
+        monkeypatch.setattr(
+            montecarlo, "_block_draws",
+            lambda *a: threads.add(threading.current_thread()) or draws(*a),
+        )
+        fr = _stratified_frame()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter often
+        try:
+            for cpus in (1, 2, 3, 7):
+                monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: cpus)
+                ranges.clear()
+                threads.clear()
+                rep = run_replications(
+                    fr, design=design, estimator=estimator, n=20, R=300, seed=5,
+                    **_run_kw(design),
+                )
+                runs.append((_digests(rep), len(ranges), len(threads)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({digests for digests, _, _ in runs}) == 1
+        if design == "pps":  # a range per CPU, each drawn on a thread of its own
+            assert [r for _, r, _ in runs] == [1, 2, 3, 7]
+            assert [t for _, _, t in runs][:2] == [1, 2]
+        else:
+            assert [t for _, _, t in runs] == [1, 1, 1, 1]
+        _assert_alone(rep, fr, range(rep.R))
+
+    def test_redrawn_rows_past_the_first_range_match_replicates_alone(self, monkeypatch):
+        # 2**32 % 59,722 is 1.4e-5 of 2**32, the share of halves Lemire's rule
+        # rejects, so about 1.4% of rows of 1,000 draws redraw through numpy
+        N, n, R, seed = 59_722, 1_000, 400, 3
+        labels = np.zeros(N)
+        labels[::500] = 1
+        fr = Frame(_ids("z", N), np.linspace(0.01, 0.9, N), labels)
+        redrawn = []  # a raw block builds a generator only to redraw a row
+        generator = montecarlo._generator
+        monkeypatch.setattr(
+            montecarlo, "_generator", lambda words: redrawn.append(words) or generator(words)
+        )
+        monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: 2)
+        rep = run_replications(fr, design="pps", estimator="hh", n=n, R=R, seed=seed)
+        monkeypatch.undo()
+        states = montecarlo._replicate_states(seed, 0, R)
+        rows = sorted(int(np.flatnonzero((states == w).all(axis=1))[0]) for w in redrawn)
+        assert any(r < R // 2 for r in rows) and any(r >= R // 2 for r in rows), rows
+        _assert_alone(rep, fr, range(rep.R))
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_a_range_error_reaches_the_caller_and_no_thread_outlives_it(
+        self, failing, monkeypatch
+    ):
+        caller = threading.current_thread()
+        draws = montecarlo._block_draws
+
+        def draw(*args):
+            if (threading.current_thread() is caller) == (failing == "caller"):
+                raise RuntimeError(f"{failing} range failed")
+            return draws(*args)
+
+        monkeypatch.setattr(montecarlo, "_block_draws", draw)
+        monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: 3)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} range failed"):
+            run_replications(_small_pps_frame(), design="pps", estimator="hh", n=5, R=30, seed=1)
+        assert threading.active_count() == before
+
+
+class TestNumpyProbe:
+    """Runs check once per process that numpy seeds and draws as the
+    emulation computes, and take numpy's own path where it does not."""
+
+    def _fresh_probe(self, monkeypatch):
+        probe = functools.cache(montecarlo._numpy_agrees.__wrapped__)
+        monkeypatch.setattr(montecarlo, "_numpy_agrees", probe)
+        return probe
+
+    def test_probe_rows_compute_and_redraw(self, monkeypatch):
+        redraws = []
+        generator = montecarlo._generator
+        monkeypatch.setattr(
+            montecarlo, "_generator", lambda words: redraws.append(1) or generator(words)
+        )
+        assert self._fresh_probe(monkeypatch)()
+        # only slot count 2**31 + 1 redraws, and not every row
+        assert 0 < len(redraws) < montecarlo._PROBE_ROWS
+
+    @pytest.mark.parametrize("design,estimator", PAIRINGS)
+    def test_a_numpy_unlike_the_emulation_runs_numpys_own_path(
+        self, design, estimator, monkeypatch
+    ):
+        probe = self._fresh_probe(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_MULT_A", montecarlo._MULT_A ^ 2)  # a seed hash constant
+        monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: 3)
+        calls = []  # (thread, raw or not, n) of each block, the probe's of n = 3 too
+        draws = montecarlo._block_draws
+
+        def draw(states, n, slots, buffers):
+            calls.append((threading.current_thread(), buffers is not None, n))
+            return draws(states, n, slots, buffers)
+
+        monkeypatch.setattr(montecarlo, "_block_draws", draw)
+        fr = _stratified_frame()
+        kw = dict(design=design, estimator=estimator, n=20, R=50, seed=11, **_run_kw(design))
+        with pytest.warns(RuntimeWarning, match=re.escape(f"numpy {np.__version__} seeds")):
+            rep = run_replications(fr, **kw)
+        assert probe() is False
+        assert _digests(rep) == TestRunReplications.GOLDEN[design, estimator]
+        assert {c for c in calls if c[2] == 20} == {(threading.current_thread(), False, 20)}
+        _assert_alone(rep, fr, range(rep.R))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # once per process
+            assert _digests(run_replications(fr, **kw)) == _digests(rep)
+
+
 class TestSweep:
     def _frame(self):
         N = 400
@@ -613,3 +779,15 @@ def test_import_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": src},
     ).stdout
     assert out.split("\n") == ["[]", "[]", ""]
+
+
+def test_import_loads_no_thread_pool():
+    # concurrent.futures is imported only when a run or a score simulation
+    # starts threads, so no command that needs none pays its import
+    src = os.path.dirname(os.path.dirname(auxcount.__file__))
+    code = "import sys, auxcount.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "False"
