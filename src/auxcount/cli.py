@@ -241,7 +241,7 @@ def cmd_generate(args, resolved: dict) -> int:
     labels[:positives] = 1.0
     # u0..u{N-1} are unique and unpadded: only the other columns need checks
     ids = np.array([f"u{i}" for i in range(N)], dtype=object)
-    base = Frame.__new__(Frame)._set(ids, np.full(N, 0.5), labels, None)
+    base = Frame.__new__(Frame)._set(ids, np.full(N, 0.5), labels)
     if None not in shapes:
         profile = classifier_sim.QualityProfile(
             shape_pos=(shapes[0], shapes[1]), shape_neg=(shapes[2], shapes[3])
@@ -311,16 +311,15 @@ def _check_allocation(resolved: dict):
 
 def cmd_sample(args, resolved: dict) -> int:
     _check_allocation(resolved)
-    design = resolved["design"]
     frame = load_frame(resolved["frame"])
     lines = _audit_lines(_audit("sample", resolved))
     plan = designs.sampling_plan(frame, resolved["n"], resolved["tau"], resolved["allocation"])
-    draw = designs.pps_wr if design == "pps" else designs.srs_wor
+    draw = designs.pps_wr if resolved["design"] == "pps" else designs.srs_wor
     rng = np.random.default_rng(resolved["seed"])
     stem = resolved["out_sample"].removesuffix(".csv")
-    for sub, n_h in plan:  # a stratified sample writes one file per stratum
-        name = f"{stem}_{sub.stratum}.csv" if design == "stratified" else resolved["out_sample"]
-        designs.write_sample(draw(sub, n_h, rng), _out_path(args, name), lines)
+    for h, rows, n_h in plan:  # a stratified sample writes one file per stratum
+        name = resolved["out_sample"] if h is None else f"{stem}_{h}.csv"
+        designs.write_sample(draw(frame, n_h, rng, stratum=(h, rows)), _out_path(args, name), lines)
     return 0
 
 

@@ -2,12 +2,12 @@
 and sample-size allocation between the two predicted-class strata.
 
 PPS draws use a Vose alias table of (prob, alias) records built once per
-frame; uniform draws use a sparse partial Fisher-Yates shuffle that
-replays in Python only the steps whose slots another step also touches,
-so cost scales with the sample, not the frame.  Repeated slots are found
-by one in-place sort of packed int64 (slot, step) keys, which needs
-N < 2**63 >> (n - 1).bit_length().  Both turn uniforms into draws a block
-of rows at a time; a single sample is the one-row case.
+frame, or per draw from a stratum; uniform draws use a sparse partial
+Fisher-Yates shuffle that replays in Python only the steps whose slots
+another step also touches, so cost scales with the sample, not the frame.
+Repeated slots are found by one in-place sort of packed int64 (slot, step)
+keys, which needs N < 2**63 >> (n - 1).bit_length().  Both turn uniforms
+into draws a block of rows at a time; a single sample is the one-row case.
 """
 
 from __future__ import annotations
@@ -241,51 +241,69 @@ def _draws(rngs, rows: int, n: int, slots: int = 0):
     return j, u
 
 
-def _units(frame: Frame, design: str, j, u: np.ndarray) -> np.ndarray:
-    """Units of ``frame`` that rows of alias slots j and uniforms u draw."""
+def _part(frame: Frame, rows, labeled: bool = True):
+    """(labels, scores, N, score total) of the stratum of ``frame``'s units
+    at the ascending ``rows``, or of the whole frame where ``rows`` is None;
+    labels None unless ``labeled``.  Only here is a stratum gathered."""
+    if rows is None:
+        return frame.labels if labeled else None, frame.aux_probs, frame.N, frame.aux_total
+    rows = np.asarray(rows)
+    ordered = rows.ndim == 1 and rows.dtype.kind in "iu" and np.all(rows[1:] > rows[:-1])
+    if not (ordered and (rows.size == 0 or 0 <= rows[0] <= rows[-1] < frame.N)):
+        raise ValueError("a stratum's rows must be ascending integer row indices of its frame")
+    scores = frame.aux_probs[rows]
+    return frame.labels[rows] if labeled else None, scores, rows.size, float(np.sum(scores))
+
+
+def _units(table: AliasTable | None, N: int, j, u: np.ndarray) -> np.ndarray:
+    """Rows of N units that alias slots j and uniforms u draw: by ``table``, or by SRS if None."""
+    return _srs_slots(u, N) if table is None else table.lookup(j, u)
+
+
+def _sample(frame: Frame, design: str, n: int, seed, stratum) -> Sample:
+    name, rows = stratum or (None, None)
+    _, scores, N, total = _part(frame, rows, labeled=False)
+    if design == DESIGN_SRS and not 1 <= n <= N:
+        raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
+    if n < 1 or N < 1:  # PPS draws with replacement: n may exceed N
+        raise ValueError(f"need n >= 1 draws from N >= 1 units, got n={n}, N={N}")
+    table = None  # a stratum's alias table is built for its draw, a whole frame's cached
     if design == DESIGN_PPS:
-        return _alias_for(frame).lookup(j, u)
-    return _srs_slots(u, frame.N)
-
-
-def _sample(frame: Frame, design: str, n: int, seed) -> Sample:
-    slots = frame.N if design == DESIGN_PPS else 0
-    idx = _units(frame, design, *_draws([np.random.default_rng(seed)], 1, n, slots))[0]
+        table = _alias_for(frame) if rows is None else AliasTable(scores)
+    j, u = _draws([np.random.default_rng(seed)], 1, n, 0 if table is None else table.size)
+    idx = _units(table, N, j, u)[0]
+    idx = idx if rows is None else rows[idx]
     return Sample(
         design=design,
         unit_ids=frame.ids[idx],
         y=frame.labels[idx],
         p_hat=frame.aux_probs[idx],
-        parent_N=frame.N,
-        parent_aux_total=frame.aux_total,
-        stratum=frame.stratum,
+        parent_N=N,
+        parent_aux_total=total,
+        stratum=name,
     )
 
 
-def srs_wor(frame: Frame, n: int, seed) -> Sample:
+def srs_wor(frame: Frame, n: int, seed, *, stratum=None) -> Sample:
     """Simple random sample of n distinct units, 1 <= n <= N, order of draw
-    kept.  ``seed`` is an int, a sequence of ints or a numpy Generator."""
-    if not 1 <= n <= frame.N:
-        raise ValueError(f"need 1 <= n <= N, got n={n}, N={frame.N}")
-    return _sample(frame, DESIGN_SRS, n, seed)
+    kept.  ``seed`` is an int, a sequence of ints or a numpy Generator.
+    ``stratum``, a (name, rows) pair, rows as :func:`stratify_by_prediction`
+    gives them, draws from the units at ``rows`` alone and names the sample."""
+    return _sample(frame, DESIGN_SRS, n, seed, stratum)
 
 
-def pps_wr(frame: Frame, n: int, seed) -> Sample:
-    """With-replacement PPS sample, size measure p_hat.
-
-    Each draw lands on unit i with probability p_hat_i / aux_total,
-    recorded as ``pi``.  The alias table is cached on the frame, so
-    repeated sampling from one frame only pays the build once.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if frame.N < 1:
-        raise ValueError("cannot sample an empty frame")
-    return _sample(frame, DESIGN_PPS, n, seed)
+def pps_wr(frame: Frame, n: int, seed, *, stratum=None) -> Sample:
+    """With-replacement PPS sample, size measure p_hat: each draw lands on
+    unit i with probability p_hat_i / aux_total, recorded as ``pi``.  The
+    alias table is cached on the frame, so repeated sampling from one frame
+    pays the build once; a ``stratum``, as :func:`srs_wor` takes it, builds
+    its own for each call."""
+    return _sample(frame, DESIGN_PPS, n, seed, stratum)
 
 
-def allocate(strata: dict[str, Frame], n: int, rule: str) -> dict[str, int]:
-    """Spread a total sample size over the "one" and "zero" strata.
+def allocate(frame: Frame, strata: dict[str, np.ndarray], n: int, rule: str) -> dict[str, int]:
+    """Spread a total sample size over the "one" and "zero" strata, each
+    the row indices of its units in ``frame``.
 
     Rules
     -----
@@ -308,7 +326,7 @@ def allocate(strata: dict[str, Frame], n: int, rule: str) -> dict[str, int]:
     if rule not in ALLOCATION_RULES:
         raise ValueError(f"unknown allocation rule {rule!r}")
     one, zero = strata[STRATUM_ONE], strata[STRATUM_ZERO]
-    c1, c0 = one.N, zero.N
+    c1, c0 = len(one), len(zero)
     if n > c1 + c0:
         raise AllocationError(f"n={n} exceeds population size {c1 + c0}")
     f1, f0 = min(MIN_PER_STRATUM, c1), min(MIN_PER_STRATUM, c0)
@@ -317,18 +335,17 @@ def allocate(strata: dict[str, Frame], n: int, rule: str) -> dict[str, int]:
             f"n={n} cannot give every nonempty stratum its minimum "
             f"(need at least {f1 + f0})"
         )
-    if rule == NEYMAN_ORACLE and not all(f.fully_labeled for f in (one, zero) if f.N):
-        raise ValueError("neyman_oracle needs labels in every nonempty stratum")
 
-    def weight(f: Frame) -> float:
+    def weight(rows) -> float:
         if rule == EQUAL:
-            return float(f.N > 0)
+            return float(len(rows) > 0)
         if rule == PROPORTIONAL:
-            return float(f.N)
-        if f.N < 2:
-            return 0.0
-        x = f.labels if rule == NEYMAN_ORACLE else f.aux_probs
-        return f.N * float(np.std(x, ddof=1))
+            return float(len(rows))
+        labels, scores, N, _ = _part(frame, rows, labeled=rule == NEYMAN_ORACLE)
+        if labels is not None and np.isnan(labels).any():
+            raise ValueError("neyman_oracle needs labels in every nonempty stratum")
+        x = scores if labels is None else labels
+        return N * float(np.std(x, ddof=1)) if N >= 2 else 0.0
 
     w1, w0 = weight(one), weight(zero)
     if not (w1 > 0 or w0 > 0):
@@ -344,16 +361,16 @@ def allocate(strata: dict[str, Frame], n: int, rule: str) -> dict[str, int]:
     return {STRATUM_ONE: n1, STRATUM_ZERO: n - n1}
 
 
-def sampling_plan(frame: Frame, n: int, tau=None, rule=None) -> list[tuple[Frame, int]]:
-    """(stratum, n_h) for each part a sample draws: the whole frame when no
-    allocation ``rule`` is given, else the "one" then the "zero" stratum of
-    ``frame`` at threshold tau, n_h as :func:`allocate` spreads n by
-    ``rule``, leaving out a stratum allocated no draws."""
+def sampling_plan(frame: Frame, n: int, tau=None, rule=None) -> list[tuple]:
+    """(name, rows, n_h) for each part a sample draws: (None, None, n), the
+    whole frame, when no allocation ``rule`` is given, else the "one" then
+    the "zero" stratum of ``frame`` at threshold tau, as :func:`allocate`
+    spreads n by ``rule``, leaving out a stratum allocated no draws."""
     if rule is None:
-        return [(frame, n)]
+        return [(None, None, n)]
     strata = stratify_by_prediction(frame, tau)
-    sizes = allocate(strata, n, rule)
-    return [(strata[h], sizes[h]) for h in (STRATUM_ONE, STRATUM_ZERO) if sizes[h]]
+    sizes = allocate(frame, strata, n, rule)
+    return [(h, strata[h], sizes[h]) for h in (STRATUM_ONE, STRATUM_ZERO) if sizes[h]]
 
 
 def write_sample(sample: Sample, path, header_lines=()) -> None:

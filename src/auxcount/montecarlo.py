@@ -390,16 +390,17 @@ def run_replications(
 
     # a PPS run draws alias slots of the whole frame; its table is built
     # here, so that the build's index arrays never coexist with a block
-    slots = designs._alias_for(frame).size if design == "pps" else 0
-    # each stratum's estimator from the table, and its unit values x, computed
+    table = designs._alias_for(frame) if design == "pps" else None
+    slots = 0 if table is None else table.size
+    # each part's estimator from the table, and its unit values x, computed
     # once so that a draw is one gather
     names = estimators.STRATIFIED.get(estimator, (estimator,))
     parts = []
-    for sub, n_h in designs.sampling_plan(frame, n, tau, allocation):
-        zero = design == "stratified" and sub.stratum == STRATUM_ZERO
+    for h, stratum, n_h in designs.sampling_plan(frame, n, tau, allocation):
+        zero = h == STRATUM_ZERO
         pairing = estimators.PAIRINGS[names[zero]]
-        x, base = pairing.units(sub.labels, sub.aux_probs, sub.aux_total)
-        parts.append((sub, n_h, zero, pairing, x, base))
+        labels, scores, N, total = designs._part(frame, stratum)
+        parts.append((N, n_h, zero, pairing, *pairing.units(labels, scores, total)))
 
     totals = np.zeros(R)
     variances = np.zeros(R)
@@ -419,9 +420,9 @@ def run_replications(
             block = slice(start, min(start + rows, hi))
             j, u = _block_draws(states[(start - lo) % span :][:rows], n, slots, buffers)
             col = 0  # the strata's uniforms lie side by side, stratum one first
-            for sub, n_h, zero, pairing, x, base in parts:
-                drawn = x[designs._units(sub, pairing.design, j, u[:, col : col + n_h])]
-                t, v = pairing.kernel(drawn, sub.N, base)
+            for N, n_h, zero, pairing, x, base in parts:
+                drawn = x[designs._units(table, N, j, u[:, col : col + n_h])]
+                t, v = pairing.kernel(drawn, N, base)
                 col += n_h
                 if v is None:
                     raise VarianceUndefinedError(f"a replicate of {n_h} draw(s) has no variance")

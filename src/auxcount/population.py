@@ -2,8 +2,8 @@
 
 A frame holds one row per population unit: a stable identifier, an optional
 binary label, and a predicted probability used as the auxiliary size
-measure downstream.  Frames are immutable once built; stratification and
-simulation return new frames.
+measure downstream.  Frames are immutable once built: simulation returns
+a new frame, and stratification the row indices of each stratum.
 """
 
 from __future__ import annotations
@@ -54,23 +54,20 @@ class Frame:
         Predicted probabilities in [0, 1]; clamped on construction.
     labels : array_like or None
         Binary labels; use None (or NaN entries) where unlabeled.
-    stratum : str, optional
-        Name attached to every unit, set when this frame is one stratum
-        of a larger frame.
     """
 
-    def __init__(self, ids, aux_probs, labels=None, stratum=None):
+    def __init__(self, ids, aux_probs, labels=None):
         texts = ids if isinstance(ids, list) else list(ids)  # a list is used, not copied
         # what load_frame would refuse or strip could not be read back
         if not all(texts) or list(map(str.strip, texts)) != texts:
             raise ValueError("unit ids must be nonempty and unpadded")
         labels = None if labels is None else np.array(labels, np.float64)  # not the caller's array
-        self._set(np.asarray(texts, dtype=object), aux_probs, labels, stratum)
+        self._set(np.asarray(texts, dtype=object), aux_probs, labels)
         if first_repeat(texts) is not None:
             raise ValueError("duplicate unit ids")
 
-    def _set(self, ids, aux_probs, labels, stratum) -> "Frame":
-        """Check and store the columns but for the ids' text and uniqueness."""
+    def _set(self, ids, aux_probs, labels) -> "Frame":
+        """Check the columns but for the ids' text and uniqueness; store them read-only."""
         probs = np.asarray(aux_probs, dtype=np.float64)
         if probs.ndim != 1 or len(ids) != probs.size:
             raise ValueError("ids and aux_probs must be 1-d and equal length")
@@ -85,13 +82,9 @@ class Frame:
                 raise ValueError("labels must match aux_probs in length")
             if not (np.isnan(lab) | (lab == 0.0) | (lab == 1.0)).all():
                 raise ValueError("labels must be 0, 1, or missing")
-        return self._store(ids, clamp_probs(probs), lab, stratum)
-
-    def _store(self, ids, probs, labels, stratum) -> "Frame":
-        """Store checked columns, read-only."""
-        self._ids, self._probs, self._labels, self.stratum = ids, probs, labels, stratum
-        self._aux_total = float(np.sum(probs))
-        for arr in (ids, probs, labels):
+        self._ids, self._probs, self._labels = ids, clamp_probs(probs), lab
+        self._aux_total = float(np.sum(self._probs))
+        for arr in (ids, self._probs, lab):
             arr.setflags(write=False)
         return self
 
@@ -139,17 +132,7 @@ class Frame:
 
     def replace_probs(self, aux_probs) -> "Frame":
         """New frame with the same ids/labels and fresh probabilities."""
-        return Frame.__new__(Frame)._set(self._ids, aux_probs, self._labels, self.stratum)
-
-    def take(self, indices, stratum=None) -> "Frame":
-        """New frame of the units at ``indices``, which must be distinct."""
-        idx = np.asarray(indices, dtype=np.intp)
-        hit = np.zeros(self.N, dtype=bool)
-        hit[idx] = True
-        if np.count_nonzero(hit) != idx.size:
-            raise ValueError("take indices must be distinct")
-        new = Frame.__new__(Frame)  # the columns of a checked frame need no new checks
-        return new._store(self._ids[idx], self._probs[idx], self._labels[idx], stratum)
+        return Frame.__new__(Frame)._set(self._ids, aux_probs, self._labels)
 
     def __repr__(self):
         return f"Frame(N={self.N}, aux_total={self._aux_total:.6g})"
@@ -160,11 +143,12 @@ def _check_tau(tau):
         raise ValueError(f"threshold must lie strictly inside (0, 1), got {tau}")
 
 
-def stratify_by_prediction(frame: Frame, tau: float) -> dict[str, Frame]:
+def stratify_by_prediction(frame: Frame, tau: float) -> dict[str, np.ndarray]:
     """Split a frame into a "one" and a "zero" stratum at threshold tau.
 
     Units with aux_prob >= tau land in the "one" stratum, the rest in
-    "zero", keyed by those names in that order.  A stratum left with no
+    "zero", keyed by those names in that order.  A stratum is the
+    ascending row indices of its units in ``frame``; one left with no
     units is kept, with size 0, so that allocation sees a stable pair.
 
     Parameters
@@ -175,17 +159,15 @@ def stratify_by_prediction(frame: Frame, tau: float) -> dict[str, Frame]:
 
     Returns
     -------
-    dict of str to Frame
+    dict of str to read-only intp array
     """
     one = frame.predicted_classes(tau)
     if frame.N < 1:
         raise ValueError("cannot stratify an empty frame")
     ones, zeros = np.flatnonzero(one), np.flatnonzero(np.logical_not(one, out=one))
-    del one  # kept across the takes, the mask would raise their peak
-    return {
-        STRATUM_ONE: frame.take(ones, stratum=STRATUM_ONE),
-        STRATUM_ZERO: frame.take(zeros, stratum=STRATUM_ZERO),
-    }
+    ones.setflags(write=False)
+    zeros.setflags(write=False)
+    return {STRATUM_ONE: ones, STRATUM_ZERO: zeros}
 
 
 def read_header_fields(path) -> dict[str, str]:
@@ -420,7 +402,7 @@ def load_frame(path) -> Frame:
     probs = np.concatenate(probs)  # a column at a time, each one's parts dropped as it is joined
     labels = np.concatenate(labels)
     ids = np.asarray(ids, dtype=object)
-    return Frame.__new__(Frame)._set(ids, probs, labels, None)
+    return Frame.__new__(Frame)._set(ids, probs, labels)
 
 
 def write_frame(frame: Frame, path, header_lines=()) -> None:

@@ -154,7 +154,8 @@ def test_criterion_6_unbiased_and_calibrated(capsys, benign_frame, benign_run):
 
 def test_criterion_7_zero_stratum_bimodality(capsys, bimodal_frame, bimodal_run):
     zero = stratify_by_prediction(bimodal_frame, 0.5)["zero"]
-    predicted = float(hypergeom.pmf(0, zero.N, zero.true_total, 200))
+    positives = int(np.sum(bimodal_frame.labels[zero]))
+    predicted = float(hypergeom.pmf(0, zero.size, positives, 200))
     emp = bimodal_run.zero_stratum_empty_fraction
     band = 3.0 * math.sqrt(predicted * (1 - predicted) / bimodal_run.R)
     zero_bins = [b for b in bimodal_run.bins if b.lo == 0.0 and b.hi == 0.0]

@@ -627,15 +627,14 @@ class TestSimulate:
 class TestF1Command:
     def test_matches_library(self, tmp_path):
         rng = np.random.default_rng(2)
-        one_frame = Frame(
-            _ids("a", 20), np.full(20, 0.8), np.r_[np.ones(6), np.zeros(14)], stratum="one"
+        # the two strata's units, "one" in rows 0-19 and "zero" in rows 20-79
+        frame = Frame(
+            _ids("a", 20) + _ids("z", 60),
+            np.r_[np.full(20, 0.8), rng.uniform(0.01, 0.4, 60)],
+            np.r_[np.ones(6), np.zeros(14), np.ones(3), np.zeros(57)],
         )
-        zero_frame = Frame(
-            _ids("z", 60), rng.uniform(0.01, 0.4, 60), np.r_[np.ones(3), np.zeros(57)],
-            stratum="zero",
-        )
-        one = srs_wor(one_frame, 10, seed=5)
-        zero = pps_wr(zero_frame, 25, seed=6)
+        one = srs_wor(frame, 10, seed=5, stratum=("one", np.arange(20)))
+        zero = pps_wr(frame, 25, seed=6, stratum=("zero", np.arange(20, 80)))
         write_sample(one, tmp_path / "one.csv")
         write_sample(zero, tmp_path / "zero.csv")
 
@@ -746,11 +745,12 @@ class TestStratumPairs:
     def test_files_without_audit_lines_pair(self, runs):
         # the library writes files with no audit lines, as the README's PPS
         # zero-stratum sample for f1: nothing in them shows another run
-        strata = stratify_by_prediction(load_frame("frame.csv"), 0.5)
+        frame = load_frame("frame.csv")
+        one, zero = stratify_by_prediction(frame, 0.5).items()  # (name, rows) pairs
         rng = np.random.default_rng(1)
-        write_sample(srs_wor(strata["one"], 20, rng), "hand_one.csv")
-        write_sample(srs_wor(strata["zero"], 20, rng), "hand_zero.csv")
-        write_sample(pps_wr(strata["zero"], 20, rng), "hand_zero_pps.csv")
+        write_sample(srs_wor(frame, 20, rng, stratum=one), "hand_one.csv")
+        write_sample(srs_wor(frame, 20, rng, stratum=zero), "hand_zero.csv")
+        write_sample(pps_wr(frame, 20, rng, stratum=zero), "hand_zero_pps.csv")
         hand_zero = ["--sample-zero", "hand_zero.csv"]
         assert run("estimate", "--sample-one", "hand_one.csv", *hand_zero) == 0
         assert run("estimate", "--sample-one", "a_one.csv", *hand_zero) == 0

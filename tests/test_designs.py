@@ -407,56 +407,65 @@ class TestAliasTable:
         assert np.all((0 <= got) & (got < table.size))
 
 
+def _rebuilt(frame, rows):
+    """The units of ``frame`` at ``rows`` as a frame of their own, as
+    strata were built before they became row indices of their frame."""
+    return Frame(frame.ids[rows], frame.aux_probs[rows], frame.labels[rows])
+
+
 def _two_strata(n1_labels, n0_labels, split=0.5):
+    """(frame, strata): "one" scored 0.9, "zero" scored 0.1."""
     probs = np.concatenate(
         [np.full(len(n1_labels), 0.9), np.full(len(n0_labels), 0.1)]
     )
-    labels = np.concatenate([n1_labels, n0_labels])
-    return stratify_by_prediction(_frame(probs, labels), split)
+    frame = _frame(probs, np.concatenate([n1_labels, n0_labels]))
+    return frame, stratify_by_prediction(frame, split)
 
 
 class TestAllocate:
     def test_equal_split(self):
-        strat = _two_strata(np.zeros(600), np.zeros(800))
-        plan = allocate(strat, 200, EQUAL)
+        fr, strat = _two_strata(np.zeros(600), np.zeros(800))
+        plan = allocate(fr, strat, 200, EQUAL)
         assert plan == {"one": 100, "zero": 100}
 
     def test_proportional_exact(self):
-        strat = _two_strata(np.zeros(100), np.zeros(300))
-        plan = allocate(strat, 40, PROPORTIONAL)
+        fr, strat = _two_strata(np.zeros(100), np.zeros(300))
+        plan = allocate(fr, strat, 40, PROPORTIONAL)
         assert plan == {"one": 10, "zero": 30}
 
     def test_sizes_always_sum(self):
         rng = np.random.default_rng(3)
-        strat = _two_strata(rng.integers(0, 2, 173).astype(float),
-                            rng.integers(0, 2, 421).astype(float))
+        fr, strat = _two_strata(rng.integers(0, 2, 173).astype(float),
+                                rng.integers(0, 2, 421).astype(float))
         for rule in (EQUAL, PROPORTIONAL, NEYMAN_ORACLE, NEYMAN_PROXY):
-            plan = allocate(strat, 97, rule)
+            plan = allocate(fr, strat, 97, rule)
             assert sum(plan.values()) == 97
             assert all(v >= 2 for v in plan.values())
 
     def test_zero_variance_stratum_gets_floor(self):
         # one-stratum all positive: label SD 0, so Neyman weight is 0
-        strat = _two_strata(np.ones(50), np.random.default_rng(1).integers(0, 2, 500).astype(float))
-        plan = allocate(strat, 60, NEYMAN_ORACLE)
+        fr, strat = _two_strata(
+            np.ones(50), np.random.default_rng(1).integers(0, 2, 500).astype(float)
+        )
+        plan = allocate(fr, strat, 60, NEYMAN_ORACLE)
         assert plan["one"] == 2
         assert plan["zero"] == 58
 
     def test_neyman_matches_brute_force_minimum(self):
         rng = np.random.default_rng(10)
-        strat = _two_strata(
+        fr, strat = _two_strata(
             (rng.random(400) < 0.55).astype(float),
             (rng.random(1600) < 0.02).astype(float),
         )
         n = 100
-        plan = allocate(strat, n, NEYMAN_ORACLE)
+        plan = allocate(fr, strat, n, NEYMAN_ORACLE)
 
         def var_at(n1):
             total = 0.0
             for name, n_h in (("one", n1), ("zero", n - n1)):
-                f = strat[name]
-                S2 = np.var(f.labels, ddof=1)
-                total += f.N**2 * (1 - n_h / f.N) * S2 / n_h
+                N_h = strat[name].size
+                S2 = np.var(fr.labels[strat[name]], ddof=1)
+                total += N_h**2 * (1 - n_h / N_h) * S2 / n_h
             return total
 
         best = min(var_at(n1) for n1 in range(2, n - 1))
@@ -465,17 +474,17 @@ class TestAllocate:
     def test_empty_stratum_takes_nothing(self):
         fr = _frame([0.1, 0.2, 0.3, 0.4], np.zeros(4))
         strat = stratify_by_prediction(fr, 0.5)
-        plan = allocate(strat, 3, PROPORTIONAL)
+        plan = allocate(fr, strat, 3, PROPORTIONAL)
         assert plan == {"one": 0, "zero": 3}
 
     def test_infeasible_requests(self):
-        strat = _two_strata(np.zeros(5), np.zeros(5))
+        fr, strat = _two_strata(np.zeros(5), np.zeros(5))
         with pytest.raises(AllocationError):
-            allocate(strat, 11, PROPORTIONAL)  # more than N
+            allocate(fr, strat, 11, PROPORTIONAL)  # more than N
         with pytest.raises(AllocationError):
-            allocate(strat, 3, PROPORTIONAL)  # cannot give both strata 2
+            allocate(fr, strat, 3, PROPORTIONAL)  # cannot give both strata 2
         with pytest.raises(ValueError):
-            allocate(strat, 10, "optimal")
+            allocate(fr, strat, 10, "optimal")
 
 
 @dataclass(frozen=True)
@@ -582,30 +591,34 @@ def reference_allocate(strat, n: int, rule: str) -> ReferencePlan:
     return ReferencePlan(sizes=dict(zip(names, sizes)))
 
 
-def _outcome(fn, strat, n, rule):
+def _outcome(fn, *args, **kwargs):
     try:
-        return fn(strat, n, rule)
+        return fn(*args, **kwargs)
     except (AllocationError, ValueError) as exc:
         return type(exc)
 
 
-def _assert_same_allocations(strat, ns):
+def _assert_same_allocations(frame, strata, ns):
+    """allocate's sizes for the strata, rows of ``frame``, are the
+    reference's for the same strata rebuilt as frames of their own."""
+    frames = {h: _rebuilt(frame, rows) for h, rows in strata.items()}
     for rule in ALLOCATION_RULES:
         for n in ns:
-            want = _outcome(reference_allocate, strat, n, rule)
+            want = _outcome(reference_allocate, frames, n, rule)
             want = want if isinstance(want, type) else want.sizes
-            sizes = {h: f.N for h, f in strat.items()}
-            assert _outcome(allocate, strat, n, rule) == want, (sizes, n, rule)
+            sizes = {h: rows.size for h, rows in strata.items()}
+            assert _outcome(allocate, frame, strata, n, rule) == want, (sizes, n, rule)
 
 
 def _random_strata(rng, N1, N0, labeled=True):
-    """Scores at or above 0.5 in "one", below it in "zero"; labels drawn at
-    a random rate per stratum, or all missing."""
+    """(frame, strata): scores at or above 0.5 in "one", below it in "zero";
+    labels drawn at a random rate per stratum, or all missing."""
     probs = np.concatenate([rng.uniform(0.5, 1.0, N1), rng.uniform(0.0, 0.5, N0)])
     labels = None
     if labeled:
         labels = np.concatenate([rng.random(N1) < rng.random(), rng.random(N0) < rng.random()])
-    return stratify_by_prediction(_frame(probs, labels), 0.5)
+    frame = _frame(probs, labels)
+    return frame, stratify_by_prediction(frame, 0.5)
 
 
 class TestAllocateMatchesReference:
@@ -615,14 +628,14 @@ class TestAllocateMatchesReference:
         rng = np.random.default_rng(81)
         for N1, N0 in itertools.product(range(21), repeat=2):
             if N1 or N0:
-                _assert_same_allocations(_random_strata(rng, N1, N0), range(N1 + N0 + 2))
+                _assert_same_allocations(*_random_strata(rng, N1, N0), range(N1 + N0 + 2))
 
     def test_unlabeled_strata(self):
         rng = np.random.default_rng(82)
         for N1, N0 in itertools.product(range(6), repeat=2):
             if N1 or N0:
-                strat = _random_strata(rng, N1, N0, labeled=False)
-                _assert_same_allocations(strat, range(N1 + N0 + 2))
+                fr, strat = _random_strata(rng, N1, N0, labeled=False)
+                _assert_same_allocations(fr, strat, range(N1 + N0 + 2))
 
     def test_random_frames(self):
         # windows of one 20,000-unit frame whose positive rate rises along
@@ -635,14 +648,81 @@ class TestAllocateMatchesReference:
             N1, N0 = np.exp(rng.uniform(0.0, np.log(half), 2)).astype(int).tolist()
             N1 *= int(rng.random() < 0.95)
             a, b = rng.integers(0, half - N1 + 1), rng.integers(half, 2 * half - N0 + 1)
-            strat = stratify_by_prediction(base.take(np.r_[a : a + N1, b : b + N0]), 0.5)
+            window = _rebuilt(base, np.r_[a : a + N1, b : b + N0])
+            strat = stratify_by_prediction(window, 0.5)
             N = N1 + N0
-            _assert_same_allocations(strat, {3, 4, N - 1, N, *rng.integers(0, N + 2, 2)})
+            _assert_same_allocations(window, strat, {3, 4, N - 1, N, *rng.integers(0, N + 2, 2)})
 
     def test_acceptance_frame(self, acceptance_frame):
         for tau in (0.3, 0.5, 0.7):
             strat = stratify_by_prediction(acceptance_frame, tau)
-            _assert_same_allocations(strat, (4, 97, 500, 5_000))
+            _assert_same_allocations(acceptance_frame, strat, (4, 97, 500, 5_000))
+
+
+def _assert_same_draws(frame, strata, n, seed):
+    """Each sampler's draw from each stratum, as rows of ``frame``, is the
+    sample it draws from the stratum rebuilt as a frame of its own, field
+    by field, but for the stratum name that it carries; or both refuse."""
+    for h, rows in strata.items():
+        alone = _rebuilt(frame, rows)
+        for draw in (srs_wor, pps_wr):
+            got = _outcome(draw, frame, n, seed, stratum=(h, rows))
+            want = _outcome(draw, alone, n, seed)
+            if isinstance(want, type):
+                assert got is want, (h, rows.size, n, draw.__name__)
+                continue
+            assert (got.design, got.stratum, want.stratum) == (want.design, h, None)
+            assert got.unit_ids.tolist() == want.unit_ids.tolist()
+            assert np.array_equal(got.y, want.y, equal_nan=True)
+            for field in ("p_hat", "pi"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert got.parent_N == want.parent_N
+            assert repr(got.parent_aux_total) == repr(want.parent_aux_total)  # bit for bit
+
+
+class TestStrataAsRows:
+    """Strata are row indices of their frame.  Drawn from, and allocated
+    between, they give what the same units rebuilt as frames of their own
+    gave, which is how strata were built before."""
+
+    def test_random_frames_and_seeds(self):
+        rng = np.random.default_rng(84)
+        # an empty "one" stratum, a one-unit stratum, then sizes up to 60
+        for case, N1 in enumerate([0, 1, 2, *rng.integers(0, 61, 117).tolist()]):
+            N0 = int(rng.integers(1, 61))
+            frame, strata = _random_strata(rng, N1, N0, labeled=case % 3 != 0)
+            seed = int(rng.integers(0, 2**31))
+            for n in {1, 2, N1, N0, N0 + 1, int(rng.integers(1, 70))}:
+                _assert_same_draws(frame, strata, n, seed)
+            _assert_same_allocations(frame, strata, {0, 3, 4, N1 + N0, *rng.integers(0, 70, 2)})
+
+    def test_acceptance_frame(self, acceptance_frame):
+        strata = stratify_by_prediction(acceptance_frame, 0.5)
+        for seed in (3, 4):
+            _assert_same_draws(acceptance_frame, strata, 500, seed)
+
+    def test_a_generator_seed_draws_on_from_where_the_last_draw_left_it(self):
+        frame, strata = _random_strata(np.random.default_rng(85), 30, 50)
+        got, want = np.random.default_rng(7), np.random.default_rng(7)
+        for h, rows in strata.items():
+            a = srs_wor(frame, 5, got, stratum=(h, rows))
+            b = srs_wor(_rebuilt(frame, rows), 5, want)
+            assert a.unit_ids.tolist() == b.unit_ids.tolist()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[1, 0], [0, 0], [-1, 0], [0, 3], [True, False, True], [[0, 1]], [0.0, 1.0]],
+        ids=["descending", "repeated", "negative", "past_the_end", "mask", "2d", "float"],
+    )
+    def test_refuses_rows_that_are_not_ascending_row_indices(self, rows):
+        frame = _frame([0.2, 0.6, 0.9], [0, 1, 1])
+        with pytest.raises(ValueError, match="^a stratum's rows must be ascending integer row"):
+            srs_wor(frame, 1, 0, stratum=("one", rows))
+        with pytest.raises(ValueError, match="^a stratum's rows must be ascending integer row"):
+            pps_wr(frame, 1, 0, stratum=("one", rows))
+        strata = {"one": np.asarray(rows), "zero": np.array([2])}
+        with pytest.raises(ValueError, match="^a stratum's rows must be ascending integer row"):
+            allocate(frame, strata, len(rows) + 1, NEYMAN_PROXY)  # all of both strata
 
 
 class TestSampleIO:
@@ -666,7 +746,7 @@ class TestSampleIO:
     def test_stratum_tag_rides_along(self, tmp_path):
         fr = _frame(np.full(8, 0.7), np.ones(8))
         strat = stratify_by_prediction(fr, 0.5)
-        s = srs_wor(strat["one"], 3, seed=2)
+        s = srs_wor(fr, 3, seed=2, stratum=("one", strat["one"]))
         path = tmp_path / "one.csv"
         write_sample(s, path)
         assert load_sample(path).stratum == "one"

@@ -415,7 +415,7 @@ def test_artifact_bytes_are_pinned(tmp_path, monkeypatch):
         assert main(argv) == 0
     frame = load_frame("frame.csv")
     zero = population.stratify_by_prediction(frame, 0.5)["zero"]
-    write_sample(designs.pps_wr(zero, 40, 9), "zero_pps.csv")
+    write_sample(designs.pps_wr(frame, 40, 9, stratum=("zero", zero)), "zero_pps.csv")
     assert main(["f1", "--sample-one", "sample_one.csv", "--sample-zero", "zero_pps.csv",
                  "--flagged-tp", "3", "--flagged-fn", "1", "--c", "40"]) == 0
     digests = {

@@ -81,11 +81,11 @@ def _replicate_alone(frame, design, estimator, n, rng):
         est_fn = srs_estimate if estimator == "srs" else difference_estimate
         return est_fn(srs_wor(frame, n, rng)), None
     strat = stratify_by_prediction(frame, STRATIFIED_KW["tau"])
-    sizes = allocate(strat, n, STRATIFIED_KW["allocation"])
+    sizes = allocate(frame, strat, n, STRATIFIED_KW["allocation"])
     components = []
     for name in ("one", "zero"):  # one shared generator, stratum one first
         if sizes[name]:
-            sample = srs_wor(strat[name], sizes[name], rng)
+            sample = srs_wor(frame, sizes[name], rng, stratum=(name, strat[name]))
             diff = name == "zero" and estimator == "strat_diff"
             components.append((name, (difference_estimate if diff else srs_estimate)(sample)))
     return stratified_estimate(components), dict(components).get("zero")

@@ -6,15 +6,19 @@ import pytest
 from auxcount import (
     Frame,
     IngestionError,
+    NEYMAN_PROXY,
     PROB_FLOOR,
+    PROPORTIONAL,
     STRATUM_ONE,
     STRATUM_ZERO,
     clamp_probs,
     load_frame,
+    srs_wor,
     stratify_by_prediction,
     write_frame,
 )
 from auxcount.classifier_sim import confusion_counts, population_loss
+from auxcount.designs import sampling_plan
 from auxcount.population import first_repeat
 
 from conftest import traced
@@ -98,23 +102,13 @@ def test_frame_holds_a_copy_of_the_callers_labels():
     assert fr.replace_probs([0.4, 0.5, 0.6]).labels is fr.labels
 
 
-def test_take_refuses_a_repeated_index():
-    fr = Frame(["a", "b", "c"], [0.5, 0.5, 0.5], [1, 0, 0])
-    with pytest.raises(ValueError, match="distinct"):
-        fr.take([0, 0])
-    with pytest.raises(ValueError, match="distinct"):
-        fr.take([2, -1])  # the same unit twice
-    assert fr.take([2, 0]).ids.tolist() == ["c", "a"]
-
-
 def test_derived_frames_are_read_only():
     fr = Frame(["a", "b", "c"], [0.9, 0.2, 0.6], [1, 0, 1])
     strat = stratify_by_prediction(fr.replace_probs([0.8, 0.1, 1.0]), 0.5)
-    derived = [fr.replace_probs([0.1, 0.2, 0.3]), fr.take([1, 2]), *strat.values()]
-    for d in derived:
-        for arr in (d.ids, d.aux_probs, d.labels):
-            with pytest.raises(ValueError):
-                arr[0] = arr[0]
+    derived = fr.replace_probs([0.1, 0.2, 0.3])
+    for arr in (derived.ids, derived.aux_probs, derived.labels, *strat.values()):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
     assert fr.replace_probs([0.1, 0.2, 1.0]).aux_probs[2] == 1.0 - PROB_FLOOR
     with pytest.raises(ValueError):
         fr.replace_probs([0.1, 0.2, 1.5])
@@ -135,28 +129,26 @@ def test_stratify_refuses_an_empty_frame():
 def test_stratify_threshold_rule():
     fr = Frame(["a", "b", "c"], [0.9, 0.2, 0.6], [1, 0, 1])
     strat = stratify_by_prediction(fr, 0.5)
+    assert list(strat) == [STRATUM_ONE, STRATUM_ZERO]
     one, zero = strat[STRATUM_ONE], strat[STRATUM_ZERO]
-    assert sorted(one.aux_probs.tolist()) == [0.6, 0.9]
-    assert zero.aux_probs.tolist() == [0.2]
-    assert one.stratum == STRATUM_ONE and zero.stratum == STRATUM_ZERO
+    assert one.dtype == zero.dtype == np.intp
+    assert one.tolist() == [0, 2] and zero.tolist() == [1]  # ascending rows of the frame
+    assert fr.aux_probs[one].tolist() == [0.9, 0.6]
 
 
 def test_stratify_keeps_empty_stratum():
     fr = Frame(["a", "b"], [0.1, 0.2], [0, 0])
     strat = stratify_by_prediction(fr, 0.5)
-    assert {h: f.N for h, f in strat.items()} == {STRATUM_ONE: 0, STRATUM_ZERO: 2}
-    assert sum(f.N for f in strat.values()) == 2
+    assert {h: rows.tolist() for h, rows in strat.items()} == {
+        STRATUM_ONE: [], STRATUM_ZERO: [0, 1]
+    }
 
 
 def test_stratify_partitions_ids():
     rng = np.random.default_rng(7)
     fr = Frame([f"u{i}" for i in range(500)], rng.random(500))
     strat = stratify_by_prediction(fr, 0.3)
-    ids = set()
-    for sub in strat.values():
-        ids.update(sub.ids.tolist())
-    assert len(ids) == 500
-    assert sum(f.N for f in strat.values()) == 500
+    assert np.array_equal(np.sort(np.concatenate(list(strat.values()))), np.arange(500))
 
 
 def _write(tmp_path, text, name="frame.csv"):
@@ -294,8 +286,17 @@ MEMORY_ROWS = 60_000
 LOAD_PEAK = 1.4
 WRITE_TRANSIENT = 0.5
 # Stratifying peaked at 1.71 times the strata's bytes while each stratum's
-# columns were clamped and their labels checked again, 1.38 stored as taken.
+# columns were clamped and their labels checked again, and 1.38 with the
+# columns stored as taken, 24 bytes a unit kept; with strata as row indices,
+# 8 bytes a unit, 1.13 (1.25 with the class mask negated into a copy).
 STRATIFY_PEAK = 1.5
+# A stratified sample's plan and its two strata's SRS draws, as `sample
+# --design stratified` takes them, peaked at 4.13 times one float64 column
+# of the frame while each stratum was a frame of its own copied columns, a
+# peak this bound refuses; with strata as row indices, 2.0 under
+# neyman_proxy, which gathers a stratum's scores for their spread, and 1.59
+# under proportional.
+STRATIFIED_SAMPLE_PEAK = 2.5
 # Counting the confusion table and summing the loss peaked at 2.25 and 4.0
 # times one float64 column of the frame with int64 copies and y * log p
 # products; from boolean masks and one log column filled in place, 0.375
@@ -331,7 +332,22 @@ def test_stratify_holds_little_beyond_its_strata():
     frame = _memory_frame()
     strata, kept, peak = traced(lambda: stratify_by_prediction(frame, 0.5))
     assert peak <= STRATIFY_PEAK * kept
-    assert sum(f.N for f in strata.values()) == MEMORY_ROWS
+    assert sum(rows.size for rows in strata.values()) == MEMORY_ROWS
+
+
+@pytest.mark.parametrize("rule", [NEYMAN_PROXY, PROPORTIONAL])
+def test_stratified_sample_holds_little_beyond_its_strata_rows(rule):
+    frame = _memory_frame()
+
+    def draw():
+        rng = np.random.default_rng(5)
+        plan = sampling_plan(frame, 500, 0.5, rule)
+        return [srs_wor(frame, n_h, rng, stratum=(h, rows)) for h, rows, n_h in plan]
+
+    samples, _, peak = traced(draw)
+    assert peak <= STRATIFIED_SAMPLE_PEAK * frame.aux_probs.nbytes
+    assert [s.stratum for s in samples] == [STRATUM_ONE, STRATUM_ZERO]
+    assert sum(s.n for s in samples) == 500
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import re
 import shlex
 from pathlib import Path
 
-from auxcount import srs_se_for_total
+from auxcount import load_frame, load_sample, srs_se_for_total, stratify_by_prediction
 from auxcount.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -64,6 +64,16 @@ def test_walkthrough_reproduces_documented_numbers(tmp_path, monkeypatch, capsys
         for key, text in keys.items():
             decimals = len(text.split(".")[1])
             assert f"{report[key]:.{decimals}f}" == text, (name, key)
+
+    # the library's zero-stratum PPS sample for f1, on the walkthrough's frame
+    (code,) = [body for lang, body in BLOCKS if lang == "python"]
+    exec(code, {})
+    path = tmp_path / "demo" / "sample_zero_pps.csv"
+    assert "# stratum = zero\n" in path.read_text()
+    sample = load_sample(path)
+    zero = stratify_by_prediction(load_frame(tmp_path / "demo" / "frame.csv"), 0.5)["zero"]
+    assert (sample.design, sample.stratum, sample.n) == ("PPS_WR", "zero", 200)
+    assert sample.parent_N == zero.size
 
 
 def _decimals_as_shown(got: str, shown: str) -> str:
