@@ -6,11 +6,12 @@ replicated experiments (simulate), combine stratum estimates into an F1
 (f1), and merge estimate records into a table (report).
 
 Settings resolve as defaults < config file < command-line flags.  Config
-files are flat ``key = value`` text.  Every artifact starts with an
-audit header recording the command, seed and all result-affecting
-settings; rerunning a stochastic command from that header reproduces
-the artifact byte for byte.  Exit codes: 0 success, 2 configuration or
-schema problems, 3 numerical failures.
+files are flat ``key = value`` text.  A setting that only some forms of a
+command read (a stratified draw's tau, say) is refused in the others.
+Every artifact starts with an audit header recording the command and the
+settings the run read; rerunning a stochastic command from that header
+reproduces the artifact byte for byte.  Exit codes: 0 success, 2
+configuration or schema problems, 3 numerical failures.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from .population import (
     STRATUM_ONE, STRATUM_ZERO, Frame, _float_or_none, float_texts, load_frame,
     read_header_fields, read_table, write_frame, write_table,
 )
-
-PAPER_Z = 2.0
 
 # the default of a spec row whose setting every run must give
 REQUIRED = ...
@@ -75,6 +74,8 @@ def read_config_file(path) -> dict[str, str]:
                 key, sep, raw = line.partition("=")
                 if not sep:
                     raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+                if key.strip() in values:
+                    raise ConfigError(f"{path}:{line_no}: {key.strip()} given twice")
                 values[key.strip()] = raw.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
@@ -113,6 +114,17 @@ def _require(resolved: dict, *keys: str):
     missing = [k for k in keys if resolved[k] in (None, REQUIRED)]
     if missing:
         raise ConfigError(f"missing required settings: {missing}")
+
+
+def _read_by(resolved: dict, form: str, reads: bool, **defaults):
+    """Settings that only some forms of a command read: where this run's form
+    ``reads`` them, fill in each one not given with its default (REQUIRED
+    refuses it missing); where it does not, refuse any given."""
+    given = [key for key in defaults if resolved[key] is not None]
+    if given and not reads:
+        raise ConfigError(f"{form} does not read {given}")
+    resolved.update({key: d for key, d in defaults.items() if reads and key not in given})
+    _require(resolved, *(key for key in defaults if resolved[key] is REQUIRED))
 
 
 def _fmt(value) -> str:
@@ -221,7 +233,7 @@ GENERATE_SPEC = {
     "b0": (float, None),
     "target_loss": (float, None),
     "target_f1": (float, None),
-    "tau": (float, classifier_sim.DEFAULT_THRESHOLD),
+    "tau": (float, None),
     "seed": (int, REQUIRED),
     "out_frame": (str, "frame.csv"),
 }
@@ -234,27 +246,30 @@ def cmd_generate(args, resolved: dict) -> int:
     if not 0 <= positives <= N:
         raise ConfigError(f"positives={positives} must lie in [0, N={N}]")
     shapes = [resolved[k] for k in ("a1", "b1", "a0", "b0")]
+    calibrated = None in shapes
+    _read_by(resolved, "generate with a1,b1,a0,b0", calibrated, target_loss=None, target_f1=None)
     targets = [k for k in ("target_loss", "target_f1") if resolved[k] is not None]
-    if None in shapes and (shapes != [None] * 4 or len(targets) != 1):
+    if calibrated and (shapes != [None] * 4 or len(targets) != 1):
         raise ConfigError("give all of a1,b1,a0,b0, or none and one of target_loss/target_f1")
+    _read_by(resolved, "generate without target_f1", targets == ["target_f1"],
+             tau=classifier_sim.DEFAULT_THRESHOLD)
     labels = np.zeros(N)
     labels[:positives] = 1.0
     # u0..u{N-1} are unique and unpadded: only the other columns need checks
     ids = np.array([f"u{i}" for i in range(N)], dtype=object)
     base = Frame.__new__(Frame)._set(ids, np.full(N, 0.5), labels)
-    if None not in shapes:
+    if not calibrated:
         profile = classifier_sim.QualityProfile(
             shape_pos=(shapes[0], shapes[1]), shape_neg=(shapes[2], shapes[3])
         )
         frame = classifier_sim.simulate_predictions(base, profile, resolved["seed"])
     else:
-        kwargs = {targets[0]: resolved[targets[0]]}
-        cal = classifier_sim.calibrate_profile(
-            base, tau=resolved["tau"], seed=resolved["seed"], **kwargs
-        )
-        frame = cal.frame
+        kwargs = {k: resolved[k] for k in (*targets, "tau") if resolved[k] is not None}
+        cal = classifier_sim.calibrate_profile(base, seed=resolved["seed"], **kwargs)
+        frame = cal.frame  # simulate_predictions of the shapes found, which the audit holds
         (resolved["a1"], resolved["b1"]) = cal.profile.shape_pos
         (resolved["a0"], resolved["b0"]) = cal.profile.shape_neg
+        resolved.update(target_loss=None, target_f1=None, tau=None)  # a rerun reads the shapes
     audit = _audit("generate", resolved)
     write_frame(frame, _out_path(args, resolved["out_frame"]), _audit_lines(audit))
     return 0
@@ -295,7 +310,7 @@ SAMPLE_SPEC = {
     "frame": (str, REQUIRED),
     "design": (str, REQUIRED, montecarlo.DESIGN_CHOICES),
     "n": (int, REQUIRED),
-    "tau": (float, classifier_sim.DEFAULT_THRESHOLD),
+    "tau": (float, None),
     "allocation": (str, None, designs.ALLOCATION_RULES),
     "seed": (int, REQUIRED),
     "out_sample": (str, "sample.csv"),
@@ -303,10 +318,9 @@ SAMPLE_SPEC = {
 
 
 def _check_allocation(resolved: dict):
-    """Refuse, before the frame is read, a stratified draw with no allocation
-    rule and any other draw with one."""
-    if (resolved["design"] == "stratified") != (resolved["allocation"] is not None):
-        raise ConfigError("stratified sampling needs an allocation rule, and only it takes one")
+    """A stratified draw needs an allocation rule and reads tau; no other draw reads either."""
+    _read_by(resolved, f"design {resolved['design']!r}", resolved["design"] == "stratified",
+             tau=classifier_sim.DEFAULT_THRESHOLD, allocation=REQUIRED)
 
 
 def cmd_sample(args, resolved: dict) -> int:
@@ -331,33 +345,24 @@ ESTIMATE_SPEC = {
     "sample_one": (str, None),
     "sample_zero": (str, None),
     "estimator": (str, None, tuple(estimators.PAIRINGS)),
-    "zero_estimator": (str, "srs", tuple(_BY_ZERO)),
-    "z": (float, None),
-    "paper_mode": (bool, None),
+    "zero_estimator": (str, None, tuple(_BY_ZERO)),
+    "z": (float, estimators.DEFAULT_Z),
     "baseline_se": (float, None),
     "out_record": (str, "record.csv"),
 }
 
 def cmd_estimate(args, resolved: dict) -> int:
     stratified = resolved["sample_one"] is not None or resolved["sample_zero"] is not None
-    if stratified and resolved["sample"] is not None:
-        raise ConfigError("give either sample or sample_one/sample_zero, not both")
-    z = resolved["z"]
-    if z is None:
-        z = PAPER_Z if resolved["paper_mode"] else estimators.DEFAULT_Z
+    _read_by(resolved, "an estimate from sample_one/sample_zero", not stratified,
+             sample=REQUIRED, estimator=REQUIRED)
+    _read_by(resolved, "an estimate from one sample", stratified,
+             sample_one=REQUIRED, sample_zero=REQUIRED, zero_estimator="srs")
     if stratified:
-        _require(resolved, "sample_one", "sample_zero")
-        if resolved["estimator"] is not None:
-            raise ConfigError("stratified estimates take zero_estimator, not estimator")
         names = _BY_ZERO[resolved["zero_estimator"]]
         estimate = estimators.stratified_estimate(_stratum_estimates(resolved, names))
     else:
-        _require(resolved, "sample", "estimator")
-        if resolved["zero_estimator"] != ESTIMATE_SPEC["zero_estimator"][1]:
-            raise ConfigError("zero_estimator applies only to sample_one/sample_zero estimates")
         estimate = _estimate(designs.load_sample(resolved["sample"]), resolved["estimator"])
-    record = estimators.estimate_record(estimate, z=z, baseline_se=resolved["baseline_se"])
-    resolved["z"] = z
+    record = estimators.estimate_record(estimate, resolved["z"], resolved["baseline_se"])
     _write_record_csv(
         _out_path(args, resolved["out_record"]), _audit("estimate", resolved), [record]
     )
@@ -370,7 +375,7 @@ SIMULATE_SPEC = {
     "estimator": (str, REQUIRED, montecarlo.ESTIMATOR_CHOICES),
     "n": (int, REQUIRED),
     "R": (int, REQUIRED),
-    "tau": (float, classifier_sim.DEFAULT_THRESHOLD),
+    "tau": (float, None),
     "allocation": (str, None, designs.ALLOCATION_RULES),
     "seed": (int, REQUIRED),
     "baseline_se": (float, None),
@@ -387,7 +392,7 @@ def cmd_simulate(args, resolved: dict) -> int:
         estimator=resolved["estimator"],
         n=resolved["n"],
         R=resolved["R"],
-        tau=resolved["tau"] if resolved["design"] == "stratified" else None,
+        tau=resolved["tau"],
         allocation=resolved["allocation"],
         srs_baseline_se=resolved["baseline_se"],
     )

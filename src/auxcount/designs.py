@@ -241,16 +241,22 @@ def _draws(rngs, rows: int, n: int, slots: int = 0):
     return j, u
 
 
-def _part(frame: Frame, rows, labeled: bool = True):
-    """(labels, scores, N, score total) of the stratum of ``frame``'s units
-    at the ascending ``rows``, or of the whole frame where ``rows`` is None;
-    labels None unless ``labeled``.  Only here is a stratum gathered."""
-    if rows is None:
-        return frame.labels if labeled else None, frame.aux_probs, frame.N, frame.aux_total
+def _rows(frame: Frame, rows) -> np.ndarray:
+    """``rows`` as an array, refused unless ascending integer row indices of ``frame``."""
     rows = np.asarray(rows)
     ordered = rows.ndim == 1 and rows.dtype.kind in "iu" and np.all(rows[1:] > rows[:-1])
     if not (ordered and (rows.size == 0 or 0 <= rows[0] <= rows[-1] < frame.N)):
         raise ValueError("a stratum's rows must be ascending integer row indices of its frame")
+    return rows
+
+
+def _part(frame: Frame, rows, labeled: bool = True):
+    """(labels, scores, N, score total) of the stratum of ``frame``'s units
+    at the ascending ``rows``, or of the whole frame where ``rows`` is None;
+    labels None unless ``labeled``."""
+    if rows is None:
+        return frame.labels if labeled else None, frame.aux_probs, frame.N, frame.aux_total
+    rows = _rows(frame, rows)
     scores = frame.aux_probs[rows]
     return frame.labels[rows] if labeled else None, scores, rows.size, float(np.sum(scores))
 
@@ -341,11 +347,10 @@ def allocate(frame: Frame, strata: dict[str, np.ndarray], n: int, rule: str) -> 
             return float(len(rows) > 0)
         if rule == PROPORTIONAL:
             return float(len(rows))
-        labels, scores, N, _ = _part(frame, rows, labeled=rule == NEYMAN_ORACLE)
-        if labels is not None and np.isnan(labels).any():
+        x = (frame.labels if rule == NEYMAN_ORACLE else frame.aux_probs)[_rows(frame, rows)]
+        if rule == NEYMAN_ORACLE and np.isnan(x).any():
             raise ValueError("neyman_oracle needs labels in every nonempty stratum")
-        x = scores if labels is None else labels
-        return N * float(np.std(x, ddof=1)) if N >= 2 else 0.0
+        return x.size * float(np.std(x, ddof=1)) if x.size >= 2 else 0.0
 
     w1, w0 = weight(one), weight(zero)
     if not (w1 > 0 or w0 > 0):

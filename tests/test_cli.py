@@ -53,6 +53,45 @@ def _cell_edits(text, column) -> list[str]:
 # a simulate run's settings but its design and estimator; the frame does not exist
 _SIMULATE = {"frame": "none.csv", "n": 5, "R": 2, "seed": 1}
 
+# each form of a command whose settings differ from its others', as the
+# settings of a run of it; _MISSING stands for an input file that does not exist
+_MISSING = "missing.csv"
+_SHAPES = {"a1": 4, "b1": 1, "a0": 0.5, "b0": 3}
+_FORMS = {
+    ("generate", "shapes"): {"N": 50, "positives": 5, **_SHAPES, "seed": 1},
+    ("generate", "target_loss"): {"N": 50, "positives": 5, "target_loss": 0.3, "seed": 1},
+    **{("sample", design): {"frame": _MISSING, "design": design, "n": 5, "seed": 1}
+       for design in ("pps", "srs")},
+    ("sample", "stratified"): {"frame": _MISSING, "design": "stratified", "n": 5, "seed": 1,
+                               "allocation": "equal"},
+    ("simulate", "pps"): {**_SIMULATE, "frame": _MISSING, "design": "pps", "estimator": "hh"},
+    ("simulate", "srs"): {**_SIMULATE, "frame": _MISSING, "design": "srs", "estimator": "srs"},
+    ("simulate", "stratified"): {**_SIMULATE, "frame": _MISSING, "design": "stratified",
+                                 "estimator": "strat_srs", "allocation": "equal"},
+    ("estimate", "one sample"): {"sample": _MISSING, "estimator": "hh"},
+    ("estimate", "stratum samples"): {"sample_one": _MISSING, "sample_zero": _MISSING},
+}
+# settings a form needs that the command's other forms do not read
+_FORM_NEEDS = {
+    ("sample", "stratified"): ["allocation"],
+    ("simulate", "stratified"): ["allocation"],
+    ("estimate", "one sample"): ["sample", "estimator"],
+}
+# every setting that a form of its command does not read, though another
+# form does, with a value that form would take
+_UNREAD = [
+    ("generate", "shapes", "target_loss", 0.3),
+    ("generate", "shapes", "target_f1", 0.7),
+    ("generate", "shapes", "tau", 0.5),
+    ("generate", "target_loss", "tau", 0.5),
+    *[(command, design, key, value) for command in ("sample", "simulate")
+      for design in ("pps", "srs") for key, value in (("tau", 0.5), ("allocation", "equal"))],
+    ("estimate", "one sample", "zero_estimator", "srs"),
+    ("estimate", "one sample", "zero_estimator", "diff"),
+    ("estimate", "stratum samples", "sample", _MISSING),
+    ("estimate", "stratum samples", "estimator", "hh"),
+]
+
 
 def _settings(tmp_path, source, given) -> list:
     """Arguments that give the settings ``given`` as flags or in a config file."""
@@ -193,12 +232,12 @@ class TestSampleAndEstimate:
         assert run(
             "estimate", "--sample-one", frame_dir / "s_one.csv",
             "--sample-zero", frame_dir / "s_zero.csv", "--zero-estimator", "diff",
-            "--paper-mode", "--out", frame_dir,
+            "--z", 2, "--out", frame_dir,
         ) == 0
         row = _read_record_rows(frame_dir / "record.csv")[0]
         assert row["estimator"] == "STRAT"
         assert float(row["z"]) == 2.0
-        assert read_audit(frame_dir / "record.csv")["paper_mode"] == "true"
+        assert read_audit(frame_dir / "record.csv")["z"] == "2.0"
 
     def test_exit_codes(self, frame_dir, tmp_path):
         assert run(
@@ -352,26 +391,6 @@ class TestSampleAndEstimate:
         assert not (tmp_path / "record.csv").exists()
         assert run("estimate", *strata, "--zero-estimator", "diff") == 0
 
-    def test_zero_estimator_is_refused_with_a_single_sample(self, frame_dir, tmp_path, capsys):
-        assert run(
-            "sample", "--frame", frame_dir / "frame.csv", "--design", "pps",
-            "--n", 40, "--seed", 3, "--out", frame_dir,
-        ) == 0
-        out = tmp_path / "out"
-        out.mkdir()
-        argv = ["estimate", "--sample", frame_dir / "sample.csv", "--estimator", "hh"]
-        # nothing reads it here, so the audit would record a setting that did nothing
-        for bad, message in (
-            ("bogus", "unknown zero_estimator 'bogus'"), ("diff", "zero_estimator applies only to")
-        ):
-            assert run(*argv, "--zero-estimator", bad, "--out", out) == 2
-            assert message in capsys.readouterr().err
-        assert list(out.iterdir()) == []
-        assert run(*argv, "--out", out) == 0
-        assert read_audit(out / "record.csv")["zero_estimator"] == "srs"
-        assert run(*argv, "--zero-estimator", "srs", "--out", tmp_path) == 0
-        assert (tmp_path / "record.csv").read_bytes() == (out / "record.csv").read_bytes()
-
     def test_unknown_zero_estimator_is_refused(self, frame_dir, tmp_path, capsys):
         assert run(
             "sample", "--frame", frame_dir / "frame.csv", "--design", "stratified",
@@ -387,18 +406,6 @@ class TestSampleAndEstimate:
             assert run("estimate", *strata, "--zero-estimator", bad) == 2
             want = f"unknown zero_estimator {bad!r}; choose from ('srs', 'diff')"
             assert want in capsys.readouterr().err
-        assert list(out.iterdir()) == []
-
-    def test_allocation_needs_the_stratified_design(self, frame_dir, tmp_path, capsys):
-        frame, out = frame_dir / "frame.csv", tmp_path / "out"
-        out.mkdir()
-        for argv in (
-            ["sample", "--design", "pps", "--n", 10, "--allocation", "equal"],
-            ["simulate", "--design", "srs", "--estimator", "srs", "--n", 10, "--R", 5,
-             "--allocation", "neyman_oracle"],
-        ):
-            assert run(*argv, "--frame", frame, "--seed", 1, "--out", out) == 2
-            assert "stratified" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_config_precedence(self, frame_dir, tmp_path):
@@ -448,6 +455,9 @@ class TestParser:
         ("estimate", "estimator", tuple(estimators.PAIRINGS), {"sample": "none.csv"}),
         ("estimate", "zero_estimator", tuple(n[1] for n in estimators.STRATIFIED.values()),
          {"sample_one": "none.csv", "sample_zero": "none.csv"}),
+        # a value outside the choices is refused first, in the form that reads none
+        ("estimate", "zero_estimator", tuple(n[1] for n in estimators.STRATIFIED.values()),
+         {"sample": "none.csv", "estimator": "hh"}),
         ("simulate", "design", montecarlo.DESIGN_CHOICES, {**_SIMULATE, "estimator": "hh"}),
         ("simulate", "estimator", montecarlo.ESTIMATOR_CHOICES, {**_SIMULATE, "design": "pps"}),
         ("simulate", "allocation", designs.ALLOCATION_RULES,
@@ -462,19 +472,36 @@ class TestParser:
         assert capsys.readouterr().err == want
         assert _COMMANDS[command][1][key][2] == choices
 
-    @pytest.mark.parametrize("command", ["sample", "simulate"])
-    @pytest.mark.parametrize("design, allocation", [("pps", "equal"), ("stratified", None)])
-    def test_the_allocation_rule_is_checked_before_input_is_read(
-        self, tmp_path, capsys, command, design, allocation
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("command, form, key", [
+        (command, form, key) for (command, form), needs in _FORM_NEEDS.items() for key in needs
+    ])
+    def test_a_setting_its_form_needs_is_named_before_input_is_read(
+        self, tmp_path, capsys, source, command, form, key
     ):
-        given = {"frame": "none.csv", "design": design, "n": 5, "seed": 1}
-        if command == "simulate":
-            given.update(R=2, estimator="hh" if design == "pps" else "strat_srs")
-        if allocation is not None:
-            given["allocation"] = allocation
-        assert run(command, *_settings(tmp_path, "flags", given), "--out", tmp_path) == 2
-        want = "stratified sampling needs an allocation rule, and only it takes one"
-        assert capsys.readouterr().err == f"auxcount: error: {want}\n"
+        given = {k: v for k, v in _FORMS[command, form].items() if k != key}
+        given = {k: tmp_path / "missing.csv" if v == _MISSING else v for k, v in given.items()}
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(command, *_settings(tmp_path, source, given), "--out", out) == 2
+        assert capsys.readouterr().err == f"auxcount: error: missing required settings: {[key]}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    @pytest.mark.parametrize("command, form, key, value", _UNREAD)
+    def test_a_setting_its_form_does_not_read_is_refused_before_input_is_read(
+        self, tmp_path, capsys, source, command, form, key, value
+    ):
+        missing = tmp_path / "missing.csv"
+        given = {k: missing if v == _MISSING else v
+                 for k, v in {**_FORMS[command, form], key: value}.items()}
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(command, *_settings(tmp_path, source, given), "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("auxcount: error: ") and err.endswith(f" does not read {[key]}\n")
+        assert str(missing) not in err
+        assert list(out.iterdir()) == []
 
     # a missing frame: each run setting is refused before the frame is read
     @pytest.mark.parametrize("given, want", [
@@ -500,7 +527,8 @@ class TestParser:
 
     def test_flags_a_command_does_not_read_are_refused(self, frame_dir, tmp_path):
         frame = frame_dir / "frame.csv"
-        for argv in (["metrics", "--frame", frame, "--seed", 1], ["simulate", "--workers", 2]):
+        for argv in (["metrics", "--frame", frame, "--seed", 1], ["simulate", "--workers", 2],
+                     ["estimate", "--sample", "none.csv", "--estimator", "hh", "--paper-mode"]):
             with pytest.raises(SystemExit) as exc:
                 run(*argv, "--out", tmp_path)
             assert exc.value.code == 2
@@ -509,6 +537,10 @@ class TestParser:
         cfg.write_text(f"frame = {frame}\ndesign = srs\nestimator = srs\n"
                        "n = 10\nR = 5\nseed = 1\nworkers = 2\n")
         assert run("simulate", "--config", cfg, "--out", tmp_path) == 2
+        # estimate's z is the one setting of its interval: paper_mode is report's alone
+        cfg.write_text("sample = none.csv\nestimator = hh\npaper_mode = true\n")
+        assert run("estimate", "--config", cfg, "--out", tmp_path) == 2
+        assert not (tmp_path / "record.csv").exists()
 
 
 class TestRefusals:
@@ -790,7 +822,7 @@ class TestReport:
         ) == 0
         assert run(
             "estimate", "--sample", frame_dir / "sample.csv", "--estimator", "srs",
-            "--paper-mode", "--out", frame_dir,
+            "--z", 2, "--out", frame_dir,
         ) == 0
         assert run(
             "report", "--inputs", frame_dir / "record.csv", "--paper-mode",
@@ -1029,3 +1061,133 @@ class TestReport:
         assert run("report", "--inputs", empty, "--out", tmp_path) == 2
         missing = tmp_path / "none.csv"
         assert run("report", "--inputs", missing, "--out", tmp_path) == 2
+
+
+_SHAPE_FLAGS = _settings(None, "flags", _SHAPES)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A frame and the samples and record that the audit cases read."""
+    d = tmp_path_factory.mktemp("inputs")
+    frame = d / "frame.csv"
+    assert run("generate", "--N", 300, "--positives", 12, *_SHAPE_FLAGS,
+               "--seed", 21, "--out", d) == 0
+    assert run("sample", "--frame", frame, "--design", "pps", "--n", 40, "--seed", 3,
+               "--out", d) == 0
+    assert run("sample", "--frame", frame, "--design", "stratified", "--n", 40,
+               "--allocation", "proportional", "--seed", 6, "--out", d) == 0
+    loaded = load_frame(frame)
+    zero = ("zero", stratify_by_prediction(loaded, 0.5)["zero"])
+    write_sample(pps_wr(loaded, 25, seed=7, stratum=zero), d / "zero_pps.csv")
+    assert run("estimate", "--sample", d / "sample.csv", "--estimator", "hh", "--out", d) == 0
+    return d
+
+
+_GENERATED = {"N", "positives", *_SHAPES, "seed"}
+_STRATA = ["--sample-one", "{d}/sample_one.csv", "--sample-zero", "{d}/sample_zero.csv"]
+_SIMULATED = {"frame", "design", "estimator", "n", "R", "seed"}
+_SIMULATE_FILES = ["report.json", "replicates.csv", "histogram.csv"]
+# (id, argv with {d} for the inputs' directory, artifacts, audited settings):
+# one run of each form of each command.  A calibrated generate audits the
+# shapes it found, which is what its rerun reads, and no target or tau.
+_AUDITED = [
+    ("generate-shapes", ["generate", "--N", 300, "--positives", 12,
+                         *_SHAPE_FLAGS, "--seed", 21],
+     ["frame.csv"], _GENERATED),
+    ("generate-target-loss", ["generate", "--N", 400, "--positives", 20, "--target-loss", 0.3,
+                              "--seed", 33], ["frame.csv"], _GENERATED),
+    ("generate-target-f1-tau", ["generate", "--N", 2000, "--positives", 40, "--target-f1", 0.7,
+                                "--tau", 0.4, "--seed", 11], ["frame.csv"], _GENERATED),
+    ("metrics", ["metrics", "--frame", "{d}/frame.csv"], ["metrics.json"], {"frame", "tau"}),
+    ("sample-pps", ["sample", "--frame", "{d}/frame.csv", "--design", "pps", "--n", 30,
+                    "--seed", 4], ["sample.csv"], {"frame", "design", "n", "seed"}),
+    ("sample-srs", ["sample", "--frame", "{d}/frame.csv", "--design", "srs", "--n", 30,
+                    "--seed", 4], ["sample.csv"], {"frame", "design", "n", "seed"}),
+    ("sample-stratified", ["sample", "--frame", "{d}/frame.csv", "--design", "stratified",
+                           "--n", 30, "--allocation", "neyman_oracle", "--seed", 5],
+     ["sample_one.csv", "sample_zero.csv"], {"frame", "design", "n", "tau", "allocation", "seed"}),
+    ("estimate-one", ["estimate", "--sample", "{d}/sample.csv", "--estimator", "hh"],
+     ["record.csv"], {"sample", "estimator", "z"}),
+    ("estimate-one-baseline", ["estimate", "--sample", "{d}/sample.csv", "--estimator", "hh",
+                               "--baseline-se", 3.5], ["record.csv"],
+     {"sample", "estimator", "z", "baseline_se"}),
+    ("estimate-strata", ["estimate", *_STRATA], ["record.csv"],
+     {"sample_one", "sample_zero", "zero_estimator", "z"}),
+    ("estimate-strata-diff-z2", ["estimate", *_STRATA, "--zero-estimator", "diff", "--z", 2],
+     ["record.csv"], {"sample_one", "sample_zero", "zero_estimator", "z"}),
+    ("simulate-srs", ["simulate", "--frame", "{d}/frame.csv", "--design", "srs",
+                      "--estimator", "diff", "--n", 20, "--R", 30, "--seed", 9],
+     _SIMULATE_FILES, _SIMULATED),
+    ("simulate-pps-baseline", ["simulate", "--frame", "{d}/frame.csv", "--design", "pps",
+                               "--estimator", "hh", "--n", 20, "--R", 30, "--seed", 9,
+                               "--baseline-se", 5.0], _SIMULATE_FILES, {*_SIMULATED, "baseline_se"}),
+    ("simulate-stratified", ["simulate", "--frame", "{d}/frame.csv", "--design", "stratified",
+                             "--estimator", "strat_diff", "--n", 20, "--R", 30, "--seed", 9,
+                             "--allocation", "equal", "--tau", 0.4],
+     _SIMULATE_FILES, {*_SIMULATED, "tau", "allocation"}),
+    ("f1", ["f1", "--sample-one", "{d}/sample_one.csv", "--sample-zero", "{d}/zero_pps.csv",
+            "--flagged-tp", 10, "--flagged-fn", 2, "--c", 30], ["f1.json"],
+     {"sample_one", "sample_zero", "flagged_tp", "flagged_fn", "c"}),
+    ("report", ["report", "--inputs", "{d}/record.csv"], ["table.txt"], {"inputs"}),
+    ("report-paper-mode", ["report", "--inputs", "{d}/record.csv", "--paper-mode"],
+     ["table.txt"], {"inputs", "paper_mode"}),
+]
+# a sample file's own lines below its audit
+_SAMPLE_FACTS = {"sample_design", "parent_N", "parent_aux_total", "stratum"}
+
+
+class TestAudits:
+    """An artifact's audit holds the settings its run read, and reruns it."""
+
+    @staticmethod
+    def _first_run(inputs, tmp_path, argv):
+        first = tmp_path / "first"
+        first.mkdir()
+        assert run(*(str(a).format(d=inputs) for a in argv), "--out", first) == 0
+        return first
+
+    @pytest.mark.parametrize("argv, artifacts, keys",
+                             [case[1:] for case in _AUDITED], ids=[case[0] for case in _AUDITED])
+    def test_an_audit_holds_exactly_the_settings_its_run_read(
+        self, inputs, tmp_path, argv, artifacts, keys
+    ):
+        first = self._first_run(inputs, tmp_path, argv)
+        for name in artifacts:
+            audit = read_audit(first / name)
+            assert audit["command"] == argv[0]
+            assert set(audit) - {"command"} - _SAMPLE_FACTS == keys, name
+
+    @pytest.mark.parametrize("argv, artifacts",
+                             [case[1:3] for case in _AUDITED], ids=[case[0] for case in _AUDITED])
+    def test_an_artifact_reruns_byte_for_byte_from_its_audit(
+        self, inputs, tmp_path, argv, artifacts
+    ):
+        first = self._first_run(inputs, tmp_path, argv)
+        cfg = tmp_path / "rerun.cfg"
+        cfg.write_text("\n".join(audit_to_config_lines(read_audit(first / artifacts[0]))) + "\n")
+        second = tmp_path / "second"
+        second.mkdir()
+        assert run(argv[0], "--config", cfg, "--out", second) == 0
+        for name in artifacts:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+    def test_an_old_pps_sample_audit_with_tau_is_refused_on_rerun(self, inputs, tmp_path, capsys):
+        # PPS and SRS sample audits carried tau = 0.5, which no such draw reads
+        first = self._first_run(inputs, tmp_path, _AUDITED[4][1])
+        path = first / "sample.csv"
+        path.write_text(path.read_text().replace("# seed = 4\n", "# seed = 4\n# tau = 0.5\n"))
+        cfg = tmp_path / "rerun.cfg"
+        cfg.write_text("\n".join(audit_to_config_lines(read_audit(path))) + "\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("sample", "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err == "auxcount: error: design 'pps' does not read ['tau']\n"
+        assert list(out.iterdir()) == []
+
+    def test_a_config_key_given_twice_is_refused(self, inputs, tmp_path, capsys):
+        cfg = tmp_path / "metrics.cfg"
+        cfg.write_text(f"frame = {inputs / 'frame.csv'}\ntau = 0.3\n# again\ntau = 0.7\n")
+        assert run("metrics", "--config", cfg, "--out", tmp_path) == 2
+        assert capsys.readouterr().err == f"auxcount: error: {cfg}:4: tau given twice\n"
+        assert not (tmp_path / "metrics.json").exists()

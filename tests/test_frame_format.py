@@ -365,6 +365,8 @@ def test_generate_bytes_are_pinned(tmp_path, monkeypatch):
     # digests of the files this command sequence wrote before the
     # columnar reader and writer; ids that need no quoting keep their bytes.
     # Samples audit the frame's path, so the run stays in one relative layout.
+    # The frame and the PPS sample were re-recorded when their audits dropped
+    # the tau that neither run reads; only that audit line changed.
     monkeypatch.chdir(tmp_path)
     for argv in (
         ["generate", "--N", "5000", "--positives", "25", "--a1", "4", "--b1", "1.5",
@@ -375,8 +377,8 @@ def test_generate_bytes_are_pinned(tmp_path, monkeypatch):
     ):
         assert main(argv) == 0
     digests = {
-        "frame.csv": "1acab023dbf9556936814c773cd91d49988859dc26ae14f78d1fae48a6c88e57",
-        "sample.csv": "3b26f2cbd36fa74a4e79c409c20662b030aa6e17b90cfe697df222fc732ab18d",
+        "frame.csv": "3a8d0c4e2ddd282381ff72ed5cc037f3900003d434f238e281ef8f6b32780956",
+        "sample.csv": "7c1e97569e145accb1a05111995ef3ae29417a672d4be918ecd2e01523e67b11",
         "sample_one.csv": "8bb0aa3665a023aec2e1a2cb07cef278139ca37cdb55398a42f216487c92b50e",
         "sample_zero.csv": "8f353e88d15e7da60816b75f4647caf3828871962d2334ce4e20533b348803c4",
     }
@@ -386,7 +388,10 @@ def test_generate_bytes_are_pinned(tmp_path, monkeypatch):
 
 def test_artifact_bytes_are_pinned(tmp_path, monkeypatch):
     # digests of every other artifact kind the CLI writes, recorded before
-    # the writers and the stratified plan were shared between commands
+    # the writers and the stratified plan were shared between commands.  The
+    # single-sample records and the SRS simulate files were re-recorded when
+    # their audits dropped the zero_estimator, paper_mode and tau those runs
+    # do not read; only those audit lines changed.
     monkeypatch.chdir(tmp_path)
     for argv in (
         ["generate", "--N", "5000", "--positives", "25", "--a1", "4", "--b1", "1.5",
@@ -399,7 +404,7 @@ def test_artifact_bytes_are_pinned(tmp_path, monkeypatch):
          "--allocation", "neyman_proxy", "--n", "50", "--seed", "5"],
         ["estimate", "--sample", "sample.csv", "--estimator", "hh", "--baseline-se", "3.5",
          "--out-record", "hh.csv"],
-        ["estimate", "--sample", "srs.csv", "--estimator", "diff", "--paper-mode",
+        ["estimate", "--sample", "srs.csv", "--estimator", "diff", "--z", "2",
          "--out-record", "diff.csv"],
         ["estimate", "--sample-one", "sample_one.csv", "--sample-zero", "sample_zero.csv",
          "--out-record", "strat.csv"],
@@ -420,13 +425,13 @@ def test_artifact_bytes_are_pinned(tmp_path, monkeypatch):
                  "--flagged-tp", "3", "--flagged-fn", "1", "--c", "40"]) == 0
     digests = {
         "metrics.json": "e0ca16085a18635bfaaf40bd39fda7341df4686424f21740ec35de4153a20dfc",
-        "hh.csv": "c52cfce80dec5e23f77409b5c5d55189eaca1cb93db088cccacbbea7bf62f22a",
-        "diff.csv": "902eee527f76f80360e67b4f7b0f13491e04dbab6e17ae174e36f9fad897e451",
+        "hh.csv": "b4753d4f391b2246619b18f6f12caad70557e2ad8316fb3215c4f9b242a7fd9b",
+        "diff.csv": "ce6991dadc59bfdc2d1e70c836e158b3be07e212535ef0f96294b6e1aa0f9322",
         "strat.csv": "68b969bba9b55d10dfbc576abea7e294039872aba8be3d61694d575858637ad3",
         "table.txt": "915edb0ff48630d74a4f374955f275dc4cbcb9e1916f95ee25f72940add6d51c",
-        "srs/report.json": "84c0bce30cb29b13a1d9d01c18bc3afe847353c60b9f8182c30f532717468ab8",
-        "srs/replicates.csv": "cc3be3acd355a956fd03d465d27b41d9c7224ac49f0ee63deadfc951ddaddb90",
-        "srs/histogram.csv": "b3fbf3ad0962b68a0f5ca6b18117d1b194d80bfe04f8f70f5fd6d1da538d19e6",
+        "srs/report.json": "c4bfa751be3f0dac24f695a9e2dd9bc76e38f34d1104effe8fb3ff9a5625f93a",
+        "srs/replicates.csv": "dae8fbd4e544e5d8dd7c14c118f01128ab27e0532b84a387f7cff576b66c56a5",
+        "srs/histogram.csv": "9fb5bb9cb505e74bba8fd22cd6c3a63c82ee497b2eb1c99093603c68c57ecd7a",
         "strat/report.json": "5fe0d1c2631d31abe25edd80fdf188d24d4ca857d038562694d56ad93ab937f7",
         "strat/replicates.csv": "e8982f31d7e686fb12038bbaebd5a09f0ddb0dace293bce727ab2505c17ed51e",
         "strat/histogram.csv": "2f47a03ba5ad20326f7c7c3a3853465f29a48f6bfc1b40ea522fa4395bbb821d",
@@ -440,17 +445,19 @@ def test_artifact_bytes_are_pinned(tmp_path, monkeypatch):
     "target, digest",
     [
         (["--target-f1", "0.7", "--seed", "11"],
-         "3c95f16bb563e5ce77e19ce028048110095cc32371529cc6ac6a5b6a3607ec8a"),
+         "e644ade2a254f16b6b4b106fcdc0f8f6d9768e1cdb0d8e6e275fb217d598c997"),
         (["--target-loss", "0.05", "--seed", "3"],
-         "82c200b4aa07c569ce158d8458554bdd1cd170a72a181bd76007339d2e6a0caa"),
+         "b1ddffe33436e1068b076dc883627ed0d089126d428c22dc5f2d246a35a558c3"),
         # calibration accepts sharpness 1, its first step
         (["--target-loss", "1.0", "--seed", "3"],
-         "1f83d7cf490f3e5dd587fbeb5de5d3c1bec7a52fafe162a2606dd213637c33d8"),
+         "996c6db6ec6cfd334718cdf171a4284442e30370b17ede761bfbcc3182e69125"),
     ],
 )
 def test_calibrated_generate_bytes_are_pinned(tmp_path, target, digest):
     # digests of the frames written when generate simulated the calibrated
-    # profile a second time instead of keeping the frame calibration measured
+    # profile a second time instead of keeping the frame calibration measured,
+    # re-recorded when their audits dropped the target and tau, which a rerun
+    # from the audited shapes does not read; only those audit lines changed
     assert main(["generate", "--N", "5000", "--positives", "25", *target,
                  "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "frame.csv").read_bytes()).hexdigest() == digest
