@@ -88,8 +88,6 @@ def simulate_predictions(frame: Frame, profile: QualityProfile, seed) -> Frame:
     CPUs share the work: threads each score one contiguous slice of the
     units, and a unit's score depends on its own uniform alone.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     from scipy.special import betaincinv
 
     _require_labels(frame, "simulate_predictions")
@@ -98,13 +96,12 @@ def simulate_predictions(frame: Frame, profile: QualityProfile, seed) -> Frame:
     a1, b1 = profile.shape_pos
     a0, b0 = profile.shape_neg
 
-    def fill(part):  # each unit's uniform becomes its score, in place
+    def fill(lo: int, hi: int):  # each unit's uniform becomes its score, in place
+        part = slice(lo, hi)
         betaincinv(a1, b1, u[part], out=u[part], where=pos[part])
         betaincinv(a0, b0, u[part], out=u[part], where=~pos[part])
 
-    k = _usable_cpus()  # the ufunc loop releases the GIL
-    with ThreadPoolExecutor(k) as pool:
-        list(pool.map(fill, (slice(frame.N * i // k, frame.N * (i + 1) // k) for i in range(k))))
+    _run_ranges(fill, frame.N, _usable_cpus())  # the ufunc loop releases the GIL
     return frame.replace_probs(u)
 
 
@@ -112,6 +109,22 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):  # not on every platform
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _run_ranges(run, stop: int, k: int) -> None:
+    """``run(lo, hi)`` over k contiguous ranges that tile [0, stop), at
+    once: the calling thread takes the first, a pool the rest.  It returns
+    or raises once every range has ended, so no thread outlives it."""
+    if k == 1:
+        return run(0, stop)
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [stop * i // k for i in range(k + 1)]
+    with ThreadPoolExecutor(k - 1) as pool:
+        futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
+        run(0, bounds[1])
+        for future in futures:
+            future.result()
 
 
 def population_loss(frame: Frame) -> float:
@@ -214,8 +227,8 @@ def calibrate_profile(
         raise ValueError("give exactly one of target_loss or target_f1")
     _require_labels(frame, "calibrate_profile")
     if target_loss is not None:
-        if not target_loss > 0:
-            raise ValueError("target_loss must be positive")
+        if not 0 < target_loss < np.inf:
+            raise ValueError("target_loss must be positive and finite")
         target, metric = float(target_loss), "loss"
     else:
         if not 0.0 < target_f1 < 1.0:

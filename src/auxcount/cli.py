@@ -352,6 +352,7 @@ ESTIMATE_SPEC = {
 }
 
 def cmd_estimate(args, resolved: dict) -> int:
+    estimators._check_baseline_se(resolved["baseline_se"])  # before any sample is read
     stratified = resolved["sample_one"] is not None or resolved["sample_zero"] is not None
     _read_by(resolved, "an estimate from sample_one/sample_zero", not stratified,
              sample=REQUIRED, estimator=REQUIRED)

@@ -235,11 +235,16 @@ def confidence_interval(estimate: Estimate, z: float = DEFAULT_Z) -> tuple[float
     return lo, hi
 
 
+def _check_baseline_se(baseline_se: float | None) -> None:
+    """A baseline SE is None (no design effect) or lies in (0, inf)."""
+    if baseline_se is not None and not 0 < baseline_se < math.inf:
+        raise ValueError("baseline SE must be positive and finite")
+
+
 def design_effect(estimate, baseline_se_srs: float) -> float:
     """Squared SE ratio against an SRS baseline for the same frame and n;
     inf where the square is past the largest float."""
-    if not baseline_se_srs > 0:
-        raise ValueError("baseline SE must be positive")
+    _check_baseline_se(baseline_se_srs)
     se = estimate.se if isinstance(estimate, Estimate) else float(estimate)
     if se is None:
         raise VarianceUndefinedError("estimate has no variance, so no design effect")

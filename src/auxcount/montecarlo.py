@@ -1,17 +1,11 @@
 """Replicated sampling experiments on a fully known frame.
 
-Each replicate r of a run draws its randomness from the generator that
-``np.random.default_rng((seed..., r))`` gives, so any single replicate can
-be reproduced alone.  A run hashes its replicates' PCG64 seed words many
-blocks at a time, in vectorised passes of SeedSequence's hash (the same
-words, so the same streams, as seeding one by one).  It then takes its
-replicates a block at a time: each replicate fills its row of the block's
-draws, and the rest runs once per block.  A PPS run whose blocks draw
-from raw PCG64 words splits its replicates into one contiguous range per
-usable CPU, each with its own smaller blocks; replicates read only their
-own seed words and write only their own results, so the bytes do not
-depend on the split.  SRS and stratified runs keep one range: much of
-their block time holds the interpreter lock, so threads slowed them.
+Replicate r of a run draws what ``np.random.default_rng((seed..., r))``
+gives, so any single replicate can be reproduced alone, and a run's
+bytes do not depend on the CPU count or the block size.  A run hashes
+its replicates' PCG64 seed words in vectorised passes of SeedSequence's
+hash, then takes its replicates a block at a time: each replicate fills
+its row of the block's draws, and the rest runs once per block.
 """
 
 from __future__ import annotations
@@ -145,39 +139,28 @@ def _draws_raw(slots: int) -> bool:
     return 1 < slots < 2**32
 
 
-def _block_buffers(rows: int, n: int, slots: int):
-    """The arrays a raw PPS block fills, made once per range at its row cap:
-    alias slots, uniforms and raw words, stored little-endian so that a
-    uint32 view reads each word's low half first.  None where blocks draw
-    through numpy, each into arrays of its own."""
-    if not _draws_raw(slots):
-        return None
-    u = np.empty((rows, n))
-    return np.empty(u.shape, dtype=np.int64), u, np.empty((rows, -(-n // 2) + n), dtype="<u8")
+def _block_draws(states, n: int, slots: int, raw: bool):
+    """(j, u), arrays of their own: row b holds the draws of the generator
+    seeded by ``states[b]``, ``integers(slots, size=n)`` then ``random(n)``.
 
-
-def _block_draws(states, n: int, slots: int, buffers):
-    """(j, u): row b holds the draws of the generator seeded by ``states[b]``,
-    ``integers(slots, size=n)`` then ``random(n)``.
-
-    With ``buffers``, each row is computed from its raw words by numpy's
-    rules, as ``_numpy_agrees`` checks against numpy itself: ceil(n/2)
-    words give the n 32-bit halves that Lemire's rule maps to slots, the
-    next n words the uniforms.  A row with a rejected half draws more
-    halves, so it draws through numpy.
+    If ``raw``, each row is computed from its raw words by numpy's rules,
+    as ``_numpy_agrees`` checks against numpy itself: ceil(n/2) words give
+    the n 32-bit halves that Lemire's rule maps to slots, the next n words
+    the uniforms.  A row with a rejected half draws more halves, so it
+    draws through numpy.
     """
-    if buffers is None:
+    if not raw:
         return designs._draws(map(_generator, states), len(states), n, slots)
-    j, u, raw = (a[: len(states)] for a in buffers)
     half = -(-n // 2)
-    for b, words in enumerate(states):
-        raw[b] = np.random.PCG64(_State(words)).random_raw(half + n)
-    m = j.view(np.uint64)  # half * slots < 2**64, so nothing wraps
-    np.multiply(raw[:, :half].view("<u4")[:, :n], slots, dtype=np.uint64, out=m)
-    low = np.bitwise_and(m, _MASK32, out=u.view(np.uint64))
-    redo = np.flatnonzero(low.min(axis=1) < (2**32 - slots) % slots)
-    np.right_shift(m, 32, out=m)
-    np.multiply(np.right_shift(raw[:, half:], 11, out=raw[:, half:]), 2.0**-53, out=u)
+    # little-endian, so that a uint32 view reads each word's low half first
+    words = np.empty((len(states), half + n), dtype="<u8")
+    for b, state in enumerate(states):
+        words[b] = np.random.PCG64(_State(state)).random_raw(half + n)
+    # each half times slots is below 2**64, so nothing wraps
+    m = np.multiply(words[:, :half].view("<u4")[:, :n], slots, dtype=np.uint64)
+    redo = np.flatnonzero((m & _MASK32).min(axis=1) < (2**32 - slots) % slots)
+    j = (m >> 32).view(np.int64)
+    u = (words[:, half:] >> 11) * 2.0**-53
     for b in redo:
         rj, ru = designs._draws([_generator(states[b])], 1, n, slots)
         j[b], u[b] = rj[0], ru[0]
@@ -204,7 +187,7 @@ def _numpy_agrees() -> bool:
         for words, seq in zip(states, _numpy_seeds(key, 0, rows))
     )
     for slots in _PROBE_SLOTS:
-        j, u = _block_draws(states, n, slots, _block_buffers(rows, n, slots))
+        j, u = _block_draws(states, n, slots, raw=True)
         for b in range(rows):
             rng = np.random.default_rng(key + (b,))
             agrees = (
@@ -307,7 +290,7 @@ def check_run_settings(
     """Refuse the settings of a ``run_replications`` call that are wrong
     whatever the frame: a design and estimator that do not pair, tau and
     allocation off a stratified run or missing on one, n below 2, R outside
-    [1, 2**32) and a baseline SE that is not positive."""
+    [1, 2**32) and a baseline SE outside (0, inf)."""
     if estimator not in _VALID_PAIRS.get(design, ()):
         raise ConfigError(
             f"no run pairs design {design!r} with estimator {estimator!r}; "
@@ -323,8 +306,7 @@ def check_run_settings(
         raise ValueError("R must be at least 1")
     if R >= 2**32:
         raise ValueError("R must be below 2**32, so each replicate index is one seed word")
-    if srs_baseline_se is not None and not srs_baseline_se > 0:  # design_effect's rule
-        raise ValueError("baseline SE must be positive")
+    estimators._check_baseline_se(srs_baseline_se)  # design_effect's rule
 
 
 def run_replications(
@@ -348,22 +330,10 @@ def run_replications(
 
     Replicate r draws what ``np.random.default_rng((*seed, r))`` gives,
     an int seed as ``(seed,)``: n alias slots by ``integers`` (PPS only),
-    then n uniforms by ``random``.  Its seed words come from a hash pass
-    over whole blocks, so memory stays flat in R.  A PPS block computes
-    those draws from each replicate's raw PCG64 words by numpy's rules,
-    and redraws through numpy any row that hits Lemire's rejection
-    (``_block_draws``); other runs, frames of 1 or 2**32 and more units,
-    and a numpy unlike the emulation (``_numpy_agrees``) call numpy alone.
-
-    A PPS run whose blocks draw raw words splits its replicates into k
-    contiguous ranges, k the usable CPUs (at most R), and runs them at
-    once: the calling thread takes the first, a pool the rest.  Blocks
-    and hash passes hold 1/k of the replicates they hold on one range, so
-    all of them together hold what one range's do.  Each replicate reads
-    its own seed words and writes its own results, so the bytes are the
-    same for every k.  Other runs keep one range: much of their block
-    time is Python that holds the interpreter lock (``designs._srs_slots``
-    over shared slots, one generator built per row).
+    then n uniforms by ``random``.  The bytes do not depend on the CPU
+    count or the block size, and memory stays flat in R.  A PPS run whose
+    blocks draw raw PCG64 words (``_block_draws``) runs one contiguous
+    range of replicates per usable CPU; other runs take one range.
 
     Parameters
     ----------
@@ -413,12 +383,11 @@ def run_replications(
     def run_range(lo: int, hi: int):  # replicates lo..hi-1
         rows = min(max(1, _BLOCK_DRAWS // (n * k)), hi - lo)
         span = rows * max(1, _BLOCK_DRAWS // (rows * k))  # replicates per hash pass
-        buffers = _block_buffers(rows, n, slots) if raw else None
         for start in range(lo, hi, rows):
             if (start - lo) % span == 0:
                 states = seed_words(seed, start, min(start + span, hi))
             block = slice(start, min(start + rows, hi))
-            j, u = _block_draws(states[(start - lo) % span :][:rows], n, slots, buffers)
+            j, u = _block_draws(states[(start - lo) % span :][:rows], n, slots, raw)
             col = 0  # the strata's uniforms lie side by side, stratum one first
             for N, n_h, zero, pairing, x, base in parts:
                 drawn = x[designs._units(table, N, j, u[:, col : col + n_h])]
@@ -431,17 +400,7 @@ def run_replications(
                 totals[block] += t
                 variances[block] += v
 
-    if k == 1:
-        run_range(0, R)
-    else:  # the calling thread runs the first range, a thread each the rest
-        from concurrent.futures import ThreadPoolExecutor
-
-        bounds = [R * i // k for i in range(k + 1)]
-        with ThreadPoolExecutor(k - 1) as pool:
-            futures = [pool.submit(run_range, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
-            run_range(0, bounds[1])
-            for future in futures:
-                future.result()
+    classifier_sim._run_ranges(run_range, R, k)
 
     mean = float(np.mean(totals))
     emp_se = float(np.std(totals, ddof=1)) if R >= 2 else 0.0

@@ -263,6 +263,13 @@ class TestCalibrateProfile:
             calibrate_profile(_label_frame(5000, 250), target_loss=0.1, seed=3)
         assert exc.value.best_sharpness in (2.0, 3.0, 4.0)
 
+    def test_an_infinite_loss_target_is_refused(self, monkeypatch):
+        # every sharpness meets inf <= inf, so it would accept sharpness 1
+        calls = _count_simulations(monkeypatch)
+        with pytest.raises(ValueError, match="target_loss must be positive and finite"):
+            calibrate_profile(_label_frame(100, 10), target_loss=math.inf, seed=1)
+        assert calls == []
+
     def test_exactly_one_target_required(self):
         fr = _label_frame(100, 10)
         with pytest.raises(ValueError):

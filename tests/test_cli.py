@@ -171,6 +171,14 @@ class TestGenerate:
         assert "give all of a1,b1,a0,b0" in capsys.readouterr().err
         assert not (tmp_path / "frame.csv").exists()
 
+    def test_an_infinite_loss_target_is_refused(self, tmp_path, capsys):
+        assert run(
+            "generate", "--N", 5, "--positives", 1, "--target-loss", "inf",
+            "--seed", 1, "--out", tmp_path,
+        ) == 2
+        assert "target_loss must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "frame.csv").exists()
+
     def test_empty_frame_refused(self, tmp_path, capsys):
         assert run(
             "generate", "--N", 0, "--positives", 0, "--a1", 4, "--b1", 1,
@@ -513,6 +521,7 @@ class TestParser:
         ({"R": 0}, "R must be at least 1"),
         ({"R": 2**32}, "R must be below 2**32, so each replicate index is one seed word"),
         ({"baseline_se": 0.0}, "baseline SE must be positive"),
+        ({"baseline_se": "inf"}, "baseline SE must be positive and finite"),
     ])
     def test_run_settings_are_checked_before_the_frame_is_read(
         self, tmp_path, capsys, given, want
@@ -969,6 +978,18 @@ class TestReport:
         record = _read_record_rows(frame_dir / "record.csv")[0]
         assert (record["n"], record["N"]) == ("400", "300")
         assert run("report", "--inputs", frame_dir / "record.csv", "--out", frame_dir) == 0
+
+    def test_an_infinite_baseline_se_is_refused_before_the_sample_is_read(
+        self, tmp_path, capsys
+    ):
+        missing = tmp_path / "missing.csv"
+        assert run(
+            "estimate", "--sample", missing, "--estimator", "hh", "--baseline-se", "inf",
+            "--out", tmp_path,
+        ) == 2
+        err = capsys.readouterr().err
+        assert err == "auxcount: error: baseline SE must be positive and finite\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_infinite_deff_is_accepted(self, frame_dir, capsys):
         # a valid, tiny baseline SE overflows the squared SE ratio to inf:

@@ -378,12 +378,14 @@ class TestIntervalsAndEffects:
     def test_design_effect_overflows_to_inf(self):
         # the ratio is finite, but its square is past the largest double
         assert design_effect(11.5, 1e-160) == math.inf
+        assert design_effect(11.5, 1e-300) == math.inf
         assert design_effect(11.5, 1e-320) == math.inf
         assert design_effect(3.0, 7.0) == (3.0 / 7.0) ** 2
 
     def test_design_effect_errors(self):
-        with pytest.raises(ValueError):
-            design_effect(100.0, 0.0)
+        for baseline in (0.0, -1.0, math.nan, math.inf):  # all outside (0, inf)
+            with pytest.raises(ValueError, match="baseline SE must be positive and finite"):
+                design_effect(100.0, baseline)
         undef = Estimate("HH", 4.0, None, n=1, N=10)
         with pytest.raises(VarianceUndefinedError):
             design_effect(undef, 600.0)

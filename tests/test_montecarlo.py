@@ -14,6 +14,7 @@ import auxcount
 from auxcount import (
     ConfigError,
     Frame,
+    QualityProfile,
     SweepError,
     allocate,
     difference_estimate,
@@ -185,15 +186,15 @@ class TestBlockDraws:
         monkeypatch.setattr(
             montecarlo, "_generator", lambda words: redraws.append(1) or generator(words)
         )
-        buffers = montecarlo._block_buffers(R, n, slots)
+        raw = montecarlo._draws_raw(slots)
         states = montecarlo._replicate_states(29, 0, R)
-        j, u = montecarlo._block_draws(states, n, slots, buffers)
+        j, u = montecarlo._block_draws(states, n, slots, raw)
         monkeypatch.undo()
         for r in range(R):
             rng = np.random.default_rng((29, r))
             assert np.array_equal(j[r], rng.integers(slots, size=n)), r
             assert np.array_equal(u[r].view(np.uint64), rng.random(n).view(np.uint64)), r
-        return buffers, len(redraws)
+        return raw, len(redraws)
 
     # the acceptance and 2022 frame sizes, 32-bit ranges whose Lemire
     # rejection zone is empty (2), one half in 2**32 (3, 2**32 - 1) or about
@@ -205,8 +206,8 @@ class TestBlockDraws:
     @pytest.mark.parametrize("n", [2, 3, 299, 500])
     def test_raw_block_draws_are_numpys(self, slots, n, monkeypatch):
         R = 40
-        buffers, redraws = self._block(slots, n, R, monkeypatch)
-        assert buffers is not None  # the words were drawn raw
+        raw, redraws = self._block(slots, n, R, monkeypatch)
+        assert raw  # the words were drawn raw
         if slots == 2:
             assert redraws == 0
         if slots in (2**31 + 1, 3_000_000_001):
@@ -218,8 +219,19 @@ class TestBlockDraws:
     # 64-bit halves: those blocks call numpy
     @pytest.mark.parametrize("slots", [1, 2**32, 2**33 + 5])
     def test_numpy_draws_other_slot_counts(self, slots, monkeypatch):
-        buffers, redraws = self._block(slots, 3, 10, monkeypatch)
-        assert buffers is None and redraws == 10
+        raw, redraws = self._block(slots, 3, 10, monkeypatch)
+        assert not raw and redraws == 10
+
+    def test_consecutive_raw_blocks_share_no_memory(self):
+        # a block's draws are arrays of its own, never views of arrays
+        # that the next block of its range writes again
+        slots, n = 190_944, 7
+        states = montecarlo._replicate_states(29, 0, 8)
+        first = montecarlo._block_draws(states[:4], n, slots, True)
+        second = montecarlo._block_draws(states[4:], n, slots, True)
+        for a in first:
+            for b in second:
+                assert not np.shares_memory(a, b)
 
 
 class TestHistogram:
@@ -333,21 +345,14 @@ class TestRunValidation:
         with pytest.raises(ValueError, match=re.escape("below 2**32")):
             run_replications(_small_pps_frame(), design="pps", estimator="hh", n=5, R=R, seed=1)
 
-    @pytest.mark.parametrize("se", [0.0, -0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("se", [0.0, -0.0, -1.0, np.nan, np.inf])
     def test_baseline_se_refused_before_any_replicate(self, se, monkeypatch):
         monkeypatch.setattr(montecarlo, "_block_draws", None)  # a block would fail
-        with pytest.raises(ValueError, match="baseline SE must be positive"):
+        with pytest.raises(ValueError, match="baseline SE must be positive and finite"):
             run_replications(
                 _small_pps_frame(), design="pps", estimator="hh", n=5, R=2, seed=1,
                 srs_baseline_se=se,
             )
-
-    def test_infinite_baseline_se_gives_deff_0(self):
-        rep = run_replications(
-            _small_pps_frame(), design="pps", estimator="hh", n=5, R=2, seed=1,
-            srs_baseline_se=np.inf,
-        )
-        assert rep.deff_vs_srs == 0.0
 
     def test_single_replicate_warns(self):
         with pytest.warns(UserWarning, match="R=1"):
@@ -584,7 +589,8 @@ class TestRunReplications:
 
 class TestRangeSplit:
     """A PPS run whose blocks draw raw words runs one contiguous range of
-    replicates per usable CPU; the bytes are the same for every count."""
+    replicates per usable CPU, through the runner that also slices score
+    simulation; the bytes are the same for every count."""
 
     @pytest.mark.parametrize("block_draws", [None, 150])
     @pytest.mark.parametrize("design,estimator", PAIRINGS)
@@ -594,10 +600,11 @@ class TestRangeSplit:
         if block_draws is not None:  # several blocks and hash passes in every range
             monkeypatch.setattr(montecarlo, "_BLOCK_DRAWS", block_draws)
         runs = []  # (digests, ranges run, threads that drew blocks)
-        buffers, draws = montecarlo._block_buffers, montecarlo._block_draws
+        runner, draws = classifier_sim._run_ranges, montecarlo._block_draws
         ranges, threads = [], set()
         monkeypatch.setattr(
-            montecarlo, "_block_buffers", lambda *a: ranges.append(a) or buffers(*a)
+            classifier_sim, "_run_ranges",
+            lambda run, stop, k: runner(lambda *a: ranges.append(a) or run(*a), stop, k),
         )
         monkeypatch.setattr(
             montecarlo, "_block_draws",
@@ -623,6 +630,7 @@ class TestRangeSplit:
             assert [r for _, r, _ in runs] == [1, 2, 3, 7]
             assert [t for _, _, t in runs][:2] == [1, 2]
         else:
+            assert [r for _, r, _ in runs] == [1, 1, 1, 1]
             assert [t for _, _, t in runs] == [1, 1, 1, 1]
         _assert_alone(rep, fr, range(rep.R))
 
@@ -647,22 +655,32 @@ class TestRangeSplit:
         _assert_alone(rep, fr, range(rep.R))
 
     @pytest.mark.parametrize("failing", ["worker", "caller"])
+    @pytest.mark.parametrize("work", ["replicates", "scores"])
     def test_a_range_error_reaches_the_caller_and_no_thread_outlives_it(
-        self, failing, monkeypatch
+        self, work, failing, monkeypatch
     ):
-        caller = threading.current_thread()
-        draws = montecarlo._block_draws
+        import scipy.special
 
-        def draw(*args):
+        # a replicate range fails in its block draws, a score range in its inverse CDF
+        module, name = {
+            "replicates": (montecarlo, "_block_draws"), "scores": (scipy.special, "betaincinv")
+        }[work]
+        caller, inner = threading.current_thread(), getattr(module, name)
+
+        def failing_inner(*args, **kwargs):
             if (threading.current_thread() is caller) == (failing == "caller"):
                 raise RuntimeError(f"{failing} range failed")
-            return draws(*args)
+            return inner(*args, **kwargs)
 
-        monkeypatch.setattr(montecarlo, "_block_draws", draw)
+        monkeypatch.setattr(module, name, failing_inner)
         monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: 3)
+        fr = _small_pps_frame()
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"{failing} range failed"):
-            run_replications(_small_pps_frame(), design="pps", estimator="hh", n=5, R=30, seed=1)
+            if work == "replicates":
+                run_replications(fr, design="pps", estimator="hh", n=5, R=30, seed=1)
+            else:
+                classifier_sim.simulate_predictions(fr, QualityProfile.symmetric(2.0), seed=1)
         assert threading.active_count() == before
 
 
@@ -695,9 +713,9 @@ class TestNumpyProbe:
         calls = []  # (thread, raw or not, n) of each block, the probe's of n = 3 too
         draws = montecarlo._block_draws
 
-        def draw(states, n, slots, buffers):
-            calls.append((threading.current_thread(), buffers is not None, n))
-            return draws(states, n, slots, buffers)
+        def draw(states, n, slots, raw):
+            calls.append((threading.current_thread(), raw, n))
+            return draws(states, n, slots, raw)
 
         monkeypatch.setattr(montecarlo, "_block_draws", draw)
         fr = _stratified_frame()
@@ -737,6 +755,8 @@ class TestSweep:
             proposition1_sweep(fr, (0.3, 0.3), n=20, R=10, seed=1)
         with pytest.raises(ValueError, match="positive"):
             proposition1_sweep(fr, (0.5, -0.1), n=20, R=10, seed=1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            proposition1_sweep(fr, (np.inf, 0.3), n=20, R=10, seed=1)
 
     def test_points_are_pinned(self):
         # the values of the sweep that simulated every calibrated frame twice
