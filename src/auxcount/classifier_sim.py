@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CalibrationError, UndefinedMetricError
-from .population import PROB_FLOOR, Frame, _check_tau, clamp_probs
+from .population import PROB_FLOOR, Frame, _check_tau, _require_labels, clamp_probs
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -71,11 +71,6 @@ class ConfusionCounts:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
-
-
-def _require_labels(frame: Frame, what: str):
-    if not frame.fully_labeled:
-        raise ValueError(f"{what} needs a fully labeled frame")
 
 
 def simulate_predictions(frame: Frame, profile: QualityProfile, seed) -> Frame:

@@ -33,8 +33,8 @@ from .errors import (
     VarianceUndefinedError,
 )
 from .population import (
-    STRATUM_ONE, STRATUM_ZERO, Frame, _float_or_none, float_texts, load_frame,
-    read_header_fields, read_table, write_frame, write_table,
+    STRATUM_ONE, STRATUM_ZERO, Frame, _check_tau, _float_or_none, _require_labels, float_texts,
+    load_frame, read_header_fields, read_table, write_frame, write_table,
 )
 
 # the default of a spec row whose setting every run must give
@@ -283,9 +283,9 @@ METRICS_SPEC = {
 
 
 def cmd_metrics(args, resolved: dict) -> int:
+    _check_tau(resolved["tau"])  # before the frame is read
     frame = load_frame(resolved["frame"])
-    if not frame.fully_labeled:
-        raise ConfigError("metrics needs a fully labeled frame")
+    _require_labels(frame, "metrics")
     counts = classifier_sim.confusion_counts(frame, resolved["tau"])
     loss = classifier_sim.population_loss(frame)
     payload = {
@@ -321,15 +321,17 @@ def _check_allocation(resolved: dict):
     """A stratified draw needs an allocation rule and reads tau; no other draw reads either."""
     _read_by(resolved, f"design {resolved['design']!r}", resolved["design"] == "stratified",
              tau=classifier_sim.DEFAULT_THRESHOLD, allocation=REQUIRED)
+    if resolved["tau"] is not None:
+        _check_tau(resolved["tau"])
 
 
 def cmd_sample(args, resolved: dict) -> int:
     _check_allocation(resolved)
+    rng = np.random.default_rng(resolved["seed"])  # which refuses a negative seed
     frame = load_frame(resolved["frame"])
     lines = _audit_lines(_audit("sample", resolved))
     plan = designs.sampling_plan(frame, resolved["n"], resolved["tau"], resolved["allocation"])
     draw = designs.pps_wr if resolved["design"] == "pps" else designs.srs_wor
-    rng = np.random.default_rng(resolved["seed"])
     stem = resolved["out_sample"].removesuffix(".csv")
     for h, rows, n_h in plan:  # a stratified sample writes one file per stratum
         name = resolved["out_sample"] if h is None else f"{stem}_{h}.csv"
@@ -352,7 +354,8 @@ ESTIMATE_SPEC = {
 }
 
 def cmd_estimate(args, resolved: dict) -> int:
-    estimators._check_baseline_se(resolved["baseline_se"])  # before any sample is read
+    estimators._check_z(resolved["z"])  # before any sample is read
+    estimators._check_baseline_se(resolved["baseline_se"])
     stratified = resolved["sample_one"] is not None or resolved["sample_zero"] is not None
     _read_by(resolved, "an estimate from sample_one/sample_zero", not stratified,
              sample=REQUIRED, estimator=REQUIRED)
@@ -393,13 +396,14 @@ def cmd_simulate(args, resolved: dict) -> int:
         estimator=resolved["estimator"],
         n=resolved["n"],
         R=resolved["R"],
+        seed=resolved["seed"],
         tau=resolved["tau"],
         allocation=resolved["allocation"],
         srs_baseline_se=resolved["baseline_se"],
     )
     montecarlo.check_run_settings(**settings)  # every refusal that needs no frame
     frame = load_frame(resolved["frame"])
-    report = montecarlo.run_replications(frame, seed=resolved["seed"], **settings)
+    report = montecarlo.run_replications(frame, **settings)
     audit = _audit("simulate", resolved)
     _write_json(_out_path(args, resolved["out_report"]), audit, report.summary_dict())
 
@@ -432,10 +436,10 @@ F1_SPEC = {
 
 
 def cmd_f1(args, resolved: dict) -> int:
-    (_, one), (_, zero) = _stratum_estimates(resolved, estimators.F1_STRATA)
-    flagged = classifier_sim.ConfusionCounts(
+    flagged = classifier_sim.ConfusionCounts(  # refuses a negative count before any read
         tp=resolved["flagged_tp"], fp=0, fn=resolved["flagged_fn"], tn=0
     )
+    (_, one), (_, zero) = _stratum_estimates(resolved, estimators.F1_STRATA)
     f1, se = f1_estimation.estimate_f1_two_stratum(one, zero, flagged, resolved["c"])
     payload = {
         "f1": f1,

@@ -93,6 +93,9 @@ class Sample:
         if row is not None:
             raise ValueError(f"draw {row + 1}: selection probability {pi[row]} not in (0, 1]")
         ids, first = self.unit_ids.tolist(), {}
+        row = next((i for i, uid in enumerate(ids) if "\0" in str(uid)), None)
+        if row is not None:  # as Frame refuses it
+            raise ValueError(f"draw {row + 1}: unit {ids[row]!r} holds a NUL")
         seen = np.array([first.setdefault(uid, i) for i, uid in enumerate(ids)])
         if self.design == DESIGN_SRS:
             clash, what = seen != np.arange(self.n), "drawn before; SRS draws are distinct units"

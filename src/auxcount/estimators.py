@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import VarianceUndefinedError
-from .population import Frame, first_repeat
+from .population import Frame, _require_labels, first_repeat
 from .designs import DESIGN_PPS, DESIGN_SRS, Sample
 
 ESTIMATOR_STRAT = "STRAT"
@@ -158,8 +158,7 @@ def exact_hh_design_variance(frame: Frame, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if not frame.fully_labeled:
-        raise ValueError("exact_hh_design_variance needs a fully labeled frame")
+    _require_labels(frame, "exact_hh_design_variance")
     t = frame.true_total
     pos = frame.labels == 1.0
     inv_pi = frame.aux_total / frame.aux_probs[pos]
@@ -226,13 +225,18 @@ def stratified_estimate(components) -> Estimate:
 def confidence_interval(estimate: Estimate, z: float = DEFAULT_Z) -> tuple[float, float]:
     """Normal interval total +/- z * se; needs a defined variance, and a z
     (NaN, infinite, or too large for se) that gives no finite interval is refused."""
-    if np.signbit(z):  # -0.0 too, which the record would carry
-        raise ValueError(f"z must be nonnegative with no minus sign, got {z!r}")
+    _check_z(z)
     se = math.sqrt(estimate._require_variance())
     lo, hi = estimate.total - z * se, estimate.total + z * se
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"z {z!r} and se {se!r} give no finite interval")
     return lo, hi
+
+
+def _check_z(z: float) -> None:
+    """Refuse a z with a sign bit, -0.0 too, which the record would carry."""
+    if np.signbit(z):
+        raise ValueError(f"z must be nonnegative with no minus sign, got {z!r}")
 
 
 def _check_baseline_se(baseline_se: float | None) -> None:

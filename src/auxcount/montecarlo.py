@@ -19,7 +19,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from . import classifier_sim, designs, estimators
 from .errors import CalibrationError, ConfigError, SweepError, VarianceUndefinedError
-from .population import STRATUM_ZERO, Frame
+from .population import STRATUM_ZERO, Frame, _require_labels
 
 # each design's estimators, from the pairing table
 _VALID_PAIRS = {
@@ -32,9 +32,11 @@ ESTIMATOR_CHOICES = tuple(e for pairs in _VALID_PAIRS.values() for e in pairs)
 
 
 def _seed_tuple(seed) -> tuple[int, ...]:
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(int(v) for v in seed)
+    """A seed's words, an int as one; a negative word is refused, as SeedSequence refuses it."""
+    words = (int(seed),) if isinstance(seed, (int, np.integer)) else tuple(int(v) for v in seed)
+    if min(words, default=0) < 0:
+        raise ValueError("expected non-negative integer")
+    return words
 
 
 # SeedSequence's constants (NumPy NEP 19); its hash constants run through
@@ -78,8 +80,6 @@ def _replicate_states(seed, start: int, stop: int) -> np.ndarray:
     r = np.arange(start, stop, dtype=np.uint32)
     words = []  # the seed's uint32 entropy words, least significant first
     for v in _seed_tuple(seed):
-        if v < 0:
-            raise ValueError("expected non-negative integer")
         words.append(v & _MASK32)
         while v > _MASK32:
             v >>= 32
@@ -285,12 +285,12 @@ class SimReport:
 
 
 def check_run_settings(
-    *, design, estimator, n, R, tau=None, allocation=None, srs_baseline_se=None
+    *, design, estimator, n, R, seed, tau=None, allocation=None, srs_baseline_se=None
 ) -> None:
     """Refuse the settings of a ``run_replications`` call that are wrong
     whatever the frame: a design and estimator that do not pair, tau and
     allocation off a stratified run or missing on one, n below 2, R outside
-    [1, 2**32) and a baseline SE outside (0, inf)."""
+    [1, 2**32), a negative seed word and a baseline SE outside (0, inf)."""
     if estimator not in _VALID_PAIRS.get(design, ()):
         raise ConfigError(
             f"no run pairs design {design!r} with estimator {estimator!r}; "
@@ -306,6 +306,7 @@ def check_run_settings(
         raise ValueError("R must be at least 1")
     if R >= 2**32:
         raise ValueError("R must be below 2**32, so each replicate index is one seed word")
+    _seed_tuple(seed)  # which refuses a negative seed word
     estimators._check_baseline_se(srs_baseline_se)  # design_effect's rule
 
 
@@ -348,11 +349,10 @@ def run_replications(
     SimReport
     """
     check_run_settings(
-        design=design, estimator=estimator, n=n, R=R, tau=tau, allocation=allocation,
+        design=design, estimator=estimator, n=n, R=R, seed=seed, tau=tau, allocation=allocation,
         srs_baseline_se=srs_baseline_se,
     )
-    if not frame.fully_labeled:
-        raise ValueError("replicated runs need a fully labeled frame")
+    _require_labels(frame, "run_replications")
     if design == "srs" and n > frame.N:
         raise ValueError(f"n={n} exceeds N={frame.N}, and SRS draws are distinct units")
     if R == 1:

@@ -59,8 +59,8 @@ class Frame:
     def __init__(self, ids, aux_probs, labels=None):
         texts = ids if isinstance(ids, list) else list(ids)  # a list is used, not copied
         # what load_frame would refuse or strip could not be read back
-        if not all(texts) or list(map(str.strip, texts)) != texts:
-            raise ValueError("unit ids must be nonempty and unpadded")
+        if not all(texts) or list(map(str.strip, texts)) != texts or "\0" in "".join(texts):
+            raise ValueError("unit ids must be nonempty and unpadded, with no NUL")
         labels = None if labels is None else np.array(labels, np.float64)  # not the caller's array
         self._set(np.asarray(texts, dtype=object), aux_probs, labels)
         if first_repeat(texts) is not None:
@@ -136,6 +136,11 @@ class Frame:
 
     def __repr__(self):
         return f"Frame(N={self.N}, aux_total={self._aux_total:.6g})"
+
+
+def _require_labels(frame: Frame, what: str) -> None:
+    if not frame.fully_labeled:
+        raise ValueError(f"{what} needs a fully labeled frame")
 
 
 def _check_tau(tau):
@@ -297,12 +302,6 @@ def float_texts(values):
     return map(repr, np.asarray(values, dtype=np.float64).tolist())
 
 
-def _quoted(field: str, always: bool) -> str:
-    if always or "," in field or '"' in field or "\n" in field:
-        return '"' + field.replace('"', '""') + '"'
-    return field
-
-
 def write_table(path, comments, header, rows, ids=()) -> None:
     """Write ``# `` comment lines, a header row and ``rows`` of str fields
     as CSV, in the bytes of csv.writer with QUOTE_MINIMAL.
@@ -316,13 +315,14 @@ def write_table(path, comments, header, rows, ids=()) -> None:
         text = "".join(ids[start : start + CHUNK_ROWS])
         marks.update(c for c in ',"\n\r' if c in text)
     lines = itertools.chain([header], rows)
-    if marks:
-        always = "\r" in marks
-        lines = ([_quoted(field, always) for field in row] for row in lines)
     with open(path, "w", newline="") as fh:
         fh.writelines(f"# {line}\n" for line in comments)
-        while chunk := list(itertools.islice(lines, CHUNK_ROWS)):
-            fh.write("\n".join(map(",".join, chunk)) + "\n")
+        if marks:
+            quoting = csv.QUOTE_ALL if "\r" in marks else csv.QUOTE_MINIMAL
+            csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(lines)
+        else:  # no field needs quotes: csv.writer would join the fields as they are
+            while chunk := list(itertools.islice(lines, CHUNK_ROWS)):
+                fh.write("\n".join(map(",".join, chunk)) + "\n")
 
 
 def first_repeat(ids) -> int | None:
@@ -352,8 +352,8 @@ def load_frame(path) -> Frame:
     ------
     IngestionError
         Missing columns, rows of the wrong width, duplicate or empty ids,
-        labels outside {0, 1}, or probabilities outside [0, 1]; the
-        message names the first offending row.
+        ids holding a NUL, labels outside {0, 1}, or probabilities outside
+        [0, 1]; the message names the first offending row.
     """
     chunks = read_chunks(path)
     _, header = next(chunks)
@@ -377,6 +377,9 @@ def load_frame(path) -> Frame:
             problems.append((start + ragged, 0, f"expected {width} fields"))
         if "" in chunk_ids:
             problems.append((start + chunk_ids.index(""), 1, "empty id"))
+        if "\0" in "".join(chunk_ids):  # Python 3.10's csv module can neither write nor read it
+            nul = next(i for i, uid in enumerate(chunk_ids) if "\0" in uid)
+            problems.append((start + nul, 1, f"NUL in id {chunk_ids[nul]!r}"))
         if unparsed is not None:
             text = raw_p[unparsed].strip()
             problems.append((start + unparsed, 3, f"bad probability {text!r}"))

@@ -534,6 +534,33 @@ class TestParser:
         assert err.startswith(f"auxcount: error: {want}") and str(missing) not in err
         assert list(tmp_path.iterdir()) == []
 
+    # a missing input: a setting wrong whatever the input is refused first,
+    # by the library's own rule and message
+    @pytest.mark.parametrize("command, given, want", [
+        ("estimate", {**_FORMS["estimate", "one sample"], "z": -1},
+         "z must be nonnegative with no minus sign, got -1.0"),
+        ("metrics", {"frame": _MISSING, "tau": 7},
+         "threshold must lie strictly inside (0, 1), got 7.0"),
+        ("sample", {**_FORMS["sample", "stratified"], "tau": 7},
+         "threshold must lie strictly inside (0, 1), got 7.0"),
+        ("simulate", {**_FORMS["simulate", "stratified"], "tau": 7},
+         "threshold must lie strictly inside (0, 1), got 7.0"),
+        ("sample", {**_FORMS["sample", "pps"], "seed": -3}, "expected non-negative integer"),
+        ("simulate", {**_FORMS["simulate", "srs"], "seed": -1}, "expected non-negative integer"),
+        ("f1", {"sample_one": _MISSING, "sample_zero": _MISSING, "flagged_tp": -1,
+                "flagged_fn": 1, "c": 3}, "confusion counts must be nonnegative"),
+    ])
+    def test_a_setting_wrong_for_any_input_is_refused_before_input_is_read(
+        self, tmp_path, capsys, command, given, want
+    ):
+        missing = tmp_path / "missing.csv"
+        given = {k: missing if v == _MISSING else v for k, v in given.items()}
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(command, *_settings(tmp_path, "flags", given), "--out", out) == 2
+        assert capsys.readouterr().err == f"auxcount: error: {want}\n"
+        assert list(out.iterdir()) == []
+
     def test_flags_a_command_does_not_read_are_refused(self, frame_dir, tmp_path):
         frame = frame_dir / "frame.csv"
         for argv in (["metrics", "--frame", frame, "--seed", 1], ["simulate", "--workers", 2],

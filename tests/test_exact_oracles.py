@@ -1,14 +1,16 @@
 """Exact design expectations by enumerating every possible sample.
 
-On frames of at most six units every SRS-WOR subset and every ordered
+On frames of at most eight units every SRS-WOR subset and every ordered
 PPS-WR draw sequence can be listed with its probability, so the
 expectation of an estimator is a finite sum.  Unbiased totals and
 unbiased variance estimators must then match the truth to rounding,
-with no Monte Carlo tolerance.
+with no Monte Carlo tolerance.  The coverage of the normal interval is
+such a sum too, and is pinned.
 """
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from auxcount import (
     DESIGN_SRS,
     Frame,
     Sample,
+    confidence_interval,
     difference_estimate,
     exact_hh_design_variance,
     hh_estimate,
@@ -32,6 +35,8 @@ FRAMES = {
     "one unit": ([1.0], [0.7]),
     "four units": ([1.0, 0.0, 0.0, 1.0], [0.8, 0.3, 0.1, 0.45]),
     "six units": ([1.0, 0.0, 1.0, 0.0, 0.0, 1.0], [0.9, 0.2, 0.6, 0.05, 0.3, 0.45]),
+    # one positive, scored below every negative
+    "rare positive": ([1.0] + [0.0] * 7, [0.02, 0.1, 0.15, 0.2, 0.3, 0.35, 0.4, 0.5]),
 }
 
 
@@ -101,3 +106,72 @@ def test_hansen_hurwitz_is_exactly_unbiased(name, n):
     assert math.isclose(
         math.fsum(weighted_variances), exact_hh_design_variance(frame, n), rel_tol=REL
     )
+
+
+def _exact_interval(frame: Frame, design: str, n: int, z: float = 1.96):
+    """(coverage, zero-variance probability, total probability) of the z
+    interval of the design's estimator, over every sample of n draws.
+
+    An SRS-WOR sample is a subset of units.  A PPS-WR sample is a multiset
+    of units with its multinomial probability, since the Hansen-Hurwitz
+    total and variance depend on the draw counts alone.
+    """
+    if design == DESIGN_PPS:
+        p = frame.aux_probs / frame.aux_total
+        samples, estimator = itertools.combinations_with_replacement(range(frame.N), n), hh_estimate
+
+        def weight(idx):
+            ways = math.factorial(n) / math.prod(map(math.factorial, Counter(idx).values()))
+            return ways * math.prod(p[i] for i in idx)
+    else:
+        samples, estimator = itertools.combinations(range(frame.N), n), srs_estimate
+
+        def weight(idx):
+            return 1.0 / math.comb(frame.N, n)
+
+    covered, zero, mass = [], [], []
+    for idx in samples:
+        est, w = estimator(_draws(frame, design, idx)), weight(idx)
+        lo, hi = confidence_interval(est, z)
+        mass.append(w)
+        covered.append(w if lo <= frame.true_total <= hi else 0.0)
+        zero.append(w if est.variance == 0.0 else 0.0)
+    return math.fsum(covered), math.fsum(zero), math.fsum(mass)
+
+
+# (coverage, zero-variance probability) of the z = 1.96 interval at n = 2, 3
+# and 4, as _exact_interval sums them.  A rare positive scored near the floor
+# is seldom drawn: nearly every sample then reads [0, 0], and misses.
+EXACT_INTERVALS = {
+    ("rare positive", DESIGN_PPS): [
+        (0.019605920988138424, 0.980394079011862),
+        (0.02911770443782935, 0.970591118517793),
+        (0.03901580198600237, 0.9609803540926205),
+    ],
+    ("six units", DESIGN_PPS): [
+        (0.6455999999999997, 0.26799999999999985),
+        (0.8163359999999994, 0.07695999999999995),
+        (0.7900886399999992, 0.02350623999999998),
+    ],
+    ("six units", DESIGN_SRS): [(0.6, 0.4), (0.9, 0.1), (1.0, 0.0)],
+}
+# the same to six decimals, as the README quotes them
+ROUNDED_INTERVALS = {
+    ("rare positive", DESIGN_PPS): [(0.019606, 0.980394), (0.029118, 0.970591),
+                                    (0.039016, 0.960980)],
+    ("six units", DESIGN_PPS): [(0.6456, 0.268), (0.816336, 0.07696), (0.790089, 0.023506)],
+    ("six units", DESIGN_SRS): [(0.6, 0.4), (0.9, 0.1), (1.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("name,design", list(EXACT_INTERVALS))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_interval_coverage_is_exact(name, design, n):
+    covered, zero, mass = _exact_interval(_frame(name), design, n)
+    assert math.isclose(mass, 1.0, rel_tol=REL)
+    want_covered, want_zero = EXACT_INTERVALS[name, design][n - 2]
+    assert math.isclose(covered, want_covered, rel_tol=REL)
+    assert math.isclose(zero, want_zero, rel_tol=REL)
+    rounded_covered, rounded_zero = ROUNDED_INTERVALS[name, design][n - 2]
+    assert covered == pytest.approx(rounded_covered, abs=5e-7)
+    assert zero == pytest.approx(rounded_zero, abs=5e-7)

@@ -41,8 +41,9 @@ def reference_problem(path):
     """(row number, message) of the first problem in a frame file, or None.
 
     Comment lines only above the header; blank lines skipped; each row
-    checked in turn for its width, an empty or repeated id, an unparsable
-    or out-of-range probability, and a label outside {0, 1, blank}.
+    checked in turn for its width, an empty, NUL-holding or repeated id,
+    an unparsable or out-of-range probability, and a label outside
+    {0, 1, blank}.
     """
     with open(path, newline="") as fh:
         line = fh.readline()
@@ -58,6 +59,8 @@ def reference_problem(path):
         uid = fields["id"].strip()
         if not uid:
             return row_no, "empty id"
+        if "\0" in uid:
+            return row_no, f"NUL in id {uid!r}"
         if uid in seen:
             return row_no, f"duplicate id {uid!r}"
         seen.add(uid)
@@ -78,11 +81,12 @@ def _id_text(alphabet):
     return st.text(alphabet, min_size=1, max_size=8).filter(lambda s: s == s.strip())
 
 
-# plain ids keep some bodies free of quotes, so both tokenisers run
+# plain ids keep some bodies free of quotes, so both tokenisers run; a NUL,
+# which Python 3.10's csv module can neither write nor read, is refused in an id
 IDS = st.one_of(
     _id_text("abu019_."),
     _id_text("ab#,\"é \n\r\t"),
-    _id_text(st.characters(codec="utf-8")),
+    _id_text(st.characters(codec="utf-8", exclude_characters="\x00")),
 )
 PROBS = st.floats(0.0, 1.0)
 LABELS = st.sampled_from([0.0, 1.0, np.nan])
@@ -269,6 +273,23 @@ def test_frame_and_sample_bytes_match_the_csv_module(frame, data):
     n = frame.N if data is None else data.draw(st.integers(1, frame.N))
     sample = srs_wor(frame, n, seed=3)
     _assert_reference_bytes(designs, lambda p: write_sample(sample, p, ["seed = 1"]))
+
+
+@pytest.mark.parametrize("quoted", ["a,b", 'q"x', "l\nm", "c\rd"])
+def test_a_frame_past_one_chunk_with_a_quoted_id_matches_the_csv_module(quoted):
+    # QUOTE_MINIMAL, or QUOTE_ALL for the carriage return, over more than
+    # one chunk of rows; the id needing quotes lies in the second chunk
+    N = 2 * population.CHUNK_ROWS + 100
+    ids = [f"u{i}" for i in range(N)]
+    ids[population.CHUNK_ROWS + 7] = quoted
+    rng = np.random.default_rng(4)
+    frame = Frame(ids, rng.random(N), rng.integers(0, 2, N))
+    _assert_reference_bytes(population, lambda p: write_frame(frame, p, ["seed = 1"]))
+    sample = srs_wor(frame, N - 1, seed=3)
+    _assert_reference_bytes(designs, lambda p: write_sample(sample, p, ["seed = 1"]))
+    with _scratch("frame.csv") as path:
+        write_frame(frame, path)
+        assert load_frame(path).ids.tolist() == ids
 
 
 def test_estimate_record_bytes_match_the_csv_module(tmp_path):
@@ -490,6 +511,41 @@ def _load_error(path):
     with pytest.raises(IngestionError) as info:
         load_frame(path)
     return str(info.value).removeprefix(f"{path}: ")
+
+
+# unquoted bodies only: Python 3.10's csv.reader refuses any line holding a NUL
+@pytest.mark.parametrize("size", [None, *CHUNKS])
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("a,1,0.5\nb\x00c,0,0.2\nd,0,x\n", "row 3: NUL in id 'b\\x00c'"),
+        # a NUL outranks a bad probability on its row, and ranks with an empty id
+        ("a,1,0.5\n\x00,0,x\n ,0,0.3\n", "row 3: NUL in id '\\x00'"),
+        ("a,1,0.5\n ,0,0.2\nb\x00,0,0.3\n", "row 3: empty id"),
+        # the first NUL of its chunk, before a repeat of it
+        ("a,1,0.5\nb,0,0.2\nc\x00,0,0.3\nc\x00,1,0.4\n", "row 4: NUL in id 'c\\x00'"),
+    ],
+    ids=["inner", "before_a_bad_probability", "after_an_empty_id", "repeated"],
+)
+def test_a_nul_in_an_id_is_refused_at_its_row(tmp_path, size, body, message):
+    path = tmp_path / "frame.csv"
+    path.write_text("id,label,p_hat\n" + body, newline="")
+    sizes = contextlib.nullcontext() if size is None else _chunks(size)
+    with sizes:
+        assert _load_error(path) == message
+
+
+def test_a_nul_in_a_sample_id_is_refused(tmp_path):
+    fields = dict(design=DESIGN_SRS, y=[1.0, 0.0], p_hat=[0.5, 0.25], parent_N=4,
+                  parent_aux_total=1.5)
+    with pytest.raises(ValueError, match=r"^draw 2: unit 'b\\x00' holds a NUL$"):
+        Sample(unit_ids=["a", "b\x00"], **fields)
+    path = tmp_path / "sample.csv"
+    write_sample(Sample(unit_ids=["a", "b"], **fields), path)
+    path.write_text(path.read_text().replace(",b,", ",b\x00,"), newline="")
+    with pytest.raises(IngestionError) as info:
+        load_sample(path)
+    assert str(info.value) == f"{path}: draw 2: unit 'b\\x00' holds a NUL"
 
 
 @pytest.mark.parametrize("size", CHUNKS)

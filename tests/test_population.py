@@ -71,10 +71,13 @@ def test_rejects_nan_scores():
         fr.replace_probs([np.nan, 0.5])
 
 
-@pytest.mark.parametrize("ids", [[" a", "a"], [" b"], ["b\t"], [""], ["a", "\u3000c"]])
+@pytest.mark.parametrize(
+    "ids", [[" a", "a"], [" b"], ["b\t"], [""], ["a", "\u3000c"], ["a", "b\x00c"], ["\x00"]]
+)
 def test_refuses_ids_load_frame_would_not_read_back(ids):
-    # load_frame strips padding from an id and refuses an empty one
-    with pytest.raises(ValueError, match="nonempty and unpadded"):
+    # load_frame strips padding from an id and refuses an empty one, or one
+    # holding a NUL, which Python 3.10's csv module can neither write nor read
+    with pytest.raises(ValueError, match="nonempty and unpadded, with no NUL"):
         Frame(ids, np.full(len(ids), 0.5))
 
 
