@@ -3,7 +3,11 @@
 Scores are drawn from a pair of Beta distributions, one per true class.
 Sampling goes through the inverse CDF of a single per-unit uniform, so
 for a fixed seed the realized scores move smoothly as the shapes move;
-the calibration search below relies on that.
+the calibration search below relies on that.  Uniforms are drawn whole,
+then scored range by range on every usable CPU by ``_run_ranges``, the
+one thread pool of the package, which runs replicate ranges too; a
+unit's score depends on its own uniform alone, so the bytes do not
+depend on how the units are split.
 """
 
 from __future__ import annotations
@@ -80,24 +84,38 @@ def simulate_predictions(frame: Frame, profile: QualityProfile, seed) -> Frame:
     is pushed through the inverse Beta CDF of its class.  The input frame
     is untouched; the result is clamped like any ingested frame.  Same
     frame, profile and seed give bitwise-identical output, however many
-    CPUs share the work: threads each score one contiguous slice of the
-    units, and a unit's score depends on its own uniform alone.
+    CPUs share the work: a unit's score depends on its own uniform alone.
+    """
+    _require_labels(frame, "simulate_predictions")
+    scores, ranges = _scoring(frame.labels, profile, seed)
+    for _ in ranges:
+        pass  # each range of units is scored in place
+    return frame.replace_probs(scores)
+
+
+def _scoring(labels, profile: QualityProfile, seed, rows: int | None = None):
+    """(scores, ranges): every unit's uniform, drawn whole from
+    ``default_rng(seed)``, and a :func:`_run_ranges` generator that turns
+    them into :func:`simulate_predictions`' clamped scores in place,
+    yielding each range (lo, hi) once ``scores[lo:hi]`` is done, in order.
+    The ranges are one per usable CPU, or of at most ``rows`` units where
+    that makes more; a unit's score depends on its own uniform alone.
     """
     from scipy.special import betaincinv
 
-    _require_labels(frame, "simulate_predictions")
-    u = np.random.default_rng(seed).random(frame.N)
-    pos = frame.labels == 1.0
-    a1, b1 = profile.shape_pos
-    a0, b0 = profile.shape_neg
+    u = np.random.default_rng(seed).random(labels.size)
+    pos = labels == 1.0
+    (a1, b1), (a0, b0) = profile.shape_pos, profile.shape_neg
 
-    def fill(lo: int, hi: int):  # each unit's uniform becomes its score, in place
-        part = slice(lo, hi)
-        betaincinv(a1, b1, u[part], out=u[part], where=pos[part])
-        betaincinv(a0, b0, u[part], out=u[part], where=~pos[part])
+    def fill(lo: int, hi: int):  # the ufunc loops write a view of u and release the GIL
+        part = u[lo:hi]
+        betaincinv(a1, b1, part, out=part, where=pos[lo:hi])
+        betaincinv(a0, b0, part, out=part, where=~pos[lo:hi])
+        np.clip(part, PROB_FLOOR, 1.0 - PROB_FLOOR, out=part)
+        if np.isnan(np.sum(part)):  # what no frame holds: shapes too large to invert
+            raise ValueError("aux_prob values must lie in [0, 1]")
 
-    _run_ranges(fill, frame.N, _usable_cpus())  # the ufunc loop releases the GIL
-    return frame.replace_probs(u)
+    return u, _run_ranges(fill, labels.size, _usable_cpus(), rows)
 
 
 def _usable_cpus() -> int:
@@ -106,20 +124,38 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_ranges(run, stop: int, k: int) -> None:
-    """``run(lo, hi)`` over k contiguous ranges that tile [0, stop), at
-    once: the calling thread takes the first, a pool the rest.  It returns
-    or raises once every range has ended, so no thread outlives it."""
+def _run_ranges(run, stop: int, k: int, rows: int | None = None):
+    """Yield each (lo, hi) of near-equal ranges that tile [0, stop), in
+    order, once ``run(lo, hi)`` has returned.  There are k ranges, or ranges
+    of at most ``rows`` where that makes more.
+
+    The calling thread runs the first range; a pool of k - 1 threads runs
+    the rest in order, ahead of the caller, which takes each in turn.  With
+    k = 1 the caller runs each range as it asks for it.  A range's error is
+    raised at its turn.  The generator returns, raises or is closed only
+    once every range begun has ended, the rest cancelled, so no thread
+    outlives it.
+    """
+    m = max(k, -(-stop // rows)) if rows else k
+    bounds = [stop * i // m for i in range(m + 1)]
+    pairs = list(zip(bounds, bounds[1:]))
     if k == 1:
-        return run(0, stop)
+        for lo, hi in pairs:
+            run(lo, hi)
+            yield lo, hi
+        return
     from concurrent.futures import ThreadPoolExecutor
 
-    bounds = [stop * i // k for i in range(k + 1)]
-    with ThreadPoolExecutor(k - 1) as pool:
-        futures = [pool.submit(run, lo, hi) for lo, hi in zip(bounds[1:], bounds[2:])]
-        run(0, bounds[1])
-        for future in futures:
+    pool = ThreadPoolExecutor(k - 1)
+    try:
+        futures = [pool.submit(run, lo, hi) for lo, hi in pairs[1:]]
+        run(*pairs[0])
+        yield pairs[0]
+        for future, pair in zip(futures, pairs[1:]):
             future.result()
+            yield pair
+    finally:
+        pool.shutdown(cancel_futures=True)  # and waits for the ranges begun
 
 
 def population_loss(frame: Frame) -> float:

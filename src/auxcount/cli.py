@@ -10,13 +10,16 @@ files are flat ``key = value`` text.  A setting that only some forms of a
 command read (a stratified draw's tau, say) is refused in the others.
 Every artifact starts with an audit header recording the command and the
 settings the run read; rerunning a stochastic command from that header
-reproduces the artifact byte for byte.  Exit codes: 0 success, 2
-configuration or schema problems, 3 numerical failures.
+reproduces the artifact byte for byte.  An artifact replaces its path
+only once it is complete, so a failed run leaves the path as it was.
+Exit codes: 0 success, 2 configuration or schema problems, 3 numerical
+failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from os.path import normpath
@@ -33,8 +36,9 @@ from .errors import (
     VarianceUndefinedError,
 )
 from .population import (
-    STRATUM_ONE, STRATUM_ZERO, Frame, _check_tau, _float_or_none, _require_labels, float_texts,
-    load_frame, read_header_fields, read_table, write_frame, write_table,
+    STRATUM_ONE, STRATUM_ZERO, Frame, _check_tau, _float_or_none, _require_labels,
+    float_texts, load_frame, read_header_fields, read_table, replacing, write_frame,
+    write_frame_rows, write_table,
 )
 
 # the default of a spec row whose setting every run must give
@@ -177,7 +181,7 @@ def _out_path(args, name: str) -> str:
 
 def _write_json(path, audit: dict, payload: dict):
     text = json.dumps({"audit": audit, **payload}, indent=2, sort_keys=True, allow_nan=False)
-    with open(path, "w") as fh:
+    with replacing(path) as fh:
         fh.write(text + "\n")
 
 
@@ -237,6 +241,8 @@ GENERATE_SPEC = {
     "seed": (int, REQUIRED),
     "out_frame": (str, "frame.csv"),
 }
+# units a range of generate's scores holds: the rows written while the next is scored
+_GENERATE_ROWS = 1 << 16
 
 
 def cmd_generate(args, resolved: dict) -> int:
@@ -255,23 +261,31 @@ def cmd_generate(args, resolved: dict) -> int:
              tau=classifier_sim.DEFAULT_THRESHOLD)
     labels = np.zeros(N)
     labels[:positives] = 1.0
-    # u0..u{N-1} are unique and unpadded: only the other columns need checks
-    ids = np.array([f"u{i}" for i in range(N)], dtype=object)
-    base = Frame.__new__(Frame)._set(ids, np.full(N, 0.5), labels)
+    path = _out_path(args, resolved["out_frame"])
     if not calibrated:
         profile = classifier_sim.QualityProfile(
             shape_pos=(shapes[0], shapes[1]), shape_neg=(shapes[2], shapes[3])
         )
-        frame = classifier_sim.simulate_predictions(base, profile, resolved["seed"])
-    else:
-        kwargs = {k: resolved[k] for k in (*targets, "tau") if resolved[k] is not None}
-        cal = classifier_sim.calibrate_profile(base, seed=resolved["seed"], **kwargs)
-        frame = cal.frame  # simulate_predictions of the shapes found, which the audit holds
-        (resolved["a1"], resolved["b1"]) = cal.profile.shape_pos
-        (resolved["a0"], resolved["b0"]) = cal.profile.shape_neg
-        resolved.update(target_loss=None, target_f1=None, tau=None)  # a rerun reads the shapes
-    audit = _audit("generate", resolved)
-    write_frame(frame, _out_path(args, resolved["out_frame"]), _audit_lines(audit))
+        # the rows of simulate_predictions' frame, each range written as soon
+        # as it is scored, while later ranges are scored on other threads
+        scores, ranges = classifier_sim._scoring(labels, profile, resolved["seed"], _GENERATE_ROWS)
+
+        def columns(part):  # ids u0..u{N-1} need no quotes
+            return ["u" + str(i) for i in range(part.start, part.stop)], labels[part], scores[part]
+
+        with contextlib.closing(ranges):
+            write_frame_rows(path, _audit_lines(_audit("generate", resolved)), ranges, columns)
+        return 0
+    # u0..u{N-1} are unique and unpadded: only the other columns need checks
+    ids = np.array([f"u{i}" for i in range(N)], dtype=object)
+    base = Frame.__new__(Frame)._set(ids, np.full(N, 0.5), labels)
+    kwargs = {k: resolved[k] for k in (*targets, "tau") if resolved[k] is not None}
+    cal = classifier_sim.calibrate_profile(base, seed=resolved["seed"], **kwargs)
+    (resolved["a1"], resolved["b1"]) = cal.profile.shape_pos
+    (resolved["a0"], resolved["b0"]) = cal.profile.shape_neg
+    resolved.update(target_loss=None, target_f1=None, tau=None)  # a rerun reads the shapes
+    # simulate_predictions of the shapes found, which the audit holds
+    write_frame(cal.frame, path, _audit_lines(_audit("generate", resolved)))
     return 0
 
 
@@ -327,6 +341,8 @@ def _check_allocation(resolved: dict):
 
 def cmd_sample(args, resolved: dict) -> int:
     _check_allocation(resolved)
+    if resolved["n"] < 1:  # too few for any frame
+        raise ConfigError(f"need n >= 1 draws, got n={resolved['n']}")
     rng = np.random.default_rng(resolved["seed"])  # which refuses a negative seed
     frame = load_frame(resolved["frame"])
     lines = _audit_lines(_audit("sample", resolved))
@@ -439,6 +455,8 @@ def cmd_f1(args, resolved: dict) -> int:
     flagged = classifier_sim.ConfusionCounts(  # refuses a negative count before any read
         tp=resolved["flagged_tp"], fp=0, fn=resolved["flagged_fn"], tn=0
     )
+    if resolved["c"] < flagged.tp:  # c counts every predicted positive, the flagged TP too
+        raise ConfigError(f"c={resolved['c']} must be at least flagged_tp={flagged.tp}")
     (_, one), (_, zero) = _stratum_estimates(resolved, estimators.F1_STRATA)
     f1, se = f1_estimation.estimate_f1_two_stratum(one, zero, flagged, resolved["c"])
     payload = {
@@ -494,7 +512,7 @@ def cmd_report(args, resolved: dict) -> int:
     if not rows:
         raise ConfigError("no estimate records found in the inputs")
     text = _format_table(rows, bool(resolved["paper_mode"]))
-    with open(_out_path(args, resolved["out_table"]), "w") as fh:
+    with replacing(_out_path(args, resolved["out_table"])) as fh:
         for line in _audit_lines(_audit("report", resolved)):
             fh.write(f"# {line}\n")
         fh.write(text)

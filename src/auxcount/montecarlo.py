@@ -400,7 +400,8 @@ def run_replications(
                 totals[block] += t
                 variances[block] += v
 
-    classifier_sim._run_ranges(run_range, R, k)
+    for _ in classifier_sim._run_ranges(run_range, R, k):
+        pass  # each range's replicates are written into totals and variances
 
     mean = float(np.mean(totals))
     emp_se = float(np.std(totals, ddof=1)) if R >= 2 else 0.0

@@ -3,14 +3,18 @@
 A frame holds one row per population unit: a stable identifier, an optional
 binary label, and a predicted probability used as the auxiliary size
 measure downstream.  Frames are immutable once built: simulation returns
-a new frame, and stratification the row indices of each stratum.
+a new frame, and stratification the row indices of each stratum.  Tables
+are written a chunk at a time to a temporary sibling of their path, which
+replaces the path only once the table is complete.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
+import os
 import re
 
 import numpy as np
@@ -58,8 +62,13 @@ class Frame:
 
     def __init__(self, ids, aux_probs, labels=None):
         texts = ids if isinstance(ids, list) else list(ids)  # a list is used, not copied
+        try:
+            joined = "".join(texts)
+        except TypeError:  # which only a str (np.str_ too) escapes
+            odd = next(uid for uid in texts if not isinstance(uid, str))
+            raise ValueError(f"unit ids must be str, got {odd!r}") from None
         # what load_frame would refuse or strip could not be read back
-        if not all(texts) or list(map(str.strip, texts)) != texts or "\0" in "".join(texts):
+        if not all(texts) or list(map(str.strip, texts)) != texts or "\0" in joined:
             raise ValueError("unit ids must be nonempty and unpadded, with no NUL")
         labels = None if labels is None else np.array(labels, np.float64)  # not the caller's array
         self._set(np.asarray(texts, dtype=object), aux_probs, labels)
@@ -302,9 +311,26 @@ def float_texts(values):
     return map(repr, np.asarray(values, dtype=np.float64).tolist())
 
 
+@contextlib.contextmanager
+def replacing(path, newline=None):
+    """A text file to write in place of ``path``: a temporary sibling that
+    replaces ``path`` whole once the block ends, and is removed on any
+    error or interrupt, leaving ``path`` as it was."""
+    part = f"{path}.{os.getpid()}.part"
+    try:
+        with open(part, "w", newline=newline) as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
+
+
 def write_table(path, comments, header, rows, ids=()) -> None:
     """Write ``# `` comment lines, a header row and ``rows`` of str fields
-    as CSV, in the bytes of csv.writer with QUOTE_MINIMAL.
+    as CSV, in the bytes of csv.writer with QUOTE_MINIMAL, replacing
+    ``path`` whole once every row is written (see :func:`replacing`).
 
     Only ``ids``, which the rows carry too, may need quotes.  An id with
     a lone carriage return, which QUOTE_MINIMAL leaves bare and a reader
@@ -315,7 +341,7 @@ def write_table(path, comments, header, rows, ids=()) -> None:
         text = "".join(ids[start : start + CHUNK_ROWS])
         marks.update(c for c in ',"\n\r' if c in text)
     lines = itertools.chain([header], rows)
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         fh.writelines(f"# {line}\n" for line in comments)
         if marks:
             quoting = csv.QUOTE_ALL if "\r" in marks else csv.QUOTE_MINIMAL
@@ -416,10 +442,19 @@ def write_frame(frame: Frame, path, header_lines=()) -> None:
     ``header_lines`` are emitted first, each prefixed with ``# ``.
     """
 
-    def chunk(start):  # a chunk's texts, made as it is written
-        part = slice(start, start + CHUNK_ROWS)
-        ids, labels, probs = frame.ids[part], frame.labels[part], frame.aux_probs[part]
-        return zip(ids.tolist(), label_texts(labels), float_texts(probs))
+    def columns(part):
+        return frame.ids[part].tolist(), frame.labels[part], frame.aux_probs[part]
 
-    rows = itertools.chain.from_iterable(map(chunk, range(0, frame.N, CHUNK_ROWS)))
-    write_table(path, header_lines, _FRAME_COLUMNS, rows, frame.ids)
+    write_frame_rows(path, header_lines, [(0, frame.N)], columns, frame.ids)
+
+
+def write_frame_rows(path, header_lines, ranges, columns, ids=()) -> None:
+    """Write frame rows as :func:`write_frame` does, from ``columns(part)``,
+    the (ids, labels, aux_probs) of the rows in slice ``part``, taken a
+    chunk at a time over each range (lo, hi) of ``ranges`` in turn.  ``ids``
+    lists every id, read first for those that need quotes; with none
+    given, none may."""
+    parts = (slice(i, min(i + CHUNK_ROWS, hi)) for lo, hi in ranges
+             for i in range(lo, hi, CHUNK_ROWS))
+    rows = (zip(i, label_texts(y), float_texts(p)) for i, y, p in map(columns, parts))
+    write_table(path, header_lines, _FRAME_COLUMNS, itertools.chain.from_iterable(rows), ids)

@@ -549,6 +549,13 @@ class TestParser:
         ("simulate", {**_FORMS["simulate", "srs"], "seed": -1}, "expected non-negative integer"),
         ("f1", {"sample_one": _MISSING, "sample_zero": _MISSING, "flagged_tp": -1,
                 "flagged_fn": 1, "c": 3}, "confusion counts must be nonnegative"),
+        ("sample", {**_FORMS["sample", "srs"], "n": 0}, "need n >= 1 draws, got n=0"),
+        ("sample", {**_FORMS["sample", "stratified"], "n": -2}, "need n >= 1 draws, got n=-2"),
+        # c counts every predicted positive, the flagged true positives among them
+        ("f1", {"sample_one": _MISSING, "sample_zero": _MISSING, "flagged_tp": 0,
+                "flagged_fn": 1, "c": -1}, "c=-1 must be at least flagged_tp=0"),
+        ("f1", {"sample_one": _MISSING, "sample_zero": _MISSING, "flagged_tp": 5,
+                "flagged_fn": 1, "c": 3}, "c=3 must be at least flagged_tp=5"),
     ])
     def test_a_setting_wrong_for_any_input_is_refused_before_input_is_read(
         self, tmp_path, capsys, command, given, want
@@ -620,6 +627,15 @@ class TestRefusals:
         ) == 2
         assert "positives=11 must lie in [0, N=10]" in capsys.readouterr().err
         assert not (tmp_path / "frame.csv").exists()
+
+    def test_generate_with_shapes_whose_scores_are_nan(self, tmp_path, capsys):
+        # betaincinv gives NaN for these shapes; no frame may hold a NaN score
+        assert run(
+            "generate", "--N", 10, "--positives", 2, "--a1", 1e308, "--b1", 1e308, "--a0", 0.5,
+            "--b0", 3, "--seed", 1, "--out", tmp_path,
+        ) == 2
+        assert capsys.readouterr().err == "auxcount: error: aux_prob values must lie in [0, 1]\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_metrics_on_a_frame_with_blank_labels(self, tmp_path, capsys):
         frame = tmp_path / "frame.csv"

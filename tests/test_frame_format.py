@@ -12,7 +12,9 @@ import csv
 import hashlib
 import io
 import os
+import sys
 import tempfile
+import threading
 from unittest import mock
 
 import numpy as np
@@ -33,7 +35,7 @@ from auxcount import (
     write_frame,
     write_sample,
 )
-from auxcount import cli, designs, estimators, population
+from auxcount import classifier_sim, cli, designs, estimators, population
 from auxcount.cli import main
 
 
@@ -405,6 +407,104 @@ def test_generate_bytes_are_pinned(tmp_path, monkeypatch):
     }
     for name, digest in digests.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+_GENERATE_20K = ["generate", "--N", "20000", "--positives", "400", "--a1", "4", "--b1", "1.5",
+                 "--a0", "0.2", "--b0", "8", "--seed", "2022"]
+
+
+def test_generate_bytes_do_not_depend_on_the_cpu_count_or_range_size(tmp_path, monkeypatch):
+    # generate scores ranges of units on other threads while the caller
+    # writes the ranges already scored; 700 units a range make 29 of them
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads trade the interpreter often
+    try:
+        for rows in (cli._GENERATE_ROWS, 700):
+            for cpus in (1, 2, 3, 7):
+                monkeypatch.setattr(cli, "_GENERATE_ROWS", rows)
+                monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: cpus)
+                assert main([*_GENERATE_20K, "--out", str(tmp_path)]) == 0
+                runs.append(hashlib.sha256((tmp_path / "frame.csv").read_bytes()).hexdigest())
+    finally:
+        sys.setswitchinterval(interval)
+    # the digest of the frame generate wrote when it scored every unit
+    # before it wrote the first row
+    assert runs == ["5ee08c229422a03e1b4a24567205f4c2a42d1553aab3bc68b56a535f4a4720f5"] * 8
+    assert os.listdir(tmp_path) == ["frame.csv"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("failing", ["score", "write"])
+def test_a_failing_generate_leaves_no_frame_and_no_thread(tmp_path, monkeypatch, capsys,
+                                                         cpus, failing):
+    # the third range to be scored fails, or the writer once its third chunk is written
+    calls, lock = [], threading.Lock()
+    if failing == "score":
+        runner = classifier_sim._run_ranges
+
+        def run_ranges(run, stop, k, rows=None):
+            def run_or_fail(lo, hi):
+                with lock:
+                    calls.append(lo)
+                    if len(calls) == 3:
+                        raise ValueError("a score range failed")
+                run(lo, hi)
+
+            return runner(run_or_fail, stop, k, rows)
+
+        monkeypatch.setattr(classifier_sim, "_run_ranges", run_ranges)
+    else:
+        texts = population.float_texts
+
+        def float_texts(values):
+            calls.append(len(values))
+            if len(calls) == 3:
+                raise OSError("no space left")
+            return texts(values)
+
+        monkeypatch.setattr(population, "float_texts", float_texts)
+    monkeypatch.setattr(cli, "_GENERATE_ROWS", 700)
+    monkeypatch.setattr(population, "CHUNK_ROWS", 300)
+    monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: cpus)
+    before = threading.active_count()
+    assert main([*_GENERATE_20K, "--out", str(tmp_path)]) == 2
+    want = "a score range failed" if failing == "score" else "no space left"
+    assert capsys.readouterr().err == f"auxcount: error: {want}\n"
+    assert threading.active_count() == before
+    assert os.listdir(tmp_path) == []
+
+
+def _failing_rows(rows, after):
+    yield from rows[:after]
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("quoted", [False, True])
+def test_a_table_is_replaced_whole_or_left_as_it_was(tmp_path, quoted):
+    # a write interrupted past its first chunk of rows keeps the old file's
+    # bytes, and leaves no temporary file beside it
+    path = tmp_path / "frame.csv"
+    write_frame(Frame(["a", "b"], [0.25, 0.5], [1, 0]), path)
+    old = path.read_bytes()
+    ids = [f"u,{i}" if quoted else f"u{i}" for i in range(3 * population.CHUNK_ROWS)]
+    rows = [(uid, "0", "0.5") for uid in ids]
+    with pytest.raises(KeyboardInterrupt):
+        population.write_table(path, ["a = b"], ["id", "label", "p_hat"],
+                               _failing_rows(rows, population.CHUNK_ROWS + 5), ids)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["frame.csv"]
+    population.write_table(path, ["a = b"], ["id", "label", "p_hat"], rows, ids)
+    assert load_frame(path).ids.tolist() == ids
+    assert os.listdir(tmp_path) == ["frame.csv"]
+
+
+def test_a_file_that_cannot_replace_its_path_is_removed(tmp_path):
+    (tmp_path / "out.json").mkdir()  # a directory, which no file replaces
+    with pytest.raises(OSError):
+        cli._write_json(tmp_path / "out.json", {"command": "metrics"}, {})
+    assert os.listdir(tmp_path) == ["out.json"]
+    assert os.listdir(tmp_path / "out.json") == []
 
 
 def test_artifact_bytes_are_pinned(tmp_path, monkeypatch):

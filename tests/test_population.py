@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,6 +20,7 @@ from auxcount import (
     write_frame,
 )
 from auxcount.classifier_sim import confusion_counts, population_loss
+from auxcount.cli import main
 from auxcount.designs import sampling_plan
 from auxcount.population import first_repeat
 
@@ -79,6 +81,20 @@ def test_refuses_ids_load_frame_would_not_read_back(ids):
     # holding a NUL, which Python 3.10's csv module can neither write nor read
     with pytest.raises(ValueError, match="nonempty and unpadded, with no NUL"):
         Frame(ids, np.full(len(ids), 0.5))
+
+
+@pytest.mark.parametrize(
+    "ids, odd", [([1, 2], "1"), ([b"a", b"b"], "b'a'"), (["a", None], "None"), (["a", 2.5], "2.5")]
+)
+def test_refuses_an_id_that_is_not_str(ids, odd):
+    # named, where a str method would fail on it or call it empty
+    with pytest.raises(ValueError, match=f"^unit ids must be str, got {re.escape(odd)}$"):
+        Frame(ids, np.full(len(ids), 0.5))
+
+
+def test_accepts_numpy_str_ids():
+    fr = Frame(np.array(["a", "b"]), [0.5, 0.5])
+    assert fr.ids.tolist() == ["a", "b"]
 
 
 def test_keeps_inner_whitespace_in_ids(tmp_path):
@@ -308,6 +324,11 @@ STRATIFIED_SAMPLE_PEAK = 2.5
 # and 1.125.
 COUNTS_PEAK = 0.5
 LOSS_PEAK = 1.5
+# `generate` with Beta shapes peaked at 13.8 times one float64 column of
+# its frame while it built every id and a frame before it wrote a row; as
+# it writes each range once it is scored, 6.1: its uniforms, labels and
+# class mask, 17 bytes a unit, and one chunk of row text.
+GENERATE_PEAK = 7.5
 
 
 def _memory_frame():
@@ -331,6 +352,19 @@ def test_frame_io_holds_one_chunk_of_text(tmp_path):
     assert peak <= LOAD_PEAK * kept
     assert write_peak - after <= WRITE_TRANSIENT * kept
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "frame.csv").read_bytes()
+
+
+def test_generate_holds_its_columns_and_one_chunk_of_text(tmp_path):
+    def generate(N):
+        return main(["generate", "--N", str(N), "--positives", str(N // 50), "--a1", "4",
+                     "--b1", "1.5", "--a0", "0.2", "--b0", "8", "--seed", "3",
+                     "--out", str(tmp_path)])
+
+    assert generate(10) == 0  # what the first run imports is not traced
+    code, _, peak = traced(lambda: generate(MEMORY_ROWS))
+    assert code == 0
+    assert peak <= GENERATE_PEAK * 8 * MEMORY_ROWS
+    assert load_frame(tmp_path / "frame.csv").N == MEMORY_ROWS
 
 
 def test_stratify_holds_little_beyond_its_strata():
