@@ -129,24 +129,18 @@ def _run_ranges(run, stop: int, k: int, rows: int | None = None):
     order, once ``run(lo, hi)`` has returned.  There are k ranges, or ranges
     of at most ``rows`` where that makes more.
 
-    The calling thread runs the first range; a pool of k - 1 threads runs
-    the rest in order, ahead of the caller, which takes each in turn.  With
-    k = 1 the caller runs each range as it asks for it.  A range's error is
-    raised at its turn.  The generator returns, raises or is closed only
-    once every range begun has ended, the rest cancelled, so no thread
-    outlives it.
+    The calling thread runs the first range; a pool of max(k - 1, 1)
+    threads runs the rest in order, ahead of the caller, which takes each
+    in turn, so one range starts no thread.  A range's error is raised at
+    its turn.  The generator returns, raises or is closed only once every
+    range begun has ended, the rest cancelled, so no thread outlives it.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     m = max(k, -(-stop // rows)) if rows else k
     bounds = [stop * i // m for i in range(m + 1)]
     pairs = list(zip(bounds, bounds[1:]))
-    if k == 1:
-        for lo, hi in pairs:
-            run(lo, hi)
-            yield lo, hi
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(k - 1)
+    pool = ThreadPoolExecutor(max(k - 1, 1))
     try:
         futures = [pool.submit(run, lo, hi) for lo, hi in pairs[1:]]
         run(*pairs[0])

@@ -522,6 +522,7 @@ def cmd_report(args, resolved: dict) -> int:
 
 _PPS_LABELS = {p.label for p in estimators.PAIRINGS.values() if p.design == designs.DESIGN_PPS}
 _RECORD_LABELS = {p.label for p in estimators.PAIRINGS.values()} | {estimators.ESTIMATOR_STRAT}
+_UNSIGNED = ("se", "z", "deff")  # deff is a squared SE ratio
 
 
 def _read_record_rows(path) -> list[dict]:
@@ -532,8 +533,6 @@ def _read_record_rows(path) -> list[dict]:
     width = len(estimators.RECORD_FIELDS)
     if header != list(estimators.RECORD_FIELDS):
         raise ConfigError(f"{path}: row 1: expected columns {','.join(estimators.RECORD_FIELDS)}")
-    if ragged is not None:
-        raise ConfigError(f"{path}: row {ragged + 2}: expected {width} fields")
     records = [dict(zip(header, fields[i : i + width])) for i in range(0, len(fields), width)]
     for row, record in enumerate(records, start=2):  # the header is row 1
         if record["estimator"] not in _RECORD_LABELS:
@@ -543,8 +542,8 @@ def _read_record_rows(path) -> list[dict]:
             text = record[key]  # only deff may be blank: no baseline SE was given
             value = values[key] = _float_or_none(text) if text or key != "deff" else 0.0
             # a sign bit refuses -0.0 too, which the table would print as -0
-            if value is None or np.isnan(value) or (key in ("se", "z") and np.signbit(value)):
-                kind = "a nonnegative number" if key in ("se", "z") else "a number"
+            if value is None or np.isnan(value) or (key in _UNSIGNED and np.signbit(value)):
+                kind = "a nonnegative number" if key in _UNSIGNED else "a number"
                 raise ConfigError(f"{path}: row {row}: {key} {text!r} is not {kind}")
             if np.isinf(value) and key != "deff":  # a tiny baseline SE overflows deff
                 raise ConfigError(f"{path}: row {row}: {key} {text!r} is not finite")
@@ -561,6 +560,8 @@ def _read_record_rows(path) -> list[dict]:
         for key, want in (("ci_lo", total - margin), ("ci_hi", total + margin)):
             if repr(values[key]) != repr(want):
                 raise ConfigError(f"{path}: row {row}: {key} {record[key]!r}, expected {want!r}")
+    if ragged is not None:  # named only once the rows above it pass
+        raise ConfigError(f"{path}: row {ragged + 2}: expected {width} fields")
     return records
 
 

@@ -93,9 +93,10 @@ class Sample:
         if row is not None:
             raise ValueError(f"draw {row + 1}: selection probability {pi[row]} not in (0, 1]")
         ids, first = self.unit_ids.tolist(), {}
-        row = next((i for i, uid in enumerate(ids) if "\0" in str(uid)), None)
-        if row is not None:  # as Frame refuses it
-            raise ValueError(f"draw {row + 1}: unit {ids[row]!r} holds a NUL")
+        for row, uid in enumerate(ids):  # as Frame refuses them, so that every Sample loads back
+            if not isinstance(uid, str) or not uid or uid.strip() != uid or "\0" in uid:
+                what = "holds a NUL" if "\0" in str(uid) else "is not a nonempty, unpadded str"
+                raise ValueError(f"draw {row + 1}: unit {uid!r} {what}")
         seen = np.array([first.setdefault(uid, i) for i, uid in enumerate(ids)])
         if self.design == DESIGN_SRS:
             clash, what = seen != np.arange(self.n), "drawn before; SRS draws are distinct units"
@@ -448,7 +449,7 @@ def load_sample(path) -> Sample:
     try:
         sample = Sample(
             design=facts["sample_design"],
-            unit_ids=ids,
+            unit_ids=list(map(str.strip, ids)),  # as load_frame strips them
             y=y,
             p_hat=p_hat,
             parent_N=int(facts["parent_N"]),

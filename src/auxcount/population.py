@@ -312,13 +312,13 @@ def float_texts(values):
 
 
 @contextlib.contextmanager
-def replacing(path, newline=None):
-    """A text file to write in place of ``path``: a temporary sibling that
-    replaces ``path`` whole once the block ends, and is removed on any
-    error or interrupt, leaving ``path`` as it was."""
+def replacing(path):
+    """A text file, its newlines untranslated, to write in place of ``path``:
+    a temporary sibling that replaces ``path`` whole once the block ends,
+    and is removed on any error or interrupt, leaving ``path`` as it was."""
     part = f"{path}.{os.getpid()}.part"
     try:
-        with open(part, "w", newline=newline) as fh:
+        with open(part, "w", newline="") as fh:
             yield fh
         os.replace(part, path)
     except BaseException:
@@ -341,7 +341,7 @@ def write_table(path, comments, header, rows, ids=()) -> None:
         text = "".join(ids[start : start + CHUNK_ROWS])
         marks.update(c for c in ',"\n\r' if c in text)
     lines = itertools.chain([header], rows)
-    with replacing(path, newline="") as fh:
+    with replacing(path) as fh:
         fh.writelines(f"# {line}\n" for line in comments)
         if marks:
             quoting = csv.QUOTE_ALL if "\r" in marks else csv.QUOTE_MINIMAL

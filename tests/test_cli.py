@@ -914,13 +914,13 @@ class TestReport:
             ("se", "x", "se 'x' is not a nonnegative number"),
             ("ci_lo", "1..2", "ci_lo '1..2' is not a number"),
             ("ci_hi", " ", "ci_hi ' ' is not a number"),
-            ("deff", "abc", "deff 'abc' is not a number"),
+            ("deff", "abc", "deff 'abc' is not a nonnegative number"),
             ("se", "-5", "se '-5' is not a nonnegative number"),
             ("se", "nan", "se 'nan' is not a nonnegative number"),
             ("total", "nan", "total 'nan' is not a number"),
             ("ci_lo", "nan", "ci_lo 'nan' is not a number"),
             ("ci_hi", "NaN", "ci_hi 'NaN' is not a number"),
-            ("deff", "nan", "deff 'nan' is not a number"),
+            ("deff", "nan", "deff 'nan' is not a nonnegative number"),
             ("total", "inf", "total 'inf' is not finite"),
             ("total", "-inf", "total '-inf' is not finite"),
             ("se", "inf", "se 'inf' is not finite"),
@@ -1066,6 +1066,14 @@ class TestReport:
          "row 2: se '-0.0' is not a nonnegative number"),
         ([",".join(RECORD_FIELDS), "SRS,0.0,0.0,25,300,-0.0,0.0,0.0,"],
          "row 2: z '-0.0' is not a nonnegative number"),
+        # deff is a squared SE ratio: a sign bit refuses it as it does se and z
+        ([",".join(RECORD_FIELDS), "SRS,0.0,0.0,25,300,1.96,0.0,0.0,-1"],
+         "row 2: deff '-1' is not a nonnegative number"),
+        ([",".join(RECORD_FIELDS), "SRS,0.0,0.0,25,300,1.96,0.0,0.0,-0.0"],
+         "row 2: deff '-0.0' is not a nonnegative number"),
+        # the first bad row is named, though a ragged row lies below it
+        ([",".join(RECORD_FIELDS), "SRS,12.0,abc,25,300,1.96,-10.5,34.5,", "SRS,12.0"],
+         "row 2: se 'abc' is not a nonnegative number"),
     ])
     def test_hand_written_record_names_file_and_row(self, tmp_path, capsys, rows, message):
         path = tmp_path / "other.csv"

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -646,6 +647,32 @@ def test_a_nul_in_a_sample_id_is_refused(tmp_path):
     with pytest.raises(IngestionError) as info:
         load_sample(path)
     assert str(info.value) == f"{path}: draw 2: unit 'b\\x00' holds a NUL"
+
+
+@pytest.mark.parametrize("uid", [1, None, b"b", "", " b", "b "],
+                         ids=["int", "none", "bytes", "empty", "leading_space", "trailing_space"])
+def test_a_sample_refuses_an_id_that_frame_refuses(uid):
+    # each would construct, then fail to be written or load back as another id
+    fields = dict(design=DESIGN_SRS, y=[1.0, 0.0], p_hat=[0.5, 0.25], parent_N=4,
+                  parent_aux_total=1.5)
+    with pytest.raises(ValueError, match=rf"^draw 2: unit {re.escape(repr(uid))} is not a "
+                                         r"nonempty, unpadded str$"):
+        Sample(unit_ids=["a", uid], **fields)
+    with pytest.raises(ValueError, match=r"^unit ids must be "):
+        Frame(["a", uid], [0.5, 0.25], [1, 0])
+
+
+def test_load_sample_strips_ids_as_load_frame_does(tmp_path):
+    path = tmp_path / "sample.csv"
+    header = "# sample_design = SRS_WOR\n# parent_N = 4\n# parent_aux_total = 1.5\n"
+    columns = "draw_index,unit_id,pi,y,p_hat\n"
+    path.write_text(header + columns + "0, a ,0.5,1,0.5\n1,b,0.5,0,0.25\n")
+    assert load_sample(path).unit_ids.tolist() == ["a", "b"]
+    # one unit counted twice is not two SRS draws
+    path.write_text(header + columns + "0,a,0.5,1,0.5\n1,a ,0.5,1,0.5\n")
+    with pytest.raises(IngestionError) as info:
+        load_sample(path)
+    assert str(info.value) == f"{path}: draw 2: unit 'a' drawn before; SRS draws are distinct units"
 
 
 @pytest.mark.parametrize("size", CHUNKS)

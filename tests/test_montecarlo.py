@@ -683,6 +683,29 @@ class TestRangeSplit:
                 classifier_sim.simulate_predictions(fr, QualityProfile.symmetric(2.0), seed=1)
         assert threading.active_count() == before
 
+    @pytest.mark.parametrize("work", ["k1", "k1_rows_stop", "srs_at_2_cpus"])
+    def test_a_run_of_one_range_starts_no_thread(self, work, monkeypatch):
+        # the caller runs the one range, and the pool, given no other, starts no thread
+        before, counts = threading.active_count(), []
+
+        def run(lo, hi):
+            counts.append(threading.active_count())
+
+        if work == "srs_at_2_cpus":
+            runner = classifier_sim._run_ranges
+            monkeypatch.setattr(
+                classifier_sim, "_run_ranges",
+                lambda inner, stop, k: runner(lambda *a: run(*a) or inner(*a), stop, k),
+            )
+            monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: 2)
+            run_replications(_stratified_frame(), design="srs", estimator="srs", n=20, R=300,
+                             seed=5)
+        else:
+            rows = 300 if work == "k1_rows_stop" else None
+            assert list(classifier_sim._run_ranges(run, 300, 1, rows)) == [(0, 300)]
+        assert counts == [before]
+        assert threading.active_count() == before
+
 
 class TestNumpyProbe:
     """Runs check once per process that numpy seeds and draws as the
