@@ -285,7 +285,7 @@ def _sample(frame: Frame, design: str, n: int, seed, stratum) -> Sample:
     idx = idx if rows is None else rows[idx]
     return Sample(
         design=design,
-        unit_ids=frame.ids[idx],
+        unit_ids=frame._id_texts(idx),
         y=frame.labels[idx],
         p_hat=frame.aux_probs[idx],
         parent_N=N,

@@ -16,6 +16,7 @@ import io
 import itertools
 import os
 import re
+import sys
 
 import numpy as np
 
@@ -37,6 +38,11 @@ CHUNK_ROWS = 4096
 CHUNK_CHARS = 1 << 17
 # bytes.translate deletes these, leaving a text's commas and newlines
 _NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
+# the widest id a byte column holds: narrower than an empty str object and
+# the pointer to it, so that every id takes fewer bytes than as a str
+_COMPACT_WIDTH = sys.getsizeof("") + 7
+# an odd multiplier, which mixes a byte string's 8-byte words into one key
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def clamp_probs(p):
@@ -58,6 +64,10 @@ class Frame:
         Predicted probabilities in [0, 1]; clamped on construction.
     labels : array_like or None
         Binary labels; use None (or NaN entries) where unlabeled.
+
+    A frame built here holds its ids as an object array of str.  One that
+    :func:`load_frame` reads may hold them as a byte column instead, one
+    fixed-width ASCII string a unit; either way :attr:`ids` gives str.
     """
 
     def __init__(self, ids, aux_probs, labels=None):
@@ -92,6 +102,7 @@ class Frame:
             if not (np.isnan(lab) | (lab == 0.0) | (lab == 1.0)).all():
                 raise ValueError("labels must be 0, 1, or missing")
         self._ids, self._probs, self._labels = ids, clamp_probs(probs), lab
+        self._str_ids = None if ids.dtype.kind == "S" else ids
         self._aux_total = float(np.sum(self._probs))
         for arr in (ids, self._probs, lab):
             arr.setflags(write=False)
@@ -101,7 +112,16 @@ class Frame:
 
     @property
     def ids(self):
-        return self._ids
+        """The unit ids, a read-only object array of str; a byte column is
+        decoded on first use, and the result kept."""
+        if self._str_ids is None:
+            self._str_ids = np.array(self._id_texts(slice(None)), dtype=object)
+            self._str_ids.setflags(write=False)
+        return self._str_ids
+
+    def _id_texts(self, rows) -> list[str]:
+        """The ids at ``rows``, a slice or row indices, as a list of str."""
+        return _id_list(self._ids[rows])
 
     @property
     def aux_probs(self):
@@ -332,13 +352,15 @@ def write_table(path, comments, header, rows, ids=()) -> None:
     as CSV, in the bytes of csv.writer with QUOTE_MINIMAL, replacing
     ``path`` whole once every row is written (see :func:`replacing`).
 
-    Only ``ids``, which the rows carry too, may need quotes.  An id with
-    a lone carriage return, which QUOTE_MINIMAL leaves bare and a reader
-    takes for a line break, makes every field quoted, as QUOTE_ALL does.
+    Only ``ids``, str or a frame's byte column, which the rows carry too,
+    may need quotes.  An id with a lone carriage return, which
+    QUOTE_MINIMAL leaves bare and a reader takes for a line break, makes
+    every field quoted, as QUOTE_ALL does.
     """
     marks = set()  # which of , " \n \r the ids hold, joined a chunk at a time
     for start in range(0, len(ids), CHUNK_ROWS):
-        text = "".join(ids[start : start + CHUNK_ROWS])
+        part = ids[start : start + CHUNK_ROWS]
+        text = part.tobytes().decode("ascii") if _is_bytes(part) else "".join(part)
         marks.update(c for c in ',"\n\r' if c in text)
     lines = itertools.chain([header], rows)
     with replacing(path) as fh:
@@ -351,24 +373,61 @@ def write_table(path, comments, header, rows, ids=()) -> None:
                 fh.write("\n".join(map(",".join, chunk)) + "\n")
 
 
+def _is_bytes(ids) -> bool:
+    return isinstance(ids, np.ndarray) and ids.dtype.kind == "S"
+
+
+def _id_list(ids) -> list[str]:
+    """The ids of a byte column or an object array, as a list of str."""
+    return list(map(bytes.decode, ids.tolist())) if _is_bytes(ids) else ids.tolist()
+
+
+def _repeat_keys(ids) -> np.ndarray:
+    """A new array of one key an id, equal for equal ids: a str id's hash,
+    or a byte column's 8-byte words mixed, so that an id of up to 8 bytes
+    is its own key."""
+    if not _is_bytes(ids):
+        return np.fromiter(map(hash, ids), np.int64, len(ids))
+    words = -(-ids.itemsize // 8)
+    columns = ids.astype(f"S{8 * words}", copy=False).view(np.uint64).reshape(len(ids), words)
+    keys = columns[:, 0].copy()
+    for j in range(1, words):
+        keys *= _MIX
+        keys ^= columns[:, j]
+    return keys
+
+
 def first_repeat(ids) -> int | None:
-    """Index of the first id equal to an earlier one, or None; ids are
-    compared one by one only where their sorted hashes hold a repeat."""
-    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
-    hashes.sort()
-    if not np.any(hashes[1:] == hashes[:-1]):
+    """Index of the first id equal to an earlier one, or None; ``ids``, a
+    sequence of str or a byte column, are compared one by one only where
+    their sorted keys hold a repeat."""
+    ordered = _repeat_keys(ids)
+    ordered.sort()
+    same = ordered[1:] == ordered[:-1]
+    if not same.any():
         return None
-    first = {}  # each id's first index
-    return next((i for i, uid in enumerate(ids) if first.setdefault(uid, i) != i), None)
+    # the rows, in order, whose keys are repeated: keyed again, as sorting
+    # in place keeps one array of keys in memory on the common path
+    rows = np.flatnonzero(np.isin(_repeat_keys(ids), ordered[1:][same])).tolist()
+    first = {}  # each colliding id's first index
+    return next((i for i in rows if first.setdefault(ids[i], i) != i), None)
 
 
 def load_frame(path) -> Frame:
     """Read a frame from CSV.
 
     The file must carry a header naming the columns ``id``, ``label`` and
-    ``p_hat``, in any order.  Labels may be blank for unlabeled units.
-    Probabilities are clamped into [PROB_FLOOR, 1 - PROB_FLOOR] here and
-    nowhere else.  ``#`` lines above the header are comments.
+    ``p_hat``, in any order, each once.  Labels may be blank for unlabeled
+    units.  Probabilities are clamped into [PROB_FLOOR, 1 - PROB_FLOOR]
+    here and nowhere else.  ``#`` lines above the header are comments.
+
+    The frame holds its ids as a byte column, one fixed-width string a
+    unit, if every id is ASCII and the widest takes fewer bytes than an
+    empty str object and a pointer to it (56 bytes on CPython 3.10 and
+    3.11, 48 from 3.12 on): then the column is smaller than one str object
+    an id.  Each chunk's ids become byte strings as soon as the chunk is
+    read; a chunk that breaks the rule sends the frame back to an object
+    array of str.
 
     Returns
     -------
@@ -377,9 +436,10 @@ def load_frame(path) -> Frame:
     Raises
     ------
     IngestionError
-        Missing columns, rows of the wrong width, duplicate or empty ids,
-        ids holding a NUL, labels outside {0, 1}, or probabilities outside
-        [0, 1]; the message names the first offending row.
+        Missing columns or one named twice, rows of the wrong width,
+        duplicate or empty ids, ids holding a NUL, labels outside {0, 1},
+        or probabilities outside [0, 1]; the message names the first
+        offending row.
     """
     chunks = read_chunks(path)
     _, header = next(chunks)
@@ -387,15 +447,20 @@ def load_frame(path) -> Frame:
     missing = [c for c in _FRAME_COLUMNS if c not in where]
     if missing:
         raise IngestionError(f"{path}: missing columns {missing}")
+    twice = [c for c in _FRAME_COLUMNS if header.count(c) > 1]
+    if twice:
+        raise IngestionError(f"{path}: row 1: column {twice[0]!r} named twice")
     width = len(header)
-    ids, probs, labels = [], [], []
+    ids, probs, labels = [], [], []  # each column's chunks
+    # the rows read so far; whether ids holds byte-string chunks, or else str
+    start, compact = 0, True
     # (row, rank, message): rank orders the checks made on one row
     problems = []
     for fields, rows, ragged in chunks:
-        start = len(ids)  # the rows before this chunk
         stop = (rows if ragged is None else ragged) * width
         raw_id, raw_y, raw_p = (fields[where[c] : stop : width] for c in _FRAME_COLUMNS)
         chunk_ids = list(map(str.strip, raw_id))
+        joined = "".join(chunk_ids)
         p, unparsed = parse_floats(raw_p)
         y, bad_label = parse_labels(raw_y)
         outside = _first(~((p >= 0.0) & (p <= 1.0)))
@@ -403,7 +468,7 @@ def load_frame(path) -> Frame:
             problems.append((start + ragged, 0, f"expected {width} fields"))
         if "" in chunk_ids:
             problems.append((start + chunk_ids.index(""), 1, "empty id"))
-        if "\0" in "".join(chunk_ids):  # Python 3.10's csv module can neither write nor read it
+        if "\0" in joined:  # Python 3.10's csv module can neither write nor read it
             nul = next(i for i, uid in enumerate(chunk_ids) if "\0" in uid)
             problems.append((start + nul, 1, f"NUL in id {chunk_ids[nul]!r}"))
         if unparsed is not None:
@@ -414,23 +479,33 @@ def load_frame(path) -> Frame:
         if bad_label is not None:
             text = raw_y[bad_label].strip()
             problems.append((start + bad_label, 5, f"label {text!r} not in {{0, 1, blank}}"))
-        ids += chunk_ids
+        if compact:  # this chunk's ids as byte strings, while every id fits
+            part = np.array(chunk_ids, "S") if joined.isascii() and "\0" not in joined else None
+            compact = part is not None and part.itemsize <= _COMPACT_WIDTH
+            if not compact:  # the ids read so far go back to str
+                ids = [uid for done in ids for uid in _id_list(done)]
+        ids += [part] if compact else chunk_ids
+        start += len(chunk_ids)
+        # this chunk's text goes before the next chunk is read
+        del fields, raw_id, raw_y, raw_p, chunk_ids, joined
         if problems:  # later rows cannot hold an earlier problem
             break
         probs.append(p)
         labels.append(y)
+    ids = np.concatenate(ids) if compact and ids else ids
     # the ids are stripped and nonempty: only their uniqueness is left to check
     repeat = first_repeat(ids)
     if repeat is not None:
-        problems.append((repeat, 2, f"duplicate id {ids[repeat]!r}"))
+        text = ids[repeat].decode() if compact else ids[repeat]
+        problems.append((repeat, 2, f"duplicate id {text!r}"))
     if problems:
         row, _, message = min(problems)
         raise IngestionError(f"{path}: row {row + 2}: {message}")
-    if not ids:
+    if not start:
         raise IngestionError(f"{path}: no data rows")
     probs = np.concatenate(probs)  # a column at a time, each one's parts dropped as it is joined
     labels = np.concatenate(labels)
-    ids = np.asarray(ids, dtype=object)
+    ids = ids if compact else np.asarray(ids, dtype=object)
     return Frame.__new__(Frame)._set(ids, probs, labels)
 
 
@@ -443,9 +518,9 @@ def write_frame(frame: Frame, path, header_lines=()) -> None:
     """
 
     def columns(part):
-        return frame.ids[part].tolist(), frame.labels[part], frame.aux_probs[part]
+        return frame._id_texts(part), frame.labels[part], frame.aux_probs[part]
 
-    write_frame_rows(path, header_lines, [(0, frame.N)], columns, frame.ids)
+    write_frame_rows(path, header_lines, [(0, frame.N)], columns, frame._ids)
 
 
 def write_frame_rows(path, header_lines, ranges, columns, ids=()) -> None:

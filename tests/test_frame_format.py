@@ -769,3 +769,103 @@ def test_a_header_field_past_the_csv_limit_is_refused(tmp_path):
     with pytest.raises(IngestionError) as info:
         load_frame(path)
     assert str(info.value) == f"{path}: field larger than field limit ({LIMIT})"
+
+
+# load_frame holds ids as a byte column, one fixed-width ASCII string a unit,
+# while every id is ASCII and at most population._COMPACT_WIDTH bytes wide;
+# readers see the same str ids, messages and bytes from either column.
+WIDEST = population._COMPACT_WIDTH
+
+
+def _frame_file(path, ids):
+    rng = np.random.default_rng(4)
+    labels = (rng.random(len(ids)) < 0.3).astype(float)
+    write_frame(Frame(ids, rng.random(len(ids)), labels), path)
+    return path
+
+
+def _str_column():
+    """load_frame as it reads a frame that breaks the byte column's rule."""
+    return mock.patch.object(population, "_COMPACT_WIDTH", 0)
+
+
+def test_short_ascii_ids_load_as_a_byte_column(tmp_path):
+    ids = [f"u{i}" for i in range(50)] + ["#a", "x" * WIDEST]
+    frame = load_frame(_frame_file(tmp_path / "frame.csv", ids))
+    assert frame._ids.dtype.kind == "S"
+    assert frame.ids.tolist() == ids
+    assert all(type(uid) is str for uid in frame.ids)
+    assert frame.ids is frame.ids
+    assert frame.ids.dtype == object and not frame.ids.flags.writeable
+
+
+@pytest.mark.parametrize("last", ["é1", "x" * (WIDEST + 1)], ids=["non_ascii", "too_wide"])
+def test_one_id_past_the_rule_in_the_last_chunk_keeps_str_ids(tmp_path, monkeypatch, last):
+    ids = [f"u{i}" for i in range(400)] + [last]
+    path = _frame_file(tmp_path / "frame.csv", ids)
+    monkeypatch.setattr(population, "CHUNK_CHARS", 256)
+    assert len(list(population.read_chunks(path))) > 10  # the header, then many chunks
+    frame = load_frame(path)
+    assert frame._ids.dtype == object
+    assert frame.ids.tolist() == ids
+
+
+@pytest.mark.parametrize("size", [None, 2])
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        (["a", "b", "c", "b", "a"], "row 5: duplicate id 'b'"),
+        # ids past 8 bytes are keyed by their words mixed; with no mixing,
+        # those sharing a last word collide, and only equal ones repeat
+        (["aaaaaaaa-1", "bbbbbbbb-1", "cccccccc-2", "bbbbbbbb-1"],
+         "row 5: duplicate id 'bbbbbbbb-1'"),
+        (["aaaaaaaa-1", "bbbbbbbb-1", "cccccccc-1"], None),
+    ],
+    ids=["short", "colliding", "colliding_distinct"],
+)
+def test_a_duplicate_is_named_alike_on_byte_and_str_columns(tmp_path, monkeypatch, size, ids,
+                                                           message):
+    monkeypatch.setattr(population, "_MIX", np.uint64(0))
+    path = tmp_path / "frame.csv"
+    path.write_text("id,label,p_hat\n" + "".join(f"{uid},0,0.5\n" for uid in ids))
+    repeat = None if message is None else int(message.split()[1][:-1]) - 2
+    assert population.first_repeat(np.array(ids, "S")) == population.first_repeat(ids) == repeat
+    sizes = contextlib.nullcontext() if size is None else _chunks(size)
+    for kind, reading in [("S", contextlib.nullcontext()), ("O", _str_column())]:
+        with sizes, reading:
+            if message is None:
+                assert load_frame(path)._ids.dtype.kind == kind
+            else:
+                assert _load_error(path) == message
+
+
+def test_quoted_ascii_ids_round_trip_byte_for_byte(tmp_path):
+    ids = ["a,b", 'say "c"', "#d"] + [f"u{i}" for i in range(5000)]
+    path = _frame_file(tmp_path / "frame.csv", ids)
+    frame = load_frame(path)
+    assert frame._ids.dtype.kind == "S"
+    write_frame(frame, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [(["--design", "pps"], ["sample.csv"]),
+     (["--design", "stratified", "--allocation", "neyman_proxy"],
+      ["sample_one.csv", "sample_zero.csv"])],
+    ids=["pps", "stratified"],
+)
+def test_samples_from_byte_and_str_columns_write_the_same_bytes(tmp_path, argv, files):
+    frame = tmp_path / "frame.csv"
+    assert main(["generate", "--N", "3000", "--positives", "60", "--a1", "4", "--b1", "1.5",
+                 "--a0", "0.2", "--b0", "8", "--seed", "5", "--out", str(tmp_path)]) == 0
+    assert load_frame(frame)._ids.dtype.kind == "S"
+    written = []
+    for column in (contextlib.nullcontext(), _str_column()):
+        out = tmp_path / str(len(written))
+        out.mkdir()
+        with column:
+            assert main(["sample", "--frame", str(frame), "--n", "300", "--seed", "2",
+                         *argv, "--out", str(out)]) == 0
+        written.append([(out / name).read_bytes() for name in files])
+    assert written[0] == written[1]

@@ -1,3 +1,4 @@
+import csv
 import re
 import tracemalloc
 
@@ -19,6 +20,7 @@ from auxcount import (
     stratify_by_prediction,
     write_frame,
 )
+from auxcount import population
 from auxcount.classifier_sim import confusion_counts, population_loss
 from auxcount.cli import main
 from auxcount.designs import sampling_plan
@@ -196,6 +198,16 @@ def test_load_frame_reads_columns_by_name(tmp_path):
         load_frame(missing)
 
 
+@pytest.mark.parametrize("column", ["id", "label", "p_hat"])
+def test_load_frame_refuses_a_column_named_twice(tmp_path, column):
+    header = ["id", "label", "p_hat", column]
+    rows = {"id": ["b", "a"], "label": ["0", "1"], "p_hat": ["0.25", "0.5"]}[column]
+    path = _write(tmp_path, ",".join(header) + f"\na,1,0.5,{rows[0]}\nb,0,0.25,{rows[1]}\n")
+    with pytest.raises(IngestionError) as info:
+        load_frame(path)
+    assert str(info.value) == f"{path}: row 1: column {column!r} named twice"
+
+
 def test_load_frame_errors_name_the_row(tmp_path):
     bad_prob = _write(tmp_path, "id,label,p_hat\na,1,0.9\nb,0,1.7\n", "p.csv")
     with pytest.raises(IngestionError, match="row 3"):  # header is row 1
@@ -295,16 +307,25 @@ def test_colliding_hashes_still_find_the_first_repeat(tmp_path):
         load_frame(path)
 
 
-# Traced bytes of frame reading and writing, as multiples of the bytes a
-# loaded frame of this many rows keeps.  Reading the whole body and its
-# fields at once peaked at 2.64 times them, and converting whole columns
-# to text took 0.90 times them more while writing; read and written a
-# chunk at a time, 1.62 and 0.26, and 1.27 to read once each column's
-# chunks are dropped as it is joined.  Tracing slows allocation about
+# Traced bytes of frame reading and writing beyond the frame they keep, as
+# multiples of one float64 column of it (480,000 bytes).  While a frame kept
+# one str object an id, 4,730,603 bytes here, reading the whole body and its
+# fields at once peaked at 2.64 times those bytes, and converting whole
+# columns to text took 0.90 times them more while writing; read and written
+# a chunk at a time, 1.62 and 0.26, and 1.27 to read once each column's
+# chunks are dropped as it is joined.  Those bounds, a peak of 1.4 times the
+# frame and a write transient of 0.5 times it, allowed 1.89 MB beyond the
+# frame while reading and 2.37 MB while writing.  A frame whose ids are a
+# byte column keeps 1.32 MB, so the same bytes are stated against its score
+# column, which is the same in either form.  Tracing slows allocation about
 # sevenfold, so the frame is kept small.
 MEMORY_ROWS = 60_000
-LOAD_PEAK = 1.4
-WRITE_TRANSIENT = 0.5
+LOAD_TRANSIENT = 3.9
+WRITE_TRANSIENT = 4.9
+# a frame whose ids are a byte column keeps, a unit, the widest id's bytes
+# and two float64 columns, scores and labels, and a few arrays' headers
+KEPT_PER_UNIT = 16
+KEPT_OVERHEAD = 1 << 16
 # Stratifying peaked at 1.71 times the strata's bytes while each stratum's
 # columns were clamped and their labels checked again, and 1.38 with the
 # columns stored as taken, 24 bytes a unit kept; with strata as row indices,
@@ -349,9 +370,25 @@ def test_frame_io_holds_one_chunk_of_text(tmp_path):
         after, write_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= LOAD_PEAK * kept
-    assert write_peak - after <= WRITE_TRANSIENT * kept
+    column = back.aux_probs.nbytes
+    assert peak - kept <= LOAD_TRANSIENT * column
+    assert write_peak - after <= WRITE_TRANSIENT * column
+    assert back._ids.dtype.kind == "S"
+    assert kept <= (back._ids.itemsize + KEPT_PER_UNIT) * MEMORY_ROWS + KEPT_OVERHEAD
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "frame.csv").read_bytes()
+
+
+def test_the_load_bound_refuses_a_whole_body_read(tmp_path, monkeypatch):
+    write_frame(_memory_frame(), tmp_path / "frame.csv")
+    size = (tmp_path / "frame.csv").stat().st_size
+    monkeypatch.setattr(population, "CHUNK_CHARS", size)
+    limit = csv.field_size_limit(size)  # a chunk holds at most this many characters
+    try:
+        assert len(list(population.read_chunks(tmp_path / "frame.csv"))) == 2  # header, body
+        back, kept, peak = traced(lambda: load_frame(tmp_path / "frame.csv"))
+    finally:
+        csv.field_size_limit(limit)
+    assert peak - kept > LOAD_TRANSIENT * back.aux_probs.nbytes
 
 
 def test_generate_holds_its_columns_and_one_chunk_of_text(tmp_path):
