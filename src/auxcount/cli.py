@@ -6,7 +6,7 @@ replicated experiments (simulate), combine stratum estimates into an F1
 (f1), and merge estimate records into a table (report).
 
 Settings resolve as defaults < config file < command-line flags.  Config
-files are flat ``key = value`` text.  A setting that only some forms of a
+files are flat ``key = value`` UTF-8 text.  A setting that only some forms of a
 command read (a stratified draw's tau, say) is refused in the others.
 Every artifact starts with an audit header recording the command and the
 settings the run read; rerunning a stochastic command from that header
@@ -37,7 +37,7 @@ from .errors import (
 )
 from .population import (
     STRATUM_ONE, STRATUM_ZERO, Frame, _check_tau, _float_or_none, _require_labels,
-    float_texts, load_frame, read_header_fields, read_table, replacing, write_frame,
+    float_texts, load_frame, read_header_fields, read_table, reading, replacing, write_frame,
     write_frame_rows, write_table,
 )
 
@@ -70,7 +70,7 @@ def read_config_file(path) -> dict[str, str]:
     """Flat ``key = value`` lines; ``#`` starts a comment."""
     values: dict[str, str] = {}
     try:
-        with open(path) as fh:
+        with reading(path, ConfigError) as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -169,14 +169,13 @@ def audit_to_config_lines(audit: dict) -> list[str]:
 def read_audit(path) -> dict:
     """Audit header of an artifact (JSON or # commented CSV)."""
     if str(path).endswith(".json"):
-        with open(path) as fh:
+        with reading(path) as fh:
             return json.load(fh)["audit"]
     return read_header_fields(path)
 
 
 def _out_path(args, name: str) -> str:
-    out = args.out or "."
-    return f"{out}/{name}"
+    return f"{args.out or '.'}/{name}"
 
 
 def _write_json(path, audit: dict, payload: dict):
@@ -506,15 +505,12 @@ def _format_table(rows: list[dict], paper_mode: bool) -> str:
 
 
 def cmd_report(args, resolved: dict) -> int:
-    rows = []
-    for path in resolved["inputs"]:
-        rows.extend(_read_record_rows(path))
+    rows = [row for path in resolved["inputs"] for row in _read_record_rows(path)]
     if not rows:
         raise ConfigError("no estimate records found in the inputs")
     text = _format_table(rows, bool(resolved["paper_mode"]))
     with replacing(_out_path(args, resolved["out_table"])) as fh:
-        for line in _audit_lines(_audit("report", resolved)):
-            fh.write(f"# {line}\n")
+        fh.writelines(f"# {line}\n" for line in _audit_lines(_audit("report", resolved)))
         fh.write(text)
     sys.stdout.write(text)
     return 0
@@ -526,10 +522,7 @@ _UNSIGNED = ("se", "z", "deff")  # deff is a squared SE ratio
 
 
 def _read_record_rows(path) -> list[dict]:
-    try:
-        _, header, fields, ragged = read_table(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
+    _, header, fields, ragged = read_table(path)
     width = len(estimators.RECORD_FIELDS)
     if header != list(estimators.RECORD_FIELDS):
         raise ConfigError(f"{path}: row 1: expected columns {','.join(estimators.RECORD_FIELDS)}")

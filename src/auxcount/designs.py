@@ -415,6 +415,7 @@ def load_sample(path) -> Sample:
         On missing header facts, malformed rows, a ``draw_index`` other
         than 0..n-1 in order, draws :class:`Sample` refuses, or a ``pi``
         other than the one the design gives; messages name a bad row.
+        Bytes that are not UTF-8; the message names their line.
     """
     facts, header, fields, ragged = read_table(path)
     for key in ("sample_design", "parent_N", "parent_aux_total"):

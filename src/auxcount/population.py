@@ -5,7 +5,8 @@ binary label, and a predicted probability used as the auxiliary size
 measure downstream.  Frames are immutable once built: simulation returns
 a new frame, and stratification the row indices of each stratum.  Tables
 are written a chunk at a time to a temporary sibling of their path, which
-replaces the path only once the table is complete.
+replaces the path only once the table is complete.  Every text file is
+read and written here, as UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def read_chunks(path):
     A field longer than ``csv.field_size_limit()`` is refused wherever it
     lies, as csv.reader refuses it.
     """
-    with open(path, newline="") as fh:
+    with reading(path) as fh:
         facts, line = {}, fh.readline()
         while line.startswith("#"):
             key, sep, value = line[1:].partition("=")
@@ -332,13 +333,28 @@ def float_texts(values):
 
 
 @contextlib.contextmanager
+def reading(path, error=IngestionError):
+    """A text file to read as UTF-8, its newlines untranslated and a leading
+    BOM skipped.  Bytes that are not UTF-8 raise ``error``, naming the file
+    and the 1-based line that first holds them."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            fh.buffer.seek(0)
+            lines = enumerate(fh.buffer, 1)
+            bad = next(i for i, raw in lines if raw.decode(errors="replace").encode() != raw)
+            raise error(f"{path}: line {bad}: not UTF-8") from None
+
+
+@contextlib.contextmanager
 def replacing(path):
-    """A text file, its newlines untranslated, to write in place of ``path``:
+    """A UTF-8 text file, its newlines untranslated, to write in place of ``path``:
     a temporary sibling that replaces ``path`` whole once the block ends,
     and is removed on any error or interrupt, leaving ``path`` as it was."""
     part = f"{path}.{os.getpid()}.part"
     try:
-        with open(part, "w", newline="") as fh:
+        with open(part, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(part, path)
     except BaseException:
@@ -439,7 +455,8 @@ def load_frame(path) -> Frame:
         Missing columns or one named twice, rows of the wrong width,
         duplicate or empty ids, ids holding a NUL, labels outside {0, 1},
         or probabilities outside [0, 1]; the message names the first
-        offending row.
+        offending row.  Bytes that are not UTF-8; the message names
+        their line (see :func:`reading`).
     """
     chunks = read_chunks(path)
     _, header = next(chunks)

@@ -1,7 +1,10 @@
 import argparse
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from auxcount import (
     srs_estimate,
     srs_wor,
     stratify_by_prediction,
+    write_frame,
     write_sample,
 )
 from auxcount import designs, estimators, montecarlo
@@ -1263,3 +1267,35 @@ class TestAudits:
         assert run("metrics", "--config", cfg, "--out", tmp_path) == 2
         assert capsys.readouterr().err == f"auxcount: error: {cfg}:4: tau given twice\n"
         assert not (tmp_path / "metrics.json").exists()
+
+
+def test_artifact_bytes_do_not_depend_on_the_locale(tmp_path):
+    # ids with å, ä and ö, as Swedish police report ids carry.  Under the C
+    # locale, with neither UTF-8 mode nor locale coercion, Python's default
+    # text encoding is ASCII; the paths stay ASCII
+    rng = np.random.default_rng(7)
+    ids = [f"{c}{i}" for i in range(40) for c in ("å", "ä", "ö", "u")]
+    labels = rng.random(len(ids)) < 0.3
+    write_frame(Frame(ids, rng.random(len(ids)), labels), tmp_path / "frame.csv")
+    src = os.path.dirname(os.path.dirname(designs.__file__))
+    commands = [
+        ["sample", "--frame", "../frame.csv", "--design", "pps", "--n", "30", "--seed", "2"],
+        ["estimate", "--sample", "sample.csv", "--estimator", "hh", "--out-record", "pps.csv"],
+        ["sample", "--frame", "../frame.csv", "--design", "stratified",
+         "--allocation", "proportional", "--n", "40", "--seed", "3"],
+        ["estimate", "--sample-one", "sample_one.csv", "--sample-zero", "sample_zero.csv",
+         "--out-record", "strat.csv"],
+    ]
+    written = {}
+    for name, env in [("ascii", {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}),
+                      ("utf8", {"LC_ALL": "C.UTF-8"})]:
+        out = tmp_path / name
+        out.mkdir()
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "auxcount.cli", *argv], cwd=out, check=True,
+                           env={**os.environ, "PYTHONPATH": src, **env})
+        written[name] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(written["ascii"]) == ["pps.csv", "sample.csv", "sample_one.csv",
+                                        "sample_zero.csv", "strat.csv"]
+    assert written["ascii"] == written["utf8"]
+    assert "å".encode() in written["ascii"]["sample.csv"]

@@ -13,7 +13,7 @@ from pathlib import Path
 from auxcount import load_frame, load_sample, srs_se_for_total, stratify_by_prediction
 from auxcount.cli import main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 QUICK_START = README.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
 WALKTHROUGH = README.split("## CLI walkthrough", 1)[1].split("\n## ", 1)[0]
 BLOCKS = re.findall(r"```(\w*)\n(.*?)```", WALKTHROUGH, flags=re.S)
