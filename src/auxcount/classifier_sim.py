@@ -5,15 +5,13 @@ Sampling goes through the inverse CDF of a single per-unit uniform, so
 for a fixed seed the realized scores move smoothly as the shapes move;
 the calibration search below relies on that.  Uniforms are drawn whole,
 then scored range by range on every usable CPU by ``_run_ranges``, the
-one thread pool of the package, which runs replicate ranges too; a
-unit's score depends on its own uniform alone, so the bytes do not
-depend on how the units are split.
+one thread pool of the package, which runs replicate ranges too.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +80,7 @@ def simulate_predictions(frame: Frame, profile: QualityProfile, seed) -> Frame:
 
     Each unit gets an independent uniform from ``default_rng(seed)`` and
     is pushed through the inverse Beta CDF of its class.  The input frame
-    is untouched; the result is clamped like any ingested frame.  Same
-    frame, profile and seed give bitwise-identical output, however many
-    CPUs share the work: a unit's score depends on its own uniform alone.
+    is untouched; the result is clamped like any ingested frame.
     """
     _require_labels(frame, "simulate_predictions")
     scores, ranges = _scoring(frame.labels, profile, seed)
@@ -99,7 +95,8 @@ def _scoring(labels, profile: QualityProfile, seed, rows: int | None = None):
     them into :func:`simulate_predictions`' clamped scores in place,
     yielding each range (lo, hi) once ``scores[lo:hi]`` is done, in order.
     The ranges are one per usable CPU, or of at most ``rows`` units where
-    that makes more; a unit's score depends on its own uniform alone.
+    that makes more.  A unit's score depends on its own uniform alone, so
+    the bytes do not depend on the CPU count or range size.
     """
     from scipy.special import betaincinv
 
@@ -217,7 +214,6 @@ class CalibrationResult:
     profile: QualityProfile
     sharpness: float
     realized: float
-    frame: Frame = field(compare=False, repr=False)
 
 
 def calibrate_profile(
@@ -237,10 +233,8 @@ def calibrate_profile(
     ``CALIBRATION_REL_TOL`` (relative) of the target.  A loss step scores
     every unit.  An F1 step counts each class against its Beta CDF at
     tau, scoring only the units in a guard band around that CDF value.
-
-    The result's ``frame`` is ``simulate_predictions(frame,
-    result.profile, seed)``, bit for bit: the last loss step's frame, or
-    for F1 the frame scored once at the accepted sharpness.
+    The frame the result describes is ``simulate_predictions(frame,
+    result.profile, seed)``.
 
     Raises
     ------
@@ -264,11 +258,9 @@ def calibrate_profile(
     # that falls, sign times the metric, so one bracketing loop serves.
     sign = 1.0 if metric == "loss" else -1.0
     goal = sign * target
-    sim = None  # the latest loss step's frame, the one a result carries
     counts = _counts_by_sharpness(frame, seed, tau) if metric == "f1" else None
 
     def value(s: float) -> float:
-        nonlocal sim
         if metric == "f1":
             return -f1_from_counts(counts(s))
         sim = simulate_predictions(frame, QualityProfile.symmetric(s), seed)
@@ -278,9 +270,7 @@ def calibrate_profile(
         return abs(v - goal) <= CALIBRATION_REL_TOL * abs(goal)
 
     def result(s: float, v: float) -> CalibrationResult:
-        profile = QualityProfile.symmetric(s)
-        scored = sim if metric == "loss" else simulate_predictions(frame, profile, seed)
-        return CalibrationResult(profile, float(s), sign * v, scored)
+        return CalibrationResult(QualityProfile.symmetric(s), float(s), sign * v)
 
     def failure(message: str) -> CalibrationError:
         return CalibrationError(message, best_sharpness=best_s, best_metric=sign * best_v)

@@ -37,8 +37,8 @@ from .errors import (
 )
 from .population import (
     STRATUM_ONE, STRATUM_ZERO, Frame, _check_tau, _float_or_none, _require_labels,
-    float_texts, load_frame, read_header_fields, read_table, reading, replacing, write_frame,
-    write_frame_rows, write_table,
+    float_texts, load_frame, read_header_fields, read_table, reading, replacing, write_frame_rows,
+    write_table,
 )
 
 # the default of a spec row whose setting every run must give
@@ -260,31 +260,28 @@ def cmd_generate(args, resolved: dict) -> int:
              tau=classifier_sim.DEFAULT_THRESHOLD)
     labels = np.zeros(N)
     labels[:positives] = 1.0
+    if calibrated:
+        # calibration reads only the labels; ids u0..u{N-1}, one byte column, are
+        # unique and unpadded, so only the other columns need checks
+        ids = np.char.add(b"u", np.arange(N).astype(f"S{len(str(N - 1))}"))
+        base = Frame.__new__(Frame)._set(ids, np.full(N, 0.5), labels)
+        kwargs = {k: resolved[k] for k in (*targets, "tau") if resolved[k] is not None}
+        cal = classifier_sim.calibrate_profile(base, seed=resolved["seed"], **kwargs)
+        shapes = [*cal.profile.shape_pos, *cal.profile.shape_neg]
+        # a rerun reads the shapes found, which the audit holds
+        resolved.update(zip(("a1", "b1", "a0", "b0"), shapes), target_loss=None, target_f1=None,
+                        tau=None)
+    profile = classifier_sim.QualityProfile(tuple(shapes[:2]), tuple(shapes[2:]))
+    # the rows of simulate_predictions' frame, each range written as soon
+    # as it is scored, while later ranges are scored on other threads
+    scores, ranges = classifier_sim._scoring(labels, profile, resolved["seed"], _GENERATE_ROWS)
+
+    def columns(part):  # ids u0..u{N-1} need no quotes
+        return ["u" + str(i) for i in range(part.start, part.stop)], labels[part], scores[part]
+
     path = _out_path(args, resolved["out_frame"])
-    if not calibrated:
-        profile = classifier_sim.QualityProfile(
-            shape_pos=(shapes[0], shapes[1]), shape_neg=(shapes[2], shapes[3])
-        )
-        # the rows of simulate_predictions' frame, each range written as soon
-        # as it is scored, while later ranges are scored on other threads
-        scores, ranges = classifier_sim._scoring(labels, profile, resolved["seed"], _GENERATE_ROWS)
-
-        def columns(part):  # ids u0..u{N-1} need no quotes
-            return ["u" + str(i) for i in range(part.start, part.stop)], labels[part], scores[part]
-
-        with contextlib.closing(ranges):
-            write_frame_rows(path, _audit_lines(_audit("generate", resolved)), ranges, columns)
-        return 0
-    # u0..u{N-1} are unique and unpadded: only the other columns need checks
-    ids = np.array([f"u{i}" for i in range(N)], dtype=object)
-    base = Frame.__new__(Frame)._set(ids, np.full(N, 0.5), labels)
-    kwargs = {k: resolved[k] for k in (*targets, "tau") if resolved[k] is not None}
-    cal = classifier_sim.calibrate_profile(base, seed=resolved["seed"], **kwargs)
-    (resolved["a1"], resolved["b1"]) = cal.profile.shape_pos
-    (resolved["a0"], resolved["b0"]) = cal.profile.shape_neg
-    resolved.update(target_loss=None, target_f1=None, tau=None)  # a rerun reads the shapes
-    # simulate_predictions of the shapes found, which the audit holds
-    write_frame(cal.frame, path, _audit_lines(_audit("generate", resolved)))
+    with contextlib.closing(ranges):
+        write_frame_rows(path, _audit_lines(_audit("generate", resolved)), ranges, columns)
     return 0
 
 

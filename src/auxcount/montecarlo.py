@@ -442,7 +442,7 @@ def proposition1_sweep(
     """Design variance of the PPS total as classifier loss shrinks.
 
     For each per-unit loss target (strictly decreasing), calibrate a
-    symmetric profile on the frame, take the frame it scored, and record
+    symmetric profile on the frame, score the frame at it, and record
     the closed-form design variance next to the empirical variance over R
     replicated samples.  Better classifiers should drive both toward 0.
 
@@ -466,9 +466,10 @@ def proposition1_sweep(
             cal = classifier_sim.calibrate_profile(frame, target_loss=target, seed=cal_seed)
         except CalibrationError as exc:
             raise SweepError(f"sweep point {k} (target {target:g}): {exc}") from exc
-        exact = estimators.exact_hh_design_variance(cal.frame, n)
+        scored = classifier_sim.simulate_predictions(frame, cal.profile, cal_seed)
+        exact = estimators.exact_hh_design_variance(scored, n)
         report = run_replications(
-            cal.frame,
+            scored,
             design="pps",
             estimator="hh",
             n=n,

@@ -224,30 +224,24 @@ class TestCalibrateProfile:
             (20_000, 100, {"target_f1": 0.68}, 4.375),
         ],
     )
-    def test_result_carries_measured_frame(self, N, t, target, sharpness):
+    def test_result_reproduces_its_realized_metric(self, N, t, target, sharpness):
         fr = _label_frame(N, t)
         res = calibrate_profile(fr, seed=3, **target)
         assert res.sharpness == sharpness
-        again = simulate_predictions(fr, res.profile, seed=3)
-        assert res.frame.aux_probs.tobytes() == again.aux_probs.tobytes()
-        assert res.frame.ids is fr.ids and res.frame.labels is fr.labels
+        scored = simulate_predictions(fr, res.profile, seed=3)
+        if "target_loss" in target:
+            assert population_loss(scored) / scored.N == res.realized
+        else:
+            assert f1_from_counts(confusion_counts(scored)) == res.realized
 
-    def test_result_carries_frame_measured_while_bracketing(self):
+    def test_result_found_while_bracketing(self):
         fr = _label_frame(5000, 250)
         # a target just below the loss at sharpness 2, the bracket's first step
         at_two = simulate_predictions(fr, QualityProfile.symmetric(2.0), seed=7)
         target = 0.99 * population_loss(at_two) / fr.N
         res = calibrate_profile(fr, target_loss=target, seed=7)
         assert res.sharpness == 2.0
-        assert res.frame.aux_probs.tobytes() == at_two.aux_probs.tobytes()
-
-    def test_frame_left_out_of_eq_and_repr(self):
-        fr = _label_frame(2000, 100)
-        res = calibrate_profile(fr, target_loss=0.2, seed=5)
-        assert "frame" not in repr(res)
-        assert res == classifier_sim.CalibrationResult(
-            res.profile, res.sharpness, res.realized, _label_frame(10, 1)
-        )
+        assert res.realized == population_loss(at_two) / fr.N
 
     def test_unreachable_target_raises_with_best_point(self):
         fr = _label_frame(2000, 100)
@@ -291,10 +285,11 @@ def _count_simulations(monkeypatch) -> list:
 
 
 class TestCalibrationWork:
-    def test_f1_calibration_scores_the_frame_once(self, monkeypatch):
+    def test_f1_calibration_scores_no_frame(self, monkeypatch):
         calls = _count_simulations(monkeypatch)
         res = calibrate_profile(_label_frame(20_000, 100), target_f1=0.68, seed=3)
-        assert calls == [res.sharpness] == [4.375]
+        assert res.sharpness == 4.375
+        assert calls == []
 
     def test_loss_calibration_scores_every_step(self, monkeypatch):
         calls = _count_simulations(monkeypatch)

@@ -26,7 +26,7 @@ from auxcount import (
     write_frame,
     write_sample,
 )
-from auxcount import designs, estimators, montecarlo
+from auxcount import classifier_sim, designs, estimators, montecarlo
 from auxcount.estimators import RECORD_FIELDS
 from auxcount.cli import (
     _COMMANDS, REQUIRED, _read_record_rows, audit_to_config_lines, build_parser, main, read_audit,
@@ -136,12 +136,14 @@ class TestGenerate:
         )
         assert (again / "frame.csv").read_bytes() == (frame_dir / "frame.csv").read_bytes()
 
-    def test_calibrated_run_reruns_from_audit(self, tmp_path):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("target", [["--target-loss", 0.3], ["--target-f1", 0.7]])
+    def test_calibrated_run_reruns_from_audit(self, tmp_path, monkeypatch, target, cpus):
+        monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: cpus)
         first = tmp_path / "first"
         first.mkdir()
         assert run(
-            "generate", "--N", 400, "--positives", 20, "--target-loss", 0.3,
-            "--seed", 33, "--out", first,
+            "generate", "--N", 400, "--positives", 20, *target, "--seed", 33, "--out", first,
         ) == 0
         # the audit records the calibrated shapes, so the rerun skips
         # calibration and still lands on the same bytes

@@ -442,9 +442,12 @@ def test_generate_bytes_do_not_depend_on_the_cpu_count_or_range_size(tmp_path, m
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("failing", ["score", "write"])
+@pytest.mark.parametrize("form", [[], ["--target-f1", "0.7"], ["--target-loss", "0.05"]])
 def test_a_failing_generate_leaves_no_frame_and_no_thread(tmp_path, monkeypatch, capsys,
-                                                         cpus, failing):
-    # the third range to be scored fails, or the writer once its third chunk is written
+                                                         cpus, failing, form):
+    # the third range to be scored fails, or the writer once its third chunk is written;
+    # a calibrated run scores its frame as the shapes run does, and a loss
+    # calibration scores ranges of its own before it
     calls, lock = [], threading.Lock()
     if failing == "score":
         runner = classifier_sim._run_ranges
@@ -474,7 +477,9 @@ def test_a_failing_generate_leaves_no_frame_and_no_thread(tmp_path, monkeypatch,
     monkeypatch.setattr(population, "CHUNK_ROWS", 300)
     monkeypatch.setattr(classifier_sim, "_usable_cpus", lambda: cpus)
     before = threading.active_count()
-    assert main([*_GENERATE_20K, "--out", str(tmp_path)]) == 2
+    # a calibrated run keeps the N, positives and seed of _GENERATE_20K
+    argv = [*_GENERATE_20K[:5], *form, *_GENERATE_20K[-2:]] if form else _GENERATE_20K
+    assert main([*argv, "--out", str(tmp_path)]) == 2
     want = "a score range failed" if failing == "score" else "no space left"
     assert capsys.readouterr().err == f"auxcount: error: {want}\n"
     assert threading.active_count() == before
