@@ -336,11 +336,13 @@ def float_texts(values):
 def reading(path, error=IngestionError):
     """A text file to read as UTF-8, its newlines untranslated and a leading
     BOM skipped.  Bytes that are not UTF-8 raise ``error``, naming the file
-    and the 1-based line that first holds them."""
+    and, but in a pipe, the 1-based line that first holds them."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
             yield fh
         except UnicodeDecodeError:
+            if not fh.seekable():  # a pipe's bytes cannot be read again to find the line
+                raise error(f"{path}: not UTF-8") from None
             fh.buffer.seek(0)
             lines = enumerate(fh.buffer, 1)
             bad = next(i for i, raw in lines if raw.decode(errors="replace").encode() != raw)
@@ -441,9 +443,11 @@ def load_frame(path) -> Frame:
     unit, if every id is ASCII and the widest takes fewer bytes than an
     empty str object and a pointer to it (56 bytes on CPython 3.10 and
     3.11, 48 from 3.12 on): then the column is smaller than one str object
-    an id.  Each chunk's ids become byte strings as soon as the chunk is
-    read; a chunk that breaks the rule sends the frame back to an object
-    array of str.
+    an id; a chunk that breaks the rule sends the frame back to str ids.
+    Memory holds one chunk's text and the frame's columns, reserved once
+    with ``np.empty`` (rows never written take no memory), filled in place,
+    cut to the rows read, and moved only where the rows outrun them (a
+    pipe's size reads 0) or an id widens.
 
     Returns
     -------
@@ -468,9 +472,9 @@ def load_frame(path) -> Frame:
     if twice:
         raise IngestionError(f"{path}: row 1: column {twice[0]!r} named twice")
     width = len(header)
-    ids, probs, labels = [], [], []  # each column's chunks
-    # the rows read so far; whether ids holds byte-string chunks, or else str
-    start, compact = 0, True
+    ids, probs, labels = np.empty(0, "S1"), np.empty(0), np.empty(0)
+    # the rows read so far and reserved; whether ids is a byte column, or else of str
+    start, reserve, compact = 0, 0, True
     # (row, rank, message): rank orders the checks made on one row
     problems = []
     for fields, rows, ragged in chunks:
@@ -496,20 +500,21 @@ def load_frame(path) -> Frame:
         if bad_label is not None:
             text = raw_y[bad_label].strip()
             problems.append((start + bad_label, 5, f"label {text!r} not in {{0, 1, blank}}"))
+        if rows and not start:  # an eighth more rows than size / (this chunk's bytes a row)
+            reserve = os.stat(path).st_size * rows * 9 // 8 // sum(map(len, fields), len(fields))
         if compact:  # this chunk's ids as byte strings, while every id fits
             part = np.array(chunk_ids, "S") if joined.isascii() and "\0" not in joined else None
             compact = part is not None and part.itemsize <= _COMPACT_WIDTH
             if not compact:  # the ids read so far go back to str
-                ids = [uid for done in ids for uid in _id_list(done)]
-        ids += [part] if compact else chunk_ids
+                ids = np.array(_id_list(ids[:start]), object)
+        ids = _put(ids, start, part if compact else np.array(chunk_ids, object), reserve)
+        probs, labels = _put(probs, start, p, reserve), _put(labels, start, y, reserve)
         start += len(chunk_ids)
-        # this chunk's text goes before the next chunk is read
         del fields, raw_id, raw_y, raw_p, chunk_ids, joined
         if problems:  # later rows cannot hold an earlier problem
             break
-        probs.append(p)
-        labels.append(y)
-    ids = np.concatenate(ids) if compact and ids else ids
+    for column in (ids, probs, labels):
+        column.resize(start, refcheck=False)
     # the ids are stripped and nonempty: only their uniqueness is left to check
     repeat = first_repeat(ids)
     if repeat is not None:
@@ -520,10 +525,17 @@ def load_frame(path) -> Frame:
         raise IngestionError(f"{path}: row {row + 2}: {message}")
     if not start:
         raise IngestionError(f"{path}: no data rows")
-    probs = np.concatenate(probs)  # a column at a time, each one's parts dropped as it is joined
-    labels = np.concatenate(labels)
-    ids = ids if compact else np.asarray(ids, dtype=object)
     return Frame.__new__(Frame)._set(ids, probs, labels)
+
+
+def _put(column, start, values, rows):
+    """``column`` with ``values`` written from row ``start`` on, moved where they do not fit."""
+    end, dtype = start + len(values), np.promote_types(column.dtype, values.dtype)
+    if end > len(column) or dtype != column.dtype:
+        column, old = np.empty(rows if end <= rows else 2 * end, dtype), column
+        column[:start] = old[:start]
+    column[start:end] = values
+    return column
 
 
 def write_frame(frame: Frame, path, header_lines=()) -> None:

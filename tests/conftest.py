@@ -6,6 +6,9 @@ tolerances all sit well inside what the tests assert.  Treat them as
 frozen; several tests reproduce known arithmetic exactly.
 """
 
+import contextlib
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -51,6 +54,26 @@ def traced(build):
     finally:
         tracemalloc.stop()
     return result, kept, peak
+
+
+@contextlib.contextmanager
+def piped(data: bytes):
+    """A path, /dev/fd/N, that reads ``data`` through a pipe: it cannot
+    seek, and its size reads 0."""
+    read, write = os.pipe()
+
+    def feed():  # a reader that stops early leaves the rest unwritten
+        with contextlib.suppress(BrokenPipeError), os.fdopen(write, "wb") as fh:
+            fh.write(data)
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        yield f"/dev/fd/{read}"
+    finally:
+        os.close(read)
+        feeder.join(timeout=30)
+    assert not feeder.is_alive()
 
 
 def build_acceptance_frame() -> Frame:

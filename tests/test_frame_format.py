@@ -14,6 +14,7 @@ import hashlib
 import io
 import os
 import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -40,6 +41,8 @@ from auxcount import (
 )
 from auxcount import classifier_sim, cli, designs, estimators, population
 from auxcount.cli import main
+
+from conftest import piped
 
 
 def reference_problem(path):
@@ -940,6 +943,42 @@ def test_bytes_that_are_not_utf8_are_refused_at_their_line(tmp_path, body, line,
     path.write_bytes(body)
     with contextlib.nullcontext() if size is None else _chunks(size):
         assert _load_error(path) == f"line {line}: not UTF-8"
+
+
+@pytest.mark.parametrize("body, line", _NOT_UTF8,
+                         ids=["latin-1", "comment", "cut-off", "surrogate"])
+def test_a_pipe_that_is_not_utf8_is_refused_by_its_path(body, line):
+    # a pipe cannot be read again to find the line that a file names
+    with piped(body) as path:
+        with pytest.raises(IngestionError) as info:
+            load_frame(path)
+    assert str(info.value) == f"{path}: not UTF-8"
+
+
+def test_a_piped_config_or_sample_that_is_not_utf8_is_refused_by_its_path():
+    with piped(b"n = 5\n# \xe4\n") as path:
+        with pytest.raises(ConfigError, match=f"^{path}: not UTF-8$"):
+            cli.read_config_file(path)
+    with piped(b"# design = srs\nunit_id,y,p_hat\n\xe5,1,0.5\n") as path:
+        with pytest.raises(IngestionError, match=f"^{path}: not UTF-8$"):
+            load_sample(path)
+
+
+@pytest.mark.parametrize("stdin", ["pipe", "file"])
+def test_metrics_names_stdin_that_is_not_utf8(tmp_path, stdin):
+    body = b"id,label,p_hat\na,0,0.5\n\xff\xfe,1,0.7\n"
+    (tmp_path / "bad.csv").write_bytes(body)
+    src = os.path.dirname(os.path.dirname(population.__file__))
+    with open(tmp_path / "bad.csv", "rb") as fh:
+        proc = subprocess.run(
+            [sys.executable, "-m", "auxcount.cli", "metrics", "--frame", "/dev/stdin",
+             "--out", str(tmp_path)],
+            input=body if stdin == "pipe" else None, stdin=None if stdin == "pipe" else fh,
+            capture_output=True, env={**os.environ, "PYTHONPATH": src},
+        )
+    where = "" if stdin == "pipe" else "line 3: "  # a redirected file can seek
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"auxcount: error: /dev/stdin: {where}not UTF-8\n"
 
 
 def test_a_sample_record_or_config_that_is_not_utf8_is_refused(tmp_path, capsys):

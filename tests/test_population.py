@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import os
 import re
 import tracemalloc
 
@@ -26,7 +28,7 @@ from auxcount.cli import main
 from auxcount.designs import sampling_plan
 from auxcount.population import first_repeat
 
-from conftest import traced
+from conftest import piped, traced
 
 
 def test_frame_aggregates():
@@ -389,6 +391,93 @@ def test_the_load_bound_refuses_a_whole_body_read(tmp_path, monkeypatch):
     finally:
         csv.field_size_limit(limit)
     assert peak - kept > LOAD_TRANSIENT * back.aux_probs.nbytes
+
+
+def test_load_frame_fills_its_columns_in_place(tmp_path, monkeypatch):
+    # 16-byte rows with ids of one width, so that no chunk widens the id
+    # column: 512 rows a chunk, 40 chunks
+    rows, chunk_rows = 20_000, 512
+    write_frame(Frame([f"u{i:07d}" for i in range(rows)], np.full(rows, 0.25),
+                      np.arange(rows) % 2), tmp_path / "frame.csv")
+    monkeypatch.setattr(population, "CHUNK_CHARS", 16 * chunk_rows)
+    traced_before, parse = [], population.parse_floats  # parse_floats runs once a chunk
+
+    def parse_floats(texts):
+        traced_before.append(tracemalloc.get_traced_memory()[0])
+        return parse(texts)
+
+    monkeypatch.setattr(population, "parse_floats", parse_floats)
+    back, _, _ = traced(lambda: load_frame(tmp_path / "frame.csv"))
+    assert len(traced_before) >= rows // chunk_rows
+    # one chunk's ids, labels and scores as the frame keeps them: columns
+    # kept as a list of chunks would grow memory by this much a chunk
+    chunk_columns = (back._ids.itemsize + 16) * chunk_rows
+    assert max(np.diff(traced_before[1:])) < chunk_columns / 2
+    assert back.ids.tolist() == [f"u{i:07d}" for i in range(rows)]
+
+
+@contextlib.contextmanager
+def _served(text, tmp_path, pipe):
+    """A path that reads as ``text``: a file, or a pipe, whose size reads 0."""
+    if pipe:
+        with piped(text.encode()) as path:
+            assert os.stat(path).st_size == 0
+            yield path
+    else:
+        (tmp_path / "frame.csv").write_text(text, encoding="utf-8")
+        yield tmp_path / "frame.csv"
+
+
+def _sizing_case(case):
+    """(ids, labels, score texts, chunk size, pipe) of a frame that takes one
+    path of sizing its columns."""
+    rows = 100_000 if case == "widening" else 3_000
+    ids = [f"u{i}" for i in range(rows)]
+    labels = [("1", "0", "")[i % 3] for i in range(rows)]
+    scores = [repr((i % 997) / 996) for i in range(rows)]
+    padded = [text + "0" * 80 if "." in text else text for text in scores]
+    if case == "long-first":  # the estimate from the first chunk falls short
+        scores[:100] = padded[:100]
+    elif case == "short-first":  # and runs long
+        scores[100:] = padded[100:]
+    elif case in ("non-ascii", "too-wide"):  # the ids go back to str
+        ids[2_500] = "\u00e9t\u00e9" if case == "non-ascii" else "w" * 60
+    return ids, labels, scores, 4096 if case == "widening" else 1024, case == "pipe"
+
+
+SIZING_CASES = ["pipe", "long-first", "short-first", "widening", "non-ascii", "too-wide"]
+
+
+@pytest.mark.parametrize("case", SIZING_CASES)
+def test_each_sizing_path_loads_the_frame_built_directly(tmp_path, monkeypatch, case):
+    ids, labels, scores, size, pipe = _sizing_case(case)
+    monkeypatch.setattr(population, "CHUNK_CHARS", size)
+    text = "id,label,p_hat\n" + "".join(map("{},{},{}\n".format, ids, labels, scores))
+    with _served(text, tmp_path, pipe) as path:
+        back = load_frame(path)
+    built = Frame(ids, list(map(float, scores)), [float(y) if y else np.nan for y in labels])
+    assert back.ids.tolist() == built.ids.tolist()
+    compact = case not in ("non-ascii", "too-wide")
+    assert back._ids.dtype == (np.array(ids, "S").dtype if compact else object)
+    assert back.aux_probs.view(np.uint64).tolist() == built.aux_probs.view(np.uint64).tolist()
+    assert np.array_equal(back.labels, built.labels, equal_nan=True)
+
+
+@pytest.mark.parametrize("case", SIZING_CASES)
+@pytest.mark.parametrize("fault", ["score", "duplicate"])
+def test_each_sizing_path_refuses_a_late_bad_row(tmp_path, monkeypatch, case, fault):
+    ids, labels, scores, size, pipe = _sizing_case(case)
+    monkeypatch.setattr(population, "CHUNK_CHARS", size)
+    row = len(ids) - 7
+    if fault == "score":
+        scores[row], message = "x", f"row {row + 2}: bad probability 'x'"
+    else:
+        ids[row], message = ids[3], f"row {row + 2}: duplicate id '{ids[3]}'"
+    text = "id,label,p_hat\n" + "".join(map("{},{},{}\n".format, ids, labels, scores))
+    with _served(text, tmp_path, pipe) as path:
+        with pytest.raises(IngestionError) as info:
+            load_frame(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def test_generate_holds_its_columns_and_one_chunk_of_text(tmp_path):
