@@ -66,9 +66,8 @@ class Frame:
     labels : array_like or None
         Binary labels; use None (or NaN entries) where unlabeled.
 
-    A frame built here holds its ids as an object array of str.  One that
-    :func:`load_frame` reads may hold them as a byte column instead, one
-    fixed-width ASCII string a unit; either way :attr:`ids` gives str.
+    A frame, built here or read by :func:`load_frame`, holds its ids in the
+    column that :func:`_id_column` picks; either way :attr:`ids` gives str.
     """
 
     def __init__(self, ids, aux_probs, labels=None):
@@ -82,8 +81,8 @@ class Frame:
         if not all(texts) or list(map(str.strip, texts)) != texts or "\0" in joined:
             raise ValueError("unit ids must be nonempty and unpadded, with no NUL")
         labels = None if labels is None else np.array(labels, np.float64)  # not the caller's array
-        self._set(np.asarray(texts, dtype=object), aux_probs, labels)
-        if first_repeat(texts) is not None:
+        self._set(_id_column(texts, joined), aux_probs, labels)
+        if first_repeat(self._ids) is not None:
             raise ValueError("duplicate unit ids")
 
     def _set(self, ids, aux_probs, labels) -> "Frame":
@@ -395,6 +394,19 @@ def _is_bytes(ids) -> bool:
     return isinstance(ids, np.ndarray) and ids.dtype.kind == "S"
 
 
+def _id_column(texts, joined) -> np.ndarray:
+    """The ids ``texts``, a list of str whose concatenation is ``joined``,
+    as a frame holds them: a byte column, one fixed-width ASCII string a
+    unit, if every id is ASCII with no NUL and the widest is at most
+    ``_COMPACT_WIDTH`` bytes, which holds no reference to ``texts`` and
+    takes fewer bytes than one str object an id; else an object array of
+    the str.  The rule is read from the ids' lengths, before a column is made."""
+    plain = joined.isascii() and "\0" not in joined
+    if plain and (widest := max(map(len, texts), default=0)) <= _COMPACT_WIDTH:
+        return np.array(texts, f"S{widest}")  # the width given, numpy need not find it again
+    return np.array(texts, object)
+
+
 def _id_list(ids) -> list[str]:
     """The ids of a byte column or an object array, as a list of str."""
     return list(map(bytes.decode, ids.tolist())) if _is_bytes(ids) else ids.tolist()
@@ -439,11 +451,8 @@ def load_frame(path) -> Frame:
     units.  Probabilities are clamped into [PROB_FLOOR, 1 - PROB_FLOOR]
     here and nowhere else.  ``#`` lines above the header are comments.
 
-    The frame holds its ids as a byte column, one fixed-width string a
-    unit, if every id is ASCII and the widest takes fewer bytes than an
-    empty str object and a pointer to it (56 bytes on CPython 3.10 and
-    3.11, 48 from 3.12 on): then the column is smaller than one str object
-    an id; a chunk that breaks the rule sends the frame back to str ids.
+    Each chunk's ids go into the column that :func:`_id_column` picks; a
+    chunk that breaks its byte-column rule sends the frame back to str ids.
     Memory holds one chunk's text and the frame's columns, reserved once
     with ``np.empty`` (rows never written take no memory), filled in place,
     cut to the rows read, and moved only where the rows outrun them (a
@@ -502,12 +511,10 @@ def load_frame(path) -> Frame:
             problems.append((start + bad_label, 5, f"label {text!r} not in {{0, 1, blank}}"))
         if rows and not start:  # an eighth more rows than size / (this chunk's bytes a row)
             reserve = os.stat(path).st_size * rows * 9 // 8 // sum(map(len, fields), len(fields))
-        if compact:  # this chunk's ids as byte strings, while every id fits
-            part = np.array(chunk_ids, "S") if joined.isascii() and "\0" not in joined else None
-            compact = part is not None and part.itemsize <= _COMPACT_WIDTH
-            if not compact:  # the ids read so far go back to str
-                ids = np.array(_id_list(ids[:start]), object)
-        ids = _put(ids, start, part if compact else np.array(chunk_ids, object), reserve)
+        part = _id_column(chunk_ids, joined) if compact else np.array(chunk_ids, object)
+        if compact and not _is_bytes(part):  # the ids read so far go back to str
+            compact, ids = False, np.array(_id_list(ids[:start]), object)
+        ids = _put(ids, start, part, reserve)
         probs, labels = _put(probs, start, p, reserve), _put(labels, start, y, reserve)
         start += len(chunk_ids)
         del fields, raw_id, raw_y, raw_p, chunk_ids, joined

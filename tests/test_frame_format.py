@@ -246,7 +246,8 @@ def test_pps_sample_without_a_score_or_repeating_another_y_is_refused(fields, da
 def reference_write_table(path, comments, header, rows, ids=()) -> None:
     """csv.writer's bytes, which write_table must reproduce: QUOTE_MINIMAL,
     or QUOTE_ALL when an id holds a carriage return."""
-    quoting = csv.QUOTE_ALL if "\r" in "".join(map(str, ids)) else csv.QUOTE_MINIMAL
+    texts = population._id_list(ids) if isinstance(ids, np.ndarray) else ids  # a byte column too
+    quoting = csv.QUOTE_ALL if "\r" in "".join(map(str, texts)) else csv.QUOTE_MINIMAL
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
@@ -784,9 +785,9 @@ def test_a_header_field_past_the_csv_limit_is_refused(tmp_path):
     assert str(info.value) == f"{path}: field larger than field limit ({LIMIT})"
 
 
-# load_frame holds ids as a byte column, one fixed-width ASCII string a unit,
-# while every id is ASCII and at most population._COMPACT_WIDTH bytes wide;
-# readers see the same str ids, messages and bytes from either column.
+# a frame, loaded or built, holds ids as a byte column, one fixed-width ASCII
+# string a unit, while every id is ASCII and at most population._COMPACT_WIDTH
+# bytes wide; readers see the same str ids, messages and bytes from either column.
 WIDEST = population._COMPACT_WIDTH
 
 
@@ -810,6 +811,31 @@ def test_short_ascii_ids_load_as_a_byte_column(tmp_path):
     assert all(type(uid) is str for uid in frame.ids)
     assert frame.ids is frame.ids
     assert frame.ids.dtype == object and not frame.ids.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "ids, kind",
+    [(["u1", "x" * WIDEST], "S"), (["u1", "x" * (WIDEST + 1)], "O"), (["u1", "é1"], "O"),
+     ([np.str_("u1"), np.str_("#a")], "S"), ([], "S")],
+    ids=["widest", "too_wide", "non_ascii", "np_str", "empty"],
+)
+def test_a_built_frame_holds_the_id_column_a_loaded_one_does(tmp_path, ids, kind):
+    frame = Frame(ids, np.full(len(ids), 0.5))
+    assert frame._ids.dtype.kind == kind
+    assert frame.ids.tolist() == ids
+    assert all(type(uid) is str for uid in frame.ids)
+    if ids:  # load_frame refuses a frame with no rows
+        write_frame(frame, tmp_path / "frame.csv")
+        assert load_frame(tmp_path / "frame.csv")._ids.dtype == frame._ids.dtype
+
+
+def test_a_frame_built_from_short_ascii_ids_holds_no_reference_to_them():
+    ids = [f"u{i}" for i in range(100)]
+    before = sys.getrefcount(ids[0])
+    frame = Frame(ids, np.full(len(ids), 0.5))
+    after = sys.getrefcount(ids[0])  # outside the assert, which holds ids[0] while it runs
+    assert after == before
+    assert frame.ids.tolist() == ids
 
 
 @pytest.mark.parametrize("last", ["é1", "x" * (WIDEST + 1)], ids=["non_ascii", "too_wide"])

@@ -416,6 +416,18 @@ def test_load_frame_fills_its_columns_in_place(tmp_path, monkeypatch):
     assert back.ids.tolist() == [f"u{i:07d}" for i in range(rows)]
 
 
+def test_an_id_too_wide_for_bytes_allocates_no_byte_column(tmp_path):
+    # one chunk of 10,001 ids, one of 2,000 characters: as bytes, 20 MB
+    ids = ["w" * 2000] + [f"u{i}" for i in range(10_000)]
+    (tmp_path / "frame.csv").write_text(
+        "id,label,p_hat\n" + "".join(f"{uid},0,0.5\n" for uid in ids))
+    assert len(list(population.read_chunks(tmp_path / "frame.csv"))) == 2  # header, one chunk
+    for build in (lambda: load_frame(tmp_path / "frame.csv"), lambda: Frame(ids, [0.5] * 10_001)):
+        frame, kept, peak = traced(build)
+        assert frame._ids.dtype == object
+        assert peak - kept < 2000 * len(ids) / 4
+
+
 @contextlib.contextmanager
 def _served(text, tmp_path, pipe):
     """A path that reads as ``text``: a file, or a pipe, whose size reads 0."""
@@ -459,6 +471,7 @@ def test_each_sizing_path_loads_the_frame_built_directly(tmp_path, monkeypatch, 
     assert back.ids.tolist() == built.ids.tolist()
     compact = case not in ("non-ascii", "too-wide")
     assert back._ids.dtype == (np.array(ids, "S").dtype if compact else object)
+    assert built._ids.dtype == back._ids.dtype
     assert back.aux_probs.view(np.uint64).tolist() == built.aux_probs.view(np.uint64).tolist()
     assert np.array_equal(back.labels, built.labels, equal_nan=True)
 
