@@ -5,9 +5,9 @@ PPS draws use a Vose alias table of (prob, alias) records built once per
 frame, or per draw from a stratum; uniform draws use a sparse partial
 Fisher-Yates shuffle that replays in Python only the steps whose slots
 another step also touches, so cost scales with the sample, not the frame.
-Repeated slots are found by one in-place sort of packed int64 (slot, step)
-keys, which needs N < 2**63 >> (n - 1).bit_length().  Both turn uniforms
-into draws a block of rows at a time; a single sample is the one-row case.
+Repeated slots are found by one in-place sort of packed (slot, step) keys,
+whose width `_srs_slots` states.  Both turn uniforms into draws a block of
+rows at a time; a single sample is the one-row case.
 """
 
 from __future__ import annotations
@@ -132,26 +132,29 @@ def _srs_slots(u: np.ndarray, N: int) -> np.ndarray:
     k_j held.  A step whose k_j is n or more and unique in its row touches
     no slot any other step reads, so it draws k_j itself; the other steps
     are replayed in order, tracking each row's displaced slots in a dict.
-    Repeated slots are found by sorting, in place, one int64 key per step,
+    Repeated slots are found by sorting, in place, one key per step,
     k_j << bits | j with bits = (n - 1).bit_length(): keys are unique, and
     neighbours with equal high parts are the repeats, their low parts the
-    steps.  Memory is O(B n) and time O(B n log n).  The keys must fit in
-    int64, so N << bits >= 2**63 raises ValueError.
+    steps.  Memory is O(B n) and time O(B n log n).  Every key is below
+    N << bits, so the keys are uint32 where N << bits <= 2**32 (half the
+    bytes to sort) and int64 otherwise; N << bits >= 2**63 raises ValueError.
     """
     n = u.shape[-1]
     bits = (n - 1).bit_length()
     if N << bits >= 2**63:
         raise ValueError(f"N={N} and n={n} overflow the int64 keys of an SRS draw")
+    kind = np.uint32 if N << bits <= 2**32 else np.int64
+    shift, low = kind(bits), kind((1 << bits) - 1)  # scalars keep the keys' width
     j = np.arange(n)
     k = np.multiply(u, N - j).astype(np.intp)
     k += j
     np.minimum(k, N - 1, out=k)  # u = 1.0 gives N
-    key = k << bits
-    key |= j
+    key = k.astype(kind)
+    key <<= shift
+    key |= j.astype(kind)
     key.sort()
-    tie = (key[:, 1:] ^ key[:, :-1]) < 1 << bits  # equal high parts
+    tie = (key[:, 1:] ^ key[:, :-1]) <= low  # equal high parts
     rows, ranks = np.divmod(np.flatnonzero(tie), n - 1)  # rare unless n ~ N
-    low = (1 << bits) - 1
     shared = k < n
     shared[rows, key[rows, ranks] & low] = shared[rows, key[rows, ranks + 1] & low] = True
     at = np.flatnonzero(shared)  # into k's flat view, row by row, steps in order

@@ -235,6 +235,22 @@ class TestSrsSlots:
         for b in range(len(rows)):
             assert np.array_equal(got[b], reference_srs_indices(_Row(u[b]), N, u.shape[1]))
 
+    # keys k << bits | j are uint32 while N << bits <= 2**32 and int64 past
+    # it; N = 2**32 >> bits is the widest frame of 32-bit keys, N + 1 the
+    # first of 64-bit ones, at bits 1, 9 and 10
+    @pytest.mark.parametrize("n", [2, 500, 513])
+    @pytest.mark.parametrize("wider", [0, 1])
+    def test_rows_at_the_key_width_boundary_are_the_sequential_loop(self, n, wider):
+        N = (2**32 >> (n - 1).bit_length()) + wider
+        rows = [np.full(n, top) for top in _TOP_EDGES]  # every step targets slot N - 1
+        rows.append(self._uniforms(N, [N - 1, *range(N - n + 1, N - 1), N - 1]))
+        rows.append(np.random.default_rng(n + wider).random(n))
+        u = np.array(rows)
+        got = designs._srs_slots(u, N)
+        assert got.dtype == np.intp
+        for b in range(len(rows)):
+            assert np.array_equal(got[b], reference_srs_indices(_Row(u[b]), N, n))
+
     def test_sort_keys_past_int64_are_refused(self):
         # a key packs slot and step: k << (n - 1).bit_length() | j
         u = np.full((1, 500), 0.5)
