@@ -75,7 +75,7 @@ class Sample:
         if len({len(self.unit_ids), len(self.y), len(self.p_hat)}) != 1:
             raise ValueError("sample columns must have equal length")
         if self.n < 1:
-            raise ValueError("a sample needs at least one draw")
+            raise ValueError("a sample has no draws")
         if self.parent_N < 1:
             raise ValueError("parent_N must be at least 1")
         row = _first((self.p_hat < 0.0) | (self.p_hat > 1.0))
@@ -257,15 +257,27 @@ def _rows(frame: Frame, rows) -> np.ndarray:
     return rows
 
 
-def _part(frame: Frame, rows, labeled: bool = True):
-    """(labels, scores, N, score total) of the stratum of ``frame``'s units
-    at the ascending ``rows``, or of the whole frame where ``rows`` is None;
-    labels None unless ``labeled``."""
+def _part(frame: Frame, rows, design: str, n: int, labeled: bool = True):
+    """(labels, scores, N, score total, alias table) of n draws by ``design``
+    from the stratum of ``frame``'s units at the ascending ``rows``, or from
+    the whole frame where ``rows`` is None; labels None unless ``labeled``.
+    The table is None for SRS, the frame's cached one for a whole-frame PPS
+    draw and built anew for a stratum's.  Every draw takes n >= 1 draws from
+    N >= 1 units, and an SRS draw n <= N, as its draws are distinct units."""
     if rows is None:
-        return frame.labels if labeled else None, frame.aux_probs, frame.N, frame.aux_total
-    rows = _rows(frame, rows)
-    scores = frame.aux_probs[rows]
-    return frame.labels[rows] if labeled else None, scores, rows.size, float(np.sum(scores))
+        labels, scores, N, total = frame.labels, frame.aux_probs, frame.N, frame.aux_total
+    else:
+        rows = _rows(frame, rows)
+        labels, scores = frame.labels[rows] if labeled else None, frame.aux_probs[rows]
+        N, total = rows.size, float(np.sum(scores))
+    if design == DESIGN_SRS and n > N:
+        raise ValueError(f"n={n} exceeds N={N}, and SRS draws are distinct units")
+    if n < 1 or N < 1:  # PPS draws with replacement: n may exceed N
+        raise ValueError(f"need n >= 1 draws from N >= 1 units, got n={n}, N={N}")
+    table = None
+    if design == DESIGN_PPS:
+        table = _alias_for(frame) if rows is None else AliasTable(scores)
+    return labels if labeled else None, scores, N, total, table
 
 
 def _units(table: AliasTable | None, N: int, j, u: np.ndarray) -> np.ndarray:
@@ -275,14 +287,7 @@ def _units(table: AliasTable | None, N: int, j, u: np.ndarray) -> np.ndarray:
 
 def _sample(frame: Frame, design: str, n: int, seed, stratum) -> Sample:
     name, rows = stratum or (None, None)
-    _, scores, N, total = _part(frame, rows, labeled=False)
-    if design == DESIGN_SRS and not 1 <= n <= N:
-        raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
-    if n < 1 or N < 1:  # PPS draws with replacement: n may exceed N
-        raise ValueError(f"need n >= 1 draws from N >= 1 units, got n={n}, N={N}")
-    table = None  # a stratum's alias table is built for its draw, a whole frame's cached
-    if design == DESIGN_PPS:
-        table = _alias_for(frame) if rows is None else AliasTable(scores)
+    *_, N, total, table = _part(frame, rows, design, n, labeled=False)
     j, u = _draws([np.random.default_rng(seed)], 1, n, 0 if table is None else table.size)
     idx = _units(table, N, j, u)[0]
     idx = idx if rows is None else rows[idx]
@@ -448,8 +453,6 @@ def load_sample(path) -> Sample:
     if problems:
         row, _, message = min(problems)
         raise IngestionError(f"{path}: draw {row + 1}: {message}")
-    if not fields:
-        raise IngestionError(f"{path}: no draws")
     try:
         sample = Sample(
             design=facts["sample_design"],

@@ -228,6 +228,8 @@ def estimate_histogram(values) -> tuple[HistogramBin, ...]:
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("no values to bin")
+    if not np.isfinite(v).all():  # as AliasTable refuses non-finite weights
+        raise ValueError("values to bin must be finite, not NaN or infinite")
     bins: list[HistogramBin] = []
     zero_count = int(np.sum(v == 0.0))
     if zero_count:
@@ -353,24 +355,20 @@ def run_replications(
         srs_baseline_se=srs_baseline_se,
     )
     _require_labels(frame, "run_replications")
-    if design == "srs" and n > frame.N:
-        raise ValueError(f"n={n} exceeds N={frame.N}, and SRS draws are distinct units")
-    if R == 1:
-        warnings.warn("R=1 gives a degenerate empirical SE of 0", stacklevel=2)
-
-    # a PPS run draws alias slots of the whole frame; its table is built
-    # here, so that the build's index arrays never coexist with a block
-    table = designs._alias_for(frame) if design == "pps" else None
-    slots = 0 if table is None else table.size
-    # each part's estimator from the table, and its unit values x, computed
-    # once so that a draw is one gather
+    # each part's estimator from the table, its alias table, built here so
+    # that the build's index arrays never coexist with a block, and its unit
+    # values x, computed once so that a draw is one gather
     names = estimators.STRATIFIED.get(estimator, (estimator,))
     parts = []
     for h, stratum, n_h in designs.sampling_plan(frame, n, tau, allocation):
         zero = h == STRATUM_ZERO
         pairing = estimators.PAIRINGS[names[zero]]
-        labels, scores, N, total = designs._part(frame, stratum)
-        parts.append((N, n_h, zero, pairing, *pairing.units(labels, scores, total)))
+        labels, scores, N, total, table = designs._part(frame, stratum, pairing.design, n_h)
+        parts.append((N, n_h, zero, pairing, table, *pairing.units(labels, scores, total)))
+    # the alias slots of the run's one PPS part: both strata of every STRATIFIED row are SRS
+    slots = next((table.size for *_, table, _, _ in parts if table is not None), 0)
+    if R == 1:
+        warnings.warn("R=1 gives a degenerate empirical SE of 0", stacklevel=2)
 
     totals = np.zeros(R)
     variances = np.zeros(R)
@@ -389,7 +387,7 @@ def run_replications(
             block = slice(start, min(start + rows, hi))
             j, u = _block_draws(states[(start - lo) % span :][:rows], n, slots, raw)
             col = 0  # the strata's uniforms lie side by side, stratum one first
-            for N, n_h, zero, pairing, x, base in parts:
+            for N, n_h, zero, pairing, table, x, base in parts:
                 drawn = x[designs._units(table, N, j, u[:, col : col + n_h])]
                 t, v = pairing.kernel(drawn, N, base)
                 col += n_h

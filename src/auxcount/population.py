@@ -448,8 +448,10 @@ def load_frame(path) -> Frame:
 
     The file must carry a header naming the columns ``id``, ``label`` and
     ``p_hat``, in any order, each once.  Labels may be blank for unlabeled
-    units.  Probabilities are clamped into [PROB_FLOOR, 1 - PROB_FLOOR]
-    here and nowhere else.  ``#`` lines above the header are comments.
+    units.  Probabilities are clamped into [PROB_FLOOR, 1 - PROB_FLOOR] by
+    ``Frame._set``, as every Frame's are (``Frame(...)``, ``replace_probs``),
+    and ``classifier_sim._scoring`` clips the scores ``generate`` writes
+    alike.  ``#`` lines above the header are comments.
 
     Each chunk's ids go into the column that :func:`_id_column` picks; a
     chunk that breaks its byte-column rule sends the frame back to str ids.

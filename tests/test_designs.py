@@ -26,6 +26,7 @@ from auxcount import (
     load_sample,
     pps_wr,
     read_header_fields,
+    run_replications,
     srs_wor,
     stratify_by_prediction,
     write_sample,
@@ -739,6 +740,35 @@ class TestStrataAsRows:
         strata = {"one": np.asarray(rows), "zero": np.array([2])}
         with pytest.raises(ValueError, match="^a stratum's rows must be ascending integer row"):
             allocate(frame, strata, len(rows) + 1, NEYMAN_PROXY)  # all of both strata
+
+
+class TestOnePartRule:
+    """Every draw, a sample's or a replicate's, takes its size check and its
+    alias table from ``designs._part``.  That a stratum draws as a frame of
+    its own units would is ``TestStrataAsRows``' rule."""
+
+    @staticmethod
+    def _frame():
+        rng = np.random.default_rng(39)
+        return _frame(rng.uniform(0.05, 0.95, 400), (rng.random(400) < 0.3).astype(float))
+
+    def test_srs_wor_and_run_replications_refuse_n_over_N_alike(self):
+        frame = self._frame()
+        with pytest.raises(ValueError) as by_sample:
+            srs_wor(frame, frame.N + 1, seed=1)
+        with pytest.raises(ValueError) as by_run:
+            run_replications(frame, design="srs", estimator="srs", n=frame.N + 1, R=2, seed=1)
+        assert str(by_sample.value) == str(by_run.value) == (
+            "n=401 exceeds N=400, and SRS draws are distinct units"
+        )
+
+    def test_a_stratum_pps_draw_leaves_its_frame_out_of_the_alias_cache(self):
+        frame = self._frame()
+        rows = stratify_by_prediction(frame, 0.5)["zero"]
+        pps_wr(frame, 20, seed=4, stratum=("zero", rows))
+        assert frame not in designs._alias_cache
+        pps_wr(frame, 20, seed=4)
+        assert frame in designs._alias_cache
 
 
 class TestSampleIO:

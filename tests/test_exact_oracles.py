@@ -2,7 +2,8 @@
 
 On frames of at most eight units every SRS-WOR subset and every ordered
 PPS-WR draw sequence can be listed with its probability, so the
-expectation of an estimator is a finite sum.  Unbiased totals and
+expectation of an estimator is a finite sum; so can every pair of
+per-stratum subsets, and every PPS sequence drawn within a stratum.  Unbiased totals and
 unbiased variance estimators must then match the truth to rounding,
 with no Monte Carlo tolerance.  The coverage of the normal interval is
 such a sum too, and is pinned.
@@ -25,7 +26,10 @@ from auxcount import (
     exact_hh_design_variance,
     hh_estimate,
     srs_estimate,
+    stratified_estimate,
+    stratify_by_prediction,
 )
+from auxcount.estimators import STRATIFIED
 
 from conftest import _ids
 
@@ -175,3 +179,77 @@ def test_interval_coverage_is_exact(name, design, n):
     rounded_covered, rounded_zero = ROUNDED_INTERVALS[name, design][n - 2]
     assert covered == pytest.approx(rounded_covered, abs=5e-7)
     assert zero == pytest.approx(rounded_zero, abs=5e-7)
+
+
+# eight units split at tau 0.5 into a "one" stratum of 3 units and a "zero"
+# stratum of 5, 4 positives in all, 2 of them in each stratum
+STRATIFIED_FRAME = ([1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+                    [0.9, 0.2, 0.6, 0.05, 0.3, 0.45, 0.7, 0.1])
+_BY_PAIRING = {"srs": srs_estimate, "diff": difference_estimate}
+
+
+def _strata():
+    """(frame, {name: (rows, the stratum's units as a Frame of their own)})."""
+    labels, scores = STRATIFIED_FRAME
+    frame = Frame(_ids("e", len(labels)), scores, labels)
+    strata = stratify_by_prediction(frame, 0.5)
+    alone = {h: Frame(frame.ids[r], frame.aux_probs[r], frame.labels[r]) for h, r in strata.items()}
+    return frame, {h: (rows, alone[h]) for h, rows in strata.items()}
+
+
+def _stratum_draws(frame: Frame, name: str, rows, design: str, idx) -> Sample:
+    """As _draws, of the stratum's units at positions ``idx`` of ``rows``."""
+    idx = rows[np.asarray(idx, dtype=np.intp)]
+    return Sample(
+        design=design,
+        unit_ids=frame.ids[idx],
+        y=frame.labels[idx],
+        p_hat=frame.aux_probs[idx],
+        parent_N=rows.size,
+        parent_aux_total=float(np.sum(frame.aux_probs[rows])),
+        stratum=name,
+    )
+
+
+@pytest.mark.parametrize("pairing", list(STRATIFIED))
+@pytest.mark.parametrize("n1,n0", list(itertools.product((2, 3), (2, 3, 4))))
+def test_stratified_pairings_are_exactly_unbiased(pairing, n1, n0):
+    frame, strata = _strata()
+    assert {h: rows.size for h, (rows, _) in strata.items()} == {"one": 3, "zero": 5}
+    sizes, want_variance = {"one": n1, "zero": n0}, 0.0
+    subsets = []
+    for (h, (rows, alone)), name in zip(strata.items(), STRATIFIED[pairing]):
+        estimator = _BY_PAIRING[name]
+        residual = alone.labels - (alone.aux_probs if estimator is difference_estimate else 0.0)
+        want_variance += _srs_variance(alone, residual, sizes[h])
+        subsets.append([
+            (h, estimator(_stratum_draws(frame, h, rows, DESIGN_SRS, s)))
+            for s in itertools.combinations(range(rows.size), sizes[h])
+        ])
+    ests = [stratified_estimate(pair) for pair in itertools.product(*subsets)]
+    assert len(ests) == math.comb(3, n1) * math.comb(5, n0)
+    mean_total = math.fsum(e.total for e in ests) / len(ests)
+    assert math.isclose(mean_total, frame.true_total, rel_tol=REL)
+    assert frame.true_total == 4
+    mean_variance = math.fsum(e.variance for e in ests) / len(ests)
+    assert math.isclose(mean_variance, want_variance, rel_tol=REL)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hansen_hurwitz_within_the_zero_stratum_is_exactly_unbiased(n):
+    frame, strata = _strata()
+    rows, alone = strata["zero"]
+    p = alone.aux_probs / alone.aux_total
+    weighted_totals, weighted_variances, mass = [], [], []
+    for seq in itertools.product(range(rows.size), repeat=n):
+        w = math.prod(p[i] for i in seq)
+        est = hh_estimate(_stratum_draws(frame, "zero", rows, DESIGN_PPS, seq))
+        weighted_totals.append(w * est.total)
+        weighted_variances.append(w * est.variance)
+        mass.append(w)
+    assert math.isclose(math.fsum(mass), 1.0, rel_tol=REL)
+    assert math.isclose(math.fsum(weighted_totals), alone.true_total, rel_tol=REL)
+    assert alone.true_total == 2
+    assert math.isclose(
+        math.fsum(weighted_variances), exact_hh_design_variance(alone, n), rel_tol=REL
+    )

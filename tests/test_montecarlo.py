@@ -255,6 +255,12 @@ class TestHistogram:
         with pytest.raises(ValueError):
             estimate_histogram([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_are_refused_by_name(self, bad):
+        # refused before any bin is made, so numpy never warns on NaN arithmetic
+        with pytest.raises(ValueError, match="finite"):
+            estimate_histogram([0.0, 1.0, bad, 3.0])
+
     def test_far_outlier_caps_the_bin_count(self):
         # Freedman-Diaconis alone would ask for about 8 million bins here
         rng = np.random.default_rng(4)
