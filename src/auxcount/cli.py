@@ -37,8 +37,8 @@ from .errors import (
 )
 from .population import (
     STRATUM_ONE, STRATUM_ZERO, Frame, _check_tau, _float_or_none, _require_labels,
-    float_texts, load_frame, read_header_fields, read_table, reading, replacing, write_frame_rows,
-    write_table,
+    float_texts, load_frame, read_header_fields, read_table, reading, replacing, row_chunks,
+    write_frame_rows, write_table,
 )
 
 # the default of a spec row whose setting every run must give
@@ -185,8 +185,8 @@ def _write_json(path, audit: dict, payload: dict):
 
 
 def _write_record_csv(path, audit: dict, records: list[dict]):
-    rows = ([_fmt(record.get(f)) for f in estimators.RECORD_FIELDS] for record in records)
-    write_table(path, _audit_lines(audit), estimators.RECORD_FIELDS, rows)
+    columns = [[_fmt(record.get(f)) for record in records] for f in estimators.RECORD_FIELDS]
+    write_table(path, _audit_lines(audit), estimators.RECORD_FIELDS, [columns])
 
 
 def _estimate(sample, name: str):
@@ -420,20 +420,17 @@ def cmd_simulate(args, resolved: dict) -> int:
     _write_json(_out_path(args, resolved["out_report"]), audit, report.summary_dict())
 
     lines = _audit_lines(audit)
-    columns = {
-        "replicate": map(str, range(report.R)),
-        "estimate": float_texts(report.estimates),
-        "estimated_variance": float_texts(report.estimated_variances),
-    }
+    columns = {"estimate": report.estimates, "estimated_variance": report.estimated_variances}
     if report.zero_stratum_estimates is not None:
-        columns["zero_stratum_estimate"] = float_texts(report.zero_stratum_estimates)
-    write_table(
-        _out_path(args, resolved["out_replicates"]), lines, list(columns), zip(*columns.values())
-    )
-    bins = ((repr(float(b.lo)), repr(float(b.hi)), str(int(b.count))) for b in report.bins)
-    write_table(
-        _out_path(args, resolved["out_histogram"]), lines, ("bin_lo", "bin_hi", "count"), bins
-    )
+        columns["zero_stratum_estimate"] = report.zero_stratum_estimates
+    values = list(columns.values())
+    chunks = ([list(map(str, range(report.R)[part])), *(float_texts(v[part]) for v in values)]
+              for part in row_chunks(0, report.R))
+    write_table(_out_path(args, resolved["out_replicates"]), lines, ["replicate", *columns], chunks)
+    bins = [[repr(float(b.lo)) for b in report.bins], [repr(float(b.hi)) for b in report.bins],
+            [str(int(b.count)) for b in report.bins]]  # at most 1,001 rows: one chunk
+    write_table(_out_path(args, resolved["out_histogram"]), lines, ("bin_lo", "bin_hi", "count"),
+                [bins])
     return 0
 
 

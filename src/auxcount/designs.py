@@ -29,6 +29,7 @@ from .population import (
     parse_floats,
     parse_labels,
     read_table,
+    row_chunks,
     stratify_by_prediction,
     write_table,
 )
@@ -290,7 +291,7 @@ def _sample(frame: Frame, design: str, n: int, seed, stratum) -> Sample:
     *_, N, total, table = _part(frame, rows, design, n, labeled=False)
     j, u = _draws([np.random.default_rng(seed)], 1, n, 0 if table is None else table.size)
     idx = _units(table, N, j, u)[0]
-    idx = idx if rows is None else rows[idx]
+    idx = idx if rows is None else np.asarray(rows)[idx]  # rows as an array, as _part checked them
     return Sample(
         design=design,
         unit_ids=frame._id_texts(idx),
@@ -404,14 +405,12 @@ def write_sample(sample: Sample, path, header_lines=()) -> None:
     if sample.stratum is not None:
         facts.append(f"stratum = {sample.stratum}")
     ids = sample.unit_ids.tolist()
-    rows = zip(
-        map(str, range(sample.n)),
-        ids,
-        float_texts(sample.pi),
-        label_texts(sample.y),
-        float_texts(sample.p_hat),
+    chunks = (
+        (list(map(str, range(sample.n)[part])), ids[part], float_texts(sample.pi[part]),
+         label_texts(sample.y[part]), float_texts(sample.p_hat[part]))
+        for part in row_chunks(0, sample.n)
     )
-    write_table(path, [*header_lines, *facts], _SAMPLE_COLUMNS, rows, ids)
+    write_table(path, [*header_lines, *facts], _SAMPLE_COLUMNS, chunks, ids)
 
 
 def load_sample(path) -> Sample:

@@ -311,7 +311,11 @@ def parse_floats(texts):
 
 def parse_labels(texts):
     """Labels from "0", "1" or blank (NaN), padding ignored, and the index
-    of the first other text (None if none)."""
+    of the first other text (None if none).  Texts all "0" or "1" (as many
+    bytes as texts, none empty) are read as one buffer of bytes."""
+    digits = np.frombuffer("".join(texts).encode(), np.uint8) - 48
+    if digits.size == len(texts) and "" not in texts and (digits <= 1).all():
+        return digits.astype(np.float64), None
     values = np.fromiter(
         map(_LABEL_VALUES.get, map(str.strip, texts), itertools.repeat(np.inf)),
         np.float64,
@@ -329,6 +333,11 @@ def label_texts(labels):
 def float_texts(values):
     """repr of each value as a float, which reads back exactly."""
     return map(repr, np.asarray(values, dtype=np.float64).tolist())
+
+
+def row_chunks(lo, hi):
+    """Slices of at most CHUNK_ROWS rows, in order, that cover rows lo..hi-1."""
+    return (slice(i, min(i + CHUNK_ROWS, hi)) for i in range(lo, hi, CHUNK_ROWS))
 
 
 @contextlib.contextmanager
@@ -364,12 +373,13 @@ def replacing(path):
         raise
 
 
-def write_table(path, comments, header, rows, ids=()) -> None:
-    """Write ``# `` comment lines, a header row and ``rows`` of str fields
-    as CSV, in the bytes of csv.writer with QUOTE_MINIMAL, replacing
-    ``path`` whole once every row is written (see :func:`replacing`).
+def write_table(path, comments, header, chunks, ids=()) -> None:
+    """Write ``# `` comment lines, a header row and the rows of ``chunks``,
+    each a sequence of columns of str fields, the first of them sized, as
+    CSV, in the bytes of csv.writer with QUOTE_MINIMAL, replacing ``path``
+    whole once every chunk is written (see :func:`replacing`).
 
-    Only ``ids``, str or a frame's byte column, which the rows carry too,
+    Only ``ids``, str or a frame's byte column, which the chunks carry too,
     may need quotes.  An id with a lone carriage return, which
     QUOTE_MINIMAL leaves bare and a reader takes for a line break, makes
     every field quoted, as QUOTE_ALL does.
@@ -379,15 +389,21 @@ def write_table(path, comments, header, rows, ids=()) -> None:
         part = ids[start : start + CHUNK_ROWS]
         text = part.tobytes().decode("ascii") if _is_bytes(part) else "".join(part)
         marks.update(c for c in ',"\n\r' if c in text)
-    lines = itertools.chain([header], rows)
+    chunks = itertools.chain([[[name] for name in header]], chunks)  # the header: one row
     with replacing(path) as fh:
         fh.writelines(f"# {line}\n" for line in comments)
         if marks:
             quoting = csv.QUOTE_ALL if "\r" in marks else csv.QUOTE_MINIMAL
-            csv.writer(fh, lineterminator="\n", quoting=quoting).writerows(lines)
+            writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
+            for chunk in chunks:
+                writer.writerows(zip(*chunk))
         else:  # no field needs quotes: csv.writer would join the fields as they are
-            while chunk := list(itertools.islice(lines, CHUNK_ROWS)):
-                fh.write("\n".join(map(",".join, chunk)) + "\n")
+            line = [None, ","] * (len(header) - 1) + [None, "\n"]  # a row, its fields None
+            for chunk in chunks:  # each column fills its slots of the template a chunk long
+                text = line * len(chunk[0])
+                for j, column in enumerate(chunk):
+                    text[2 * j :: len(line)] = column
+                fh.write("".join(text))
 
 
 def _is_bytes(ids) -> bool:
@@ -491,8 +507,9 @@ def load_frame(path) -> Frame:
     for fields, rows, ragged in chunks:
         stop = (rows if ragged is None else ragged) * width
         raw_id, raw_y, raw_p = (fields[where[c] : stop : width] for c in _FRAME_COLUMNS)
-        chunk_ids = list(map(str.strip, raw_id))
-        joined = "".join(chunk_ids)
+        chunk_ids, joined = raw_id, "".join(raw_id)
+        if joined.split(None, 1) != [joined]:  # some id holds whitespace (or none is read)
+            joined = "".join(chunk_ids := list(map(str.strip, raw_id)))
         p, unparsed = parse_floats(raw_p)
         y, bad_label = parse_labels(raw_y)
         outside = _first(~((p >= 0.0) & (p <= 1.0)))
@@ -567,7 +584,6 @@ def write_frame_rows(path, header_lines, ranges, columns, ids=()) -> None:
     chunk at a time over each range (lo, hi) of ``ranges`` in turn.  ``ids``
     lists every id, read first for those that need quotes; with none
     given, none may."""
-    parts = (slice(i, min(i + CHUNK_ROWS, hi)) for lo, hi in ranges
-             for i in range(lo, hi, CHUNK_ROWS))
-    rows = (zip(i, label_texts(y), float_texts(p)) for i, y, p in map(columns, parts))
-    write_table(path, header_lines, _FRAME_COLUMNS, itertools.chain.from_iterable(rows), ids)
+    parts = (part for lo, hi in ranges for part in row_chunks(lo, hi))
+    chunks = ((i, label_texts(y), float_texts(p)) for i, y, p in map(columns, parts))
+    write_table(path, header_lines, _FRAME_COLUMNS, chunks, ids)

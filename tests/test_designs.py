@@ -741,6 +741,18 @@ class TestStrataAsRows:
         with pytest.raises(ValueError, match="^a stratum's rows must be ascending integer row"):
             allocate(frame, strata, len(rows) + 1, NEYMAN_PROXY)  # all of both strata
 
+    @pytest.mark.parametrize("sampler", [srs_wor, pps_wr])
+    @pytest.mark.parametrize("form", [list, tuple])
+    def test_rows_as_a_list_or_tuple_draw_as_their_array(self, sampler, form):
+        frame = _frame(np.linspace(0.1, 0.9, 12), np.tile([1.0, 0.0, np.nan], 4))
+        rows = np.array([1, 2, 4, 7, 8, 11])
+        want = sampler(frame, 4, 5, stratum=("one", rows))
+        got = sampler(frame, 4, 5, stratum=("one", form(rows.tolist())))
+        assert got.unit_ids.tolist() == want.unit_ids.tolist()
+        for name in ("y", "p_hat", "pi"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+        assert (got.parent_N, got.parent_aux_total) == (want.parent_N, want.parent_aux_total)
+
 
 class TestOnePartRule:
     """Every draw, a sample's or a replicate's, takes its size check and its

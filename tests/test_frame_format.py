@@ -243,9 +243,10 @@ def test_pps_sample_without_a_score_or_repeating_another_y_is_refused(fields, da
     assert str(info.value).startswith(f"draw {len(ids) + 1}: unit {ids[row]!r} drawn before")
 
 
-def reference_write_table(path, comments, header, rows, ids=()) -> None:
+def reference_write_table(path, comments, header, chunks, ids=()) -> None:
     """csv.writer's bytes, which write_table must reproduce: QUOTE_MINIMAL,
-    or QUOTE_ALL when an id holds a carriage return."""
+    or QUOTE_ALL when an id holds a carriage return; ``chunks`` are
+    sequences of columns, as write_table takes them."""
     texts = population._id_list(ids) if isinstance(ids, np.ndarray) else ids  # a byte column too
     quoting = csv.QUOTE_ALL if "\r" in "".join(map(str, texts)) else csv.QUOTE_MINIMAL
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -253,7 +254,8 @@ def reference_write_table(path, comments, header, rows, ids=()) -> None:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh, lineterminator="\n", quoting=quoting)
         writer.writerow(header)
-        writer.writerows(rows)
+        for chunk in chunks:
+            writer.writerows(zip(*chunk))
 
 
 def _assert_reference_bytes(module, write):
@@ -311,7 +313,7 @@ def test_estimate_record_bytes_match_the_csv_module(tmp_path):
     # csv writes None as an empty field and any other value as its str()
     fields = estimators.RECORD_FIELDS
     reference_write_table(tmp_path / "want.csv", cli._audit_lines(audit), fields,
-                          [[record[f] for f in fields]])
+                          [[[record[f]] for f in fields]])
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
@@ -490,8 +492,10 @@ def test_a_failing_generate_leaves_no_frame_and_no_thread(tmp_path, monkeypatch,
     assert os.listdir(tmp_path) == []
 
 
-def _failing_rows(rows, after):
-    yield from rows[:after]
+def _failing_chunks(columns, after):
+    """Chunks of ``columns``: CHUNK_ROWS rows, then the rows up to ``after``, then an interrupt."""
+    for part in (slice(0, population.CHUNK_ROWS), slice(population.CHUNK_ROWS, after)):
+        yield [column[part] for column in columns]
     raise KeyboardInterrupt
 
 
@@ -503,13 +507,13 @@ def test_a_table_is_replaced_whole_or_left_as_it_was(tmp_path, quoted):
     write_frame(Frame(["a", "b"], [0.25, 0.5], [1, 0]), path)
     old = path.read_bytes()
     ids = [f"u,{i}" if quoted else f"u{i}" for i in range(3 * population.CHUNK_ROWS)]
-    rows = [(uid, "0", "0.5") for uid in ids]
+    columns = [ids, ["0"] * len(ids), ["0.5"] * len(ids)]
     with pytest.raises(KeyboardInterrupt):
         population.write_table(path, ["a = b"], ["id", "label", "p_hat"],
-                               _failing_rows(rows, population.CHUNK_ROWS + 5), ids)
+                               _failing_chunks(columns, population.CHUNK_ROWS + 5), ids)
     assert path.read_bytes() == old
     assert os.listdir(tmp_path) == ["frame.csv"]
-    population.write_table(path, ["a = b"], ["id", "label", "p_hat"], rows, ids)
+    population.write_table(path, ["a = b"], ["id", "label", "p_hat"], [columns], ids)
     assert load_frame(path).ids.tolist() == ids
     assert os.listdir(tmp_path) == ["frame.csv"]
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from auxcount import (
     Frame,
@@ -105,6 +106,68 @@ def test_keeps_inner_whitespace_in_ids(tmp_path):
     fr = Frame(["a b", "c\td", "e\nf"], [0.5, 0.5, 0.5])
     write_frame(fr, tmp_path / "frame.csv")
     assert load_frame(tmp_path / "frame.csv").ids.tolist() == fr.ids.tolist()
+
+
+def _labels_one_by_one(texts):
+    """parse_labels' rule applied text by text: each text stripped, then
+    "0", "1" or blank, else refused at the first such text."""
+    values = np.array([population._LABEL_VALUES.get(t.strip(), np.inf) for t in texts], float)
+    bad = np.flatnonzero(values == np.inf)
+    return values, int(bad[0]) if bad.size else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["0", "1", "", " ", " 0", "1 ", "01", "2", "\u0661", "\t1"])))
+@example(["01", ""])  # as many characters as two one-character labels
+@example([" 1", "0"])
+@example(["1", "2"])
+@example(["0", "\u0661"])  # one character, an Arabic-Indic one
+@example(["", "", ""])
+@example([])
+@example(["0", "1", "1", "0"])
+def test_parse_labels_follows_the_per_text_rule(texts):
+    values, bad = population.parse_labels(texts)
+    want, want_bad = _labels_one_by_one(texts)
+    assert bad == want_bad
+    assert values.dtype == np.float64
+    assert np.array_equal(values, want, equal_nan=True)
+
+
+def _chunked_frame(tmp_path, monkeypatch, ids, labels):
+    """A frame file of ``ids`` and ``labels``, every score 0.5, read 40
+    characters (about four rows) a chunk; the texts that each call of
+    parse_labels gets are kept in the list returned."""
+    monkeypatch.setattr(population, "CHUNK_CHARS", 40)
+    seen, parse = [], population.parse_labels
+    monkeypatch.setattr(population, "parse_labels",
+                        lambda texts: seen.append(texts) or parse(texts))
+    path = tmp_path / "frame.csv"
+    body = "".join(f"{uid},{y},0.5\n" for uid, y in zip(ids, labels))
+    path.write_text("id,label,p_hat\n" + body, encoding="utf-8", newline="")
+    return path, seen
+
+
+def test_labels_read_in_one_pass_then_one_by_one_load_as_before(tmp_path, monkeypatch):
+    # the first chunks hold only "0" and "1", a later one blank and padded labels
+    ids, plain = [f"u{i}" for i in range(25)], ["0", "1"] * 10
+    path, seen = _chunked_frame(tmp_path, monkeypatch, ids, plain + ["1", "", " 1", "0\t", " "])
+    labels = load_frame(path).labels
+    assert labels[:20].tolist() == [0.0, 1.0] * 10
+    assert np.array_equal(labels[20:], [1.0, np.nan, 1.0, 0.0, np.nan], equal_nan=True)
+    assert set(seen[0]) == {"0", "1"} and any(" 1" in texts for texts in seen[1:])
+    path, _ = _chunked_frame(tmp_path, monkeypatch, ids, plain + ["1", "", " 2 ", "0", "1"])
+    with pytest.raises(IngestionError) as info:
+        load_frame(path)
+    assert str(info.value) == f"{path}: row 24: label '2' not in {{0, 1, blank}}"
+
+
+def test_ids_are_stripped_only_in_chunks_that_hold_whitespace(tmp_path, monkeypatch):
+    # the first chunks' ids hold no whitespace; later ones are padded with
+    # a tab, U+00A0 and U+3000, or hold it inside
+    ids = [f"u{i}" for i in range(20)] + ["\tt1", "n2\u00a0", "\u3000w3\u3000", "a b", " s5\t"]
+    path, _ = _chunked_frame(tmp_path, monkeypatch, ids, ["1"] * len(ids))
+    assert load_frame(path).ids.tolist() == [f"u{i}" for i in range(20)] + [
+        "t1", "n2", "w3", "a b", "s5"]
 
 
 def test_arrays_are_read_only():
